@@ -38,8 +38,8 @@
 //! reports zero errors even though the may-analysis over-approximates.
 //!
 //! Like the sanitizer and profiler, the analyzer is purely observational: it
-//! pushes no trace ops at all, so `KernelStats` are byte-identical with it
-//! on or off.
+//! consumes the executor's [`Event`](crate::event) records and never writes
+//! the trace, so `KernelStats` are byte-identical with it on or off.
 
 pub mod domain;
 pub mod passes;
@@ -47,6 +47,7 @@ mod report;
 
 pub use domain::{AbsJoin, AbsVal, Interval, LaneAffine, SiteAffine};
 
+use crate::event::{Event, EventKind, MemAccess};
 use crate::sanitize::Severity;
 use crate::warp::WarpId;
 use std::collections::{HashMap, HashSet};
@@ -392,31 +393,6 @@ impl SiteSummary {
     }
 }
 
-/// One memory-op observation handed to the analyzer from `WarpCtx`.
-pub(crate) struct MemObs<'a> {
-    pub id: WarpId,
-    pub epoch: u32,
-    pub kind: AccessKind,
-    pub space: Space,
-    pub op: &'static str,
-    pub site: Site,
-    /// `(lane, absolute word address)` for each active lane, ascending.
-    pub addrs: &'a [(usize, i64)],
-    /// `(lane, stored bit pattern)` for writes.
-    pub values: Option<&'a [(usize, i64)]>,
-    /// Active-lane span of the (guarded) mask.
-    pub lane_span: Option<(usize, usize)>,
-    /// Global reads: lanes that read a never-written device word.
-    pub invalid: u32,
-    /// `(actual transactions, distinct addresses)` when this op class is
-    /// sampled by the coalescing lint (mirrors the sanitizer's sampling).
-    pub coalesce: Option<(u32, u32)>,
-    pub segment_words: u32,
-    /// Shared accesses: the bank serialization cost already computed for
-    /// the trace.
-    pub bank_cost: u32,
-}
-
 /// A race finding buffered by `pass_races` before recording: kind, first
 /// observing agent, op label, the two sites, and the message.
 type RaceHit = (FindKind, WarpId, &'static str, Site, Option<Site>, String);
@@ -538,145 +514,186 @@ impl Analyzer {
         out
     }
 
-    // ---- hooks called from WarpCtx / BlockCtx -------------------------------
+    // ---- the observer entry point -------------------------------------------
 
-    /// Fold one memory operation into its site's abstract summary and emit
-    /// the immediate (observed-event) findings.
-    pub(crate) fn mem_access(&mut self, obs: MemObs<'_>) {
-        if obs.addrs.is_empty() {
-            return;
-        }
-        // Shared validity shadow: reads of never-written words are definite
-        // uninitialized reads; writes validate.
-        let mut invalid = obs.invalid;
-        if obs.space == Space::Shared {
-            invalid = 0;
-            for &(_, w) in obs.addrs {
-                let key = (obs.id.block, w as u32);
-                match obs.kind {
-                    AccessKind::Read => {
-                        if !self.shared_valid.contains(&key) {
-                            invalid += 1;
-                        }
-                    }
-                    AccessKind::Write | AccessKind::Atomic => {
-                        self.shared_valid.insert(key);
-                    }
+    /// Fold one warp-level operation into the launch's abstract state and
+    /// emit the immediate (observed-event) findings.
+    pub(crate) fn on_event(&mut self, ev: &Event<'_>) {
+        let (id, op, site) = (ev.id, ev.op, ev.site);
+        match ev.kind {
+            EventKind::Mem(m) => self.mem_access(ev, &m),
+            EventKind::Collective { active, pred } => self.collective(ev, active, pred),
+            EventKind::EmptyMask => self.hit(
+                FindKind::EmptyMaskCollective,
+                id,
+                op,
+                site,
+                None,
+                format!("collective `{op}` executed under an empty active mask"),
+            ),
+            EventKind::DivergentShuffle { .. } => self.hit(
+                FindKind::DivergentShfl,
+                id,
+                op,
+                site,
+                None,
+                format!(
+                    "`{op}` reads a source lane outside the active mask (undefined on hardware)"
+                ),
+            ),
+            EventKind::Oob { space, .. } => self.hit(
+                FindKind::OutOfBounds,
+                id,
+                op,
+                site,
+                None,
+                format!(
+                    "observed {}-memory access outside its allocation",
+                    space.label()
+                ),
+            ),
+            // Every warp of the block reaches the barrier at `site`.
+            EventKind::Barrier { warps } => {
+                let seqs = self
+                    .barriers
+                    .entry(id.block)
+                    .or_insert_with(|| vec![Vec::new(); warps.max(1) as usize]);
+                for s in seqs.iter_mut() {
+                    s.push(site);
                 }
             }
+            EventKind::Issue(_) => {}
+        }
+    }
+
+    /// Fold one memory operation into its site's abstract summary.
+    fn mem_access(&mut self, ev: &Event<'_>, m: &MemAccess<'_>) {
+        let (Some(first), Some(last)) = (m.lanes.first(), m.lanes.last()) else {
+            return;
+        };
+        let id = ev.id;
+        // Reads of never-written words. Global validity comes with the
+        // event; shared memory has a per-block valid-bit shadow here: reads
+        // of never-written words are definite uninitialized reads, writes
+        // validate.
+        let mut invalid = 0u32;
+        for a in m.lanes {
+            let fresh = match (m.space, m.access) {
+                (Space::Global, _) => !a.valid,
+                (Space::Shared, AccessKind::Read) => {
+                    !self.shared_valid.contains(&(id.block, a.word))
+                }
+                (Space::Shared, _) => {
+                    self.shared_valid.insert((id.block, a.word));
+                    false
+                }
+            };
+            invalid += fresh as u32;
         }
 
-        let addr_fit = LaneAffine::fit(obs.addrs.iter().copied());
-        let addr_hull = hull_of(obs.addrs);
-        let value_fit = obs.values.and_then(|v| LaneAffine::fit(v.iter().copied()));
-        let value_hull = obs.values.map(hull_of);
+        let addrs = || m.lanes.iter().map(|a| (a.lane as usize, a.word as i64));
+        let values = || m.lanes.iter().map(|a| (a.lane as usize, a.value as i64));
+        let stores = m.access == AccessKind::Write;
 
-        let site = self.mem_sites.entry(obs.site).or_insert_with(|| MemSite {
-            op: obs.op,
-            kind: obs.kind,
-            space: obs.space,
+        let site = self.mem_sites.entry(ev.site).or_insert_with(|| MemSite {
+            op: ev.op,
+            kind: m.access,
+            space: m.space,
             addr: AbsJoin::default(),
             value: AbsJoin::default(),
             agents: AgentSummary::default(),
             lane_span: None,
-            who: (obs.id.block, obs.id.warp_in_block),
+            who: (id.block, id.warp_in_block),
             obs: 0,
-            segment_words: obs.segment_words,
+            segment_words: m.segment_words,
             coalesce: None,
         });
         site.obs += 1;
-        site.addr
-            .observe(addr_fit, addr_hull, obs.id.warp_in_block, obs.id.block);
-        if let Some(h) = value_hull {
-            site.value
-                .observe(value_fit, h, obs.id.warp_in_block, obs.id.block);
+        site.addr.observe(
+            LaneAffine::fit(addrs()),
+            hull_of(addrs()),
+            id.warp_in_block,
+            id.block,
+        );
+        if stores {
+            site.value.observe(
+                LaneAffine::fit(values()),
+                hull_of(values()),
+                id.warp_in_block,
+                id.block,
+            );
         }
-        site.agents
-            .observe(obs.id.block, obs.id.warp_in_block, obs.epoch);
-        site.lane_span = match (site.lane_span, obs.lane_span) {
-            (None, s) | (s, None) => s,
-            (Some((a, b)), Some((c, d))) => Some((a.min(c), b.max(d))),
-        };
-        if let Some((tx, distinct)) = obs.coalesce {
+        site.agents.observe(id.block, id.warp_in_block, ev.epoch);
+        let span = (first.lane as usize, last.lane as usize);
+        site.lane_span = Some(match site.lane_span {
+            None => span,
+            Some((lo, hi)) => (lo.min(span.0), hi.max(span.1)),
+        });
+        if let Some((tx, distinct)) = m.coalesce {
             let acc = site.coalesce.get_or_insert(CoalAcc::default());
             acc.ops += 1;
             acc.actual += tx as u64;
-            acc.ideal += crate::coalesce::ideal_transactions(distinct, obs.segment_words) as u64;
+            acc.ideal += crate::coalesce::ideal_transactions(distinct, m.segment_words) as u64;
         }
 
         // Immediate, observed-event findings.
         if invalid > 0 {
-            match obs.space {
-                Space::Global => self.hit(
+            let (kind, message) = match m.space {
+                Space::Global => (
                     FindKind::MayUninit,
-                    obs.id,
-                    obs.op,
-                    obs.site,
-                    None,
                     format!("{invalid} lane(s) observed reading uninitialized device words"),
                 ),
-                Space::Shared => self.hit(
+                Space::Shared => (
                     FindKind::UninitShared,
-                    obs.id,
-                    obs.op,
-                    obs.site,
-                    None,
                     format!("{invalid} lane(s) read never-written shared words"),
                 ),
-            }
+            };
+            self.hit(kind, id, ev.op, ev.site, None, message);
         }
-        if obs.space == Space::Shared && obs.bank_cost > 4 {
+        if m.space == Space::Shared && m.bank_cost > 4 {
             self.hit(
                 FindKind::BankConflict,
-                obs.id,
-                obs.op,
-                obs.site,
+                id,
+                ev.op,
+                ev.site,
                 None,
                 format!(
                     "shared-memory access serialized into {} bank passes (> 4)",
-                    obs.bank_cost
+                    m.bank_cost
                 ),
             );
         }
-        if obs.space == Space::Global && obs.kind == AccessKind::Write {
-            if let Some(vals) = obs.values {
-                'outer: for (i, &(_, a)) in obs.addrs.iter().enumerate() {
-                    for j in 0..i {
-                        if obs.addrs[j].1 == a && vals[j].1 != vals[i].1 {
-                            self.hit(
-                                FindKind::StoreCollision,
-                                obs.id,
-                                obs.op,
-                                obs.site,
-                                None,
-                                format!(
-                                    "lanes store different values to word {a} in one \
-                                     instruction (winner undefined on hardware)"
-                                ),
-                            );
-                            break 'outer;
-                        }
-                    }
-                }
+        if m.space == Space::Global && stores {
+            let collision = m.lanes.iter().enumerate().find(|(i, a)| {
+                m.lanes[..*i]
+                    .iter()
+                    .any(|k| k.word == a.word && k.value != a.value)
+            });
+            if let Some((_, a)) = collision {
+                self.hit(
+                    FindKind::StoreCollision,
+                    id,
+                    ev.op,
+                    ev.site,
+                    None,
+                    format!(
+                        "lanes store different values to word {} in one instruction (winner \
+                         undefined on hardware)",
+                        a.word
+                    ),
+                );
             }
         }
     }
 
     /// Record one ballot/any/all execution for the redundancy pass.
-    pub(crate) fn collective(
-        &mut self,
-        id: WarpId,
-        op: &'static str,
-        site: Site,
-        active: u32,
-        hits: u32,
-    ) {
-        let c = self.coll_sites.entry(site).or_insert_with(|| CollSite {
-            op,
+    fn collective(&mut self, ev: &Event<'_>, active: u32, hits: u32) {
+        let c = self.coll_sites.entry(ev.site).or_insert_with(|| CollSite {
+            op: ev.op,
             obs: 0,
             uniform_true: 0,
             uniform_false: 0,
-            who: (id.block, id.warp_in_block),
+            who: (ev.id.block, ev.id.warp_in_block),
         });
         if active == 0 {
             return;
@@ -686,56 +703,6 @@ impl Analyzer {
             c.uniform_true += 1;
         } else if hits == 0 {
             c.uniform_false += 1;
-        }
-    }
-
-    /// A collective executed under an empty active mask.
-    pub(crate) fn empty_collective(&mut self, id: WarpId, op: &'static str, site: Site) {
-        self.hit(
-            FindKind::EmptyMaskCollective,
-            id,
-            op,
-            site,
-            None,
-            format!("collective `{op}` executed under an empty active mask"),
-        );
-    }
-
-    /// A shuffle observed reading a source lane outside the active mask.
-    pub(crate) fn divergent_shuffle(&mut self, id: WarpId, op: &'static str, site: Site) {
-        self.hit(
-            FindKind::DivergentShfl,
-            id,
-            op,
-            site,
-            None,
-            format!("`{op}` reads a source lane outside the active mask (undefined on hardware)"),
-        );
-    }
-
-    /// An observed out-of-bounds access.
-    pub(crate) fn oob(&mut self, id: WarpId, space: Space, op: &'static str, site: Site) {
-        self.hit(
-            FindKind::OutOfBounds,
-            id,
-            op,
-            site,
-            None,
-            format!(
-                "observed {}-memory access outside its allocation",
-                space.label()
-            ),
-        );
-    }
-
-    /// A block-wide barrier: every warp of the block reaches `site`.
-    pub(crate) fn barrier(&mut self, block: u32, warps: u32, site: Site) {
-        let seqs = self
-            .barriers
-            .entry(block)
-            .or_insert_with(|| vec![Vec::new(); warps.max(1) as usize]);
-        for s in seqs.iter_mut() {
-            s.push(site);
         }
     }
 
@@ -1004,7 +971,6 @@ impl Analyzer {
 
     // ---- recording ----------------------------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
     fn hit(
         &mut self,
         kind: FindKind,
@@ -1046,14 +1012,9 @@ impl Analyzer {
     }
 }
 
-fn hull_of(points: &[(usize, i64)]) -> Interval {
-    let mut it = points.iter();
-    let first = it.next().map(|&(_, v)| v).unwrap_or(0);
-    let mut h = Interval::point(first);
-    for &(_, v) in it {
-        h = h.include(v);
-    }
-    h
+fn hull_of(mut points: impl Iterator<Item = (usize, i64)>) -> Interval {
+    let first = points.next().map_or(0, |(_, v)| v);
+    points.fold(Interval::point(first), |h, (_, v)| h.include(v))
 }
 
 fn format_affine(a: SiteAffine) -> String {
@@ -1069,6 +1030,7 @@ fn format_affine(a: SiteAffine) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::LaneAccess;
 
     fn id(block: u32, warp: u32) -> WarpId {
         WarpId {
@@ -1084,33 +1046,55 @@ mod tests {
         Location::caller()
     }
 
-    fn obs<'a>(
-        who: WarpId,
-        epoch: u32,
-        kind: AccessKind,
-        space: Space,
+    /// Lane records from `(lane, word)` pairs and, for writes, the matching
+    /// `(lane, stored value)` pairs.
+    fn lanes(addrs: &[(usize, i64)], values: Option<&[(usize, i64)]>) -> Vec<LaneAccess> {
+        addrs
+            .iter()
+            .enumerate()
+            .map(|(i, &(lane, word))| LaneAccess {
+                lane: lane as u32,
+                word: word as u32,
+                value: values.map_or(0, |v| v[i].1 as u32),
+                valid: true,
+            })
+            .collect()
+    }
+
+    /// Feed `a` one memory event from `who` in barrier epoch `epoch`.
+    fn mem(
+        a: &mut Analyzer,
+        (who, epoch): (WarpId, u32),
+        (access, space): (AccessKind, Space),
         loc: Site,
-        addrs: &'a [(usize, i64)],
-        values: Option<&'a [(usize, i64)]>,
-    ) -> MemObs<'a> {
-        MemObs {
+        lanes: &[LaneAccess],
+        coalesce: Option<(u32, u32)>,
+    ) {
+        a.on_event(&Event {
             id: who,
             epoch,
-            kind,
-            space,
             op: "test",
             site: loc,
-            addrs,
-            values,
-            lane_span: addrs
-                .iter()
-                .map(|&(l, _)| (l, l))
-                .reduce(|(a, b), (c, d)| (a.min(c), b.max(d))),
-            invalid: 0,
-            coalesce: None,
-            segment_words: 32,
-            bank_cost: 1,
-        }
+            kind: EventKind::Mem(MemAccess {
+                space,
+                access,
+                base: 0,
+                lanes,
+                coalesce,
+                segment_words: 32,
+                bank_cost: 1,
+            }),
+        });
+    }
+
+    fn event(a: &mut Analyzer, who: WarpId, loc: Site, kind: EventKind<'_>) {
+        a.on_event(&Event {
+            id: who,
+            epoch: 0,
+            op: "ballot",
+            site: loc,
+            kind,
+        });
     }
 
     #[test]
@@ -1121,15 +1105,14 @@ mod tests {
         for b in 0..4u32 {
             let addrs = [(0usize, 100i64)];
             let vals = [(0usize, b as i64)];
-            a.mem_access(obs(
-                id(b, 0),
-                0,
-                AccessKind::Write,
-                Space::Global,
+            mem(
+                &mut a,
+                (id(b, 0), 0),
+                (AccessKind::Write, Space::Global),
                 loc,
-                &addrs,
-                Some(&vals),
-            ));
+                &lanes(&addrs, Some(&vals)),
+                None,
+            );
         }
         a.finish_launch();
         assert!(a.has_errors());
@@ -1147,15 +1130,14 @@ mod tests {
         for b in 0..4u32 {
             let addrs = [(0usize, 100i64)];
             let vals = [(0usize, 7i64)];
-            a.mem_access(obs(
-                id(b, 0),
-                0,
-                AccessKind::Write,
-                Space::Global,
+            mem(
+                &mut a,
+                (id(b, 0), 0),
+                (AccessKind::Write, Space::Global),
                 loc,
-                &addrs,
-                Some(&vals),
-            ));
+                &lanes(&addrs, Some(&vals)),
+                None,
+            );
         }
         a.finish_launch();
         assert!(!a.has_errors());
@@ -1179,15 +1161,14 @@ mod tests {
             // write the same value → not definite. The may-race self-pair
             // does fire (the hull over-approximates) — that is the designed
             // warning behaviour for a single site spanning agents.
-            a.mem_access(obs(
-                id(b, 0),
-                0,
-                AccessKind::Write,
-                Space::Global,
+            mem(
+                &mut a,
+                (id(b, 0), 0),
+                (AccessKind::Write, Space::Global),
                 loc,
-                &addrs,
-                Some(&vals),
-            ));
+                &lanes(&addrs, Some(&vals)),
+                None,
+            );
         }
         a.finish_launch();
         assert!(!a.has_errors());
@@ -1202,48 +1183,44 @@ mod tests {
         let addrs = [(0usize, 5i64)];
         let vals = [(0usize, 1i64)];
         // Read before any write: definite uninit.
-        a.mem_access(obs(
-            id(0, 0),
-            0,
-            AccessKind::Read,
-            Space::Shared,
+        mem(
+            &mut a,
+            (id(0, 0), 0),
+            (AccessKind::Read, Space::Shared),
             r,
-            &addrs,
+            &lanes(&addrs, None),
             None,
-        ));
+        );
         assert!(a.has_errors());
         assert_eq!(a.findings()[0].kind, FindKind::UninitShared);
         // After a write, reads of the same word in the same block are fine.
         let before = a.error_count();
-        a.mem_access(obs(
-            id(1, 0),
-            0,
-            AccessKind::Write,
-            Space::Shared,
+        mem(
+            &mut a,
+            (id(1, 0), 0),
+            (AccessKind::Write, Space::Shared),
             w,
-            &addrs,
-            Some(&vals),
-        ));
-        a.mem_access(obs(
-            id(1, 0),
-            0,
-            AccessKind::Read,
-            Space::Shared,
-            r,
-            &addrs,
+            &lanes(&addrs, Some(&vals)),
             None,
-        ));
+        );
+        mem(
+            &mut a,
+            (id(1, 0), 0),
+            (AccessKind::Read, Space::Shared),
+            r,
+            &lanes(&addrs, None),
+            None,
+        );
         assert_eq!(a.error_count(), before);
         // …but another block's shared memory is separate.
-        a.mem_access(obs(
-            id(2, 0),
-            0,
-            AccessKind::Read,
-            Space::Shared,
+        mem(
+            &mut a,
+            (id(2, 0), 0),
+            (AccessKind::Read, Space::Shared),
             r,
-            &addrs,
+            &lanes(&addrs, None),
             None,
-        ));
+        );
         assert!(a.error_count() > before);
     }
 
@@ -1254,24 +1231,22 @@ mod tests {
         let loc = site();
         let addrs = [(0usize, 3i64)];
         let vals = [(0usize, 1i64)];
-        a.mem_access(obs(
-            id(0, 0),
-            0,
-            AccessKind::Write,
-            Space::Shared,
+        mem(
+            &mut a,
+            (id(0, 0), 0),
+            (AccessKind::Write, Space::Shared),
             loc,
-            &addrs,
-            Some(&vals),
-        ));
-        a.mem_access(obs(
-            id(0, 1),
-            0,
-            AccessKind::Write,
-            Space::Shared,
+            &lanes(&addrs, Some(&vals)),
+            None,
+        );
+        mem(
+            &mut a,
+            (id(0, 1), 0),
+            (AccessKind::Write, Space::Shared),
             loc,
-            &addrs,
-            Some(&vals),
-        ));
+            &lanes(&addrs, Some(&vals)),
+            None,
+        );
         a.finish_launch();
         assert!(a.findings().iter().any(|f| f.kind == FindKind::MayRace));
     }
@@ -1284,25 +1259,23 @@ mod tests {
         let r = site();
         let addrs = [(0usize, 3i64)];
         let vals = [(0usize, 1i64)];
-        a.mem_access(obs(
-            id(0, 0),
-            0,
-            AccessKind::Write,
-            Space::Shared,
+        mem(
+            &mut a,
+            (id(0, 0), 0),
+            (AccessKind::Write, Space::Shared),
             w,
-            &addrs,
-            Some(&vals),
-        ));
-        // Read by another warp in the NEXT epoch: ordered by the barrier.
-        a.mem_access(obs(
-            id(0, 1),
-            1,
-            AccessKind::Read,
-            Space::Shared,
-            r,
-            &addrs,
+            &lanes(&addrs, Some(&vals)),
             None,
-        ));
+        );
+        // Read by another warp in the NEXT epoch: ordered by the barrier.
+        mem(
+            &mut a,
+            (id(0, 1), 1),
+            (AccessKind::Read, Space::Shared),
+            r,
+            &lanes(&addrs, None),
+            None,
+        );
         a.finish_launch();
         assert!(
             !a.findings().iter().any(|f| f.kind == FindKind::MayRace),
@@ -1321,15 +1294,14 @@ mod tests {
         let vals = [(0usize, 9i64)];
         for t in 0..8u32 {
             let addrs = [(0usize, 3i64)];
-            a.mem_access(obs(
-                id(t, 0),
-                0,
-                AccessKind::Write,
-                Space::Shared,
+            mem(
+                &mut a,
+                (id(t, 0), 0),
+                (AccessKind::Write, Space::Shared),
                 loc,
-                &addrs,
-                Some(&vals),
-            ));
+                &lanes(&addrs, Some(&vals)),
+                None,
+            );
         }
         a.finish_launch();
         assert!(!a.findings().iter().any(|f| f.kind == FindKind::MayRace));
@@ -1342,17 +1314,14 @@ mod tests {
         let loc = site();
         for _ in 0..10 {
             let addrs: Vec<(usize, i64)> = (0..32).map(|l| (l, (l * 32) as i64)).collect();
-            let mut o = obs(
-                id(0, 0),
-                0,
-                AccessKind::Read,
-                Space::Global,
+            mem(
+                &mut a,
+                (id(0, 0), 0),
+                (AccessKind::Read, Space::Global),
                 loc,
-                &addrs,
-                None,
+                &lanes(&addrs, None),
+                Some((32, 32)),
             );
-            o.coalesce = Some((32, 32));
-            a.mem_access(o);
         }
         a.finish_launch();
         let f = a
@@ -1371,17 +1340,14 @@ mod tests {
         let loc = site();
         for _ in 0..10 {
             let addrs: Vec<(usize, i64)> = (0..32).map(|l| (l, 4096i64)).collect();
-            let mut o = obs(
-                id(0, 0),
-                0,
-                AccessKind::Read,
-                Space::Global,
+            mem(
+                &mut a,
+                (id(0, 0), 0),
+                (AccessKind::Read, Space::Global),
                 loc,
-                &addrs,
-                None,
+                &lanes(&addrs, None),
+                Some((1, 1)),
             );
-            o.coalesce = Some((1, 1));
-            a.mem_access(o);
         }
         a.finish_launch();
         assert!(!a.findings().iter().any(|f| f.kind == FindKind::Coalescing));
@@ -1394,8 +1360,16 @@ mod tests {
         let uniform = site();
         let mixed = site();
         for _ in 0..10 {
-            a.collective(id(0, 0), "ballot", uniform, 32, 32);
-            a.collective(id(0, 0), "ballot", mixed, 32, 7);
+            let all = EventKind::Collective {
+                active: 32,
+                pred: 32,
+            };
+            let some = EventKind::Collective {
+                active: 32,
+                pred: 7,
+            };
+            event(&mut a, id(0, 0), uniform, all);
+            event(&mut a, id(0, 0), mixed, some);
         }
         a.finish_launch();
         let kinds: Vec<(FindKind, Site)> = a.findings().iter().map(|f| (f.kind, f.site)).collect();
@@ -1409,8 +1383,8 @@ mod tests {
         a.set_context("fixture");
         a.begin_launch();
         let loc = site();
-        a.empty_collective(id(0, 0), "ballot", loc);
-        a.empty_collective(id(1, 2), "ballot", loc);
+        event(&mut a, id(0, 0), loc, EventKind::EmptyMask);
+        event(&mut a, id(1, 2), loc, EventKind::EmptyMask);
         assert_eq!(a.findings().len(), 1);
         assert_eq!(a.findings()[0].count, 2);
         assert_eq!(a.warning_count(), 2);
@@ -1443,15 +1417,14 @@ mod tests {
             // Segment-aligned base so the warp's 32 words fill one segment.
             let base = 1024 + 32 * w as i64;
             let addrs: Vec<(usize, i64)> = (0..32).map(|l| (l, base + l as i64)).collect();
-            a.mem_access(obs(
-                id(0, w),
-                0,
-                AccessKind::Read,
-                Space::Global,
+            mem(
+                &mut a,
+                (id(0, w), 0),
+                (AccessKind::Read, Space::Global),
                 loc,
-                &addrs,
+                &lanes(&addrs, None),
                 None,
-            ));
+            );
         }
         a.finish_launch();
         let sites = a.site_summaries();

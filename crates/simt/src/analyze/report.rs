@@ -128,6 +128,7 @@ impl Analyzer {
 #[cfg(test)]
 mod tests {
     use super::super::*;
+    use crate::event::LaneAccess;
     use crate::warp::WarpId;
 
     #[test]
@@ -148,23 +149,32 @@ mod tests {
             warps_per_block: 4,
             num_blocks: 2,
         };
-        a.empty_collective(id, "ballot", std::panic::Location::caller());
-        let addrs: Vec<(usize, i64)> = (0..32).map(|l| (l, 64 + l as i64)).collect();
-        a.mem_access(MemObs {
+        let event = |op, kind| Event {
             id,
             epoch: 0,
-            kind: AccessKind::Read,
-            space: Space::Global,
-            op: "ld",
+            op,
             site: std::panic::Location::caller(),
-            addrs: &addrs,
-            values: None,
-            lane_span: Some((0, 31)),
-            invalid: 0,
+            kind,
+        };
+        a.on_event(&event("ballot", EventKind::EmptyMask));
+        let lanes: Vec<LaneAccess> = (0..32)
+            .map(|lane| LaneAccess {
+                lane,
+                word: 64 + lane,
+                value: 0,
+                valid: true,
+            })
+            .collect();
+        let load = MemAccess {
+            space: Space::Global,
+            access: AccessKind::Read,
+            base: 64,
+            lanes: &lanes,
             coalesce: None,
             segment_words: 32,
             bank_cost: 1,
-        });
+        };
+        a.on_event(&event("ld", EventKind::Mem(load)));
         a.finish_launch();
         let j = a.to_json();
         assert!(j.contains("\"tool\": \"maxwarp-analyze\""));

@@ -3,18 +3,20 @@
 use crate::analyze::Analyzer;
 use crate::cache::CacheModel;
 use crate::config::GpuConfig;
-use crate::fault::{AtomicDropPlan, ChaosState, FaultConfig, SimtError, WatchdogKind};
+use crate::event::{EventKind, Observers, OpSite};
+use crate::fault::{
+    AtomicDropPlan, ChaosState, FaultConfig, LaunchFaults, SimtError, WatchdogKind,
+};
 use crate::kernel::{BlockCtx, Kernel};
 use crate::lanes::WARP_SIZE;
 use crate::mem::DeviceMem;
 use crate::profile::{ProfileReport, Profiler};
-use crate::sanitize::{BlockShadow, Sanitizer};
+use crate::sanitize::Sanitizer;
 use crate::shared::SharedMem;
 use crate::stats::KernelStats;
 use crate::timing::{self, TimingError, TimingInput, TimingReport, WarpSpan};
 use crate::trace::{KernelTrace, Op, WarpTrace};
-use crate::warp::{SanScope, WarpCtx, WarpId};
-use std::panic::Location;
+use crate::warp::{WarpCtx, WarpId};
 
 /// Launch-time errors (the simulator's `cudaGetLastError`).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -291,14 +293,17 @@ impl Gpu {
         }
     }
 
-    /// Account a dropped-atomic plan that actually fired during the launch.
-    fn chaos_postlaunch(&mut self, plan: Option<&AtomicDropPlan>) {
-        if let (Some(chaos), Some(plan)) = (self.chaos.as_mut(), plan) {
+    /// Close the functional phase of a launch: account a dropped-atomic
+    /// plan that actually fired and surface the first fault any warp
+    /// recorded.
+    fn finish_functional(&mut self, faults: LaunchFaults) -> Result<(), LaunchError> {
+        if let (Some(chaos), Some(plan)) = (self.chaos.as_mut(), faults.drop_plan) {
             if plan.dropped {
                 chaos.atomics_dropped += 1;
                 crate::obs::chaos_injected("dropped_atomic");
             }
         }
+        faults.first.map_or(Ok(()), |e| Err(e.into()))
     }
 
     /// Scheduling perturbation: rotate each block's warp streams before the
@@ -356,47 +361,38 @@ impl Gpu {
         };
         let mut cache =
             CacheModel::new(self.cfg.l2_lines, self.cfg.l2_ways, self.cfg.segment_bytes);
-        let mut san = self.san.take();
-        if let Some(s) = &mut san {
-            s.begin_launch(self.mem.allocated_words());
-        }
-        let mut anl = self.anl.take();
-        if let Some(a) = &mut anl {
-            a.begin_launch();
-        }
-        let mut fault: Option<SimtError> = None;
-        let mut chaos_plan = self.chaos_prelaunch();
+        let mut faults = LaunchFaults {
+            first: None,
+            drop_plan: self.chaos_prelaunch(),
+        };
+        let mut obs = Observers::begin_launch(
+            self.san.as_deref_mut(),
+            self.anl.as_deref_mut(),
+            self.prof.as_deref_mut(),
+            self.mem.allocated_words(),
+        );
         for b in 0..grid_blocks {
+            let id = WarpId {
+                block: b,
+                warp_in_block: 0,
+                warps_per_block,
+                num_blocks: grid_blocks,
+            };
             let mut ctx = BlockCtx::new(
                 &mut self.mem,
                 &mut cache,
                 &self.cfg,
-                b,
-                grid_blocks,
-                warps_per_block,
-                san.as_deref_mut(),
-                self.prof.as_deref_mut(),
-                anl.as_deref_mut(),
-                Some(&mut fault),
-                chaos_plan.as_mut(),
+                id,
+                obs.as_mut().map(Observers::begin_block),
+                Some(&mut faults),
             );
             kernel.run_block(&mut ctx);
             let (bt, shared_used) = ctx.into_trace();
             trace.shared_words_per_block = trace.shared_words_per_block.max(shared_used);
             trace.blocks.push(bt);
         }
-        if let Some(s) = &mut san {
-            s.finish_launch();
-        }
-        if let Some(a) = &mut anl {
-            a.finish_launch();
-        }
-        self.san = san;
-        self.anl = anl;
-        self.chaos_postlaunch(chaos_plan.as_ref());
-        if let Some(e) = fault.take() {
-            return Err(e.into());
-        }
+        Observers::finish_launch(obs);
+        self.finish_functional(faults)?;
 
         let mut stats = KernelStats::from_trace(&trace);
         self.chaos_perturb_schedule(&mut trace);
@@ -426,7 +422,7 @@ impl Gpu {
     ) -> Result<KernelStats, LaunchError> {
         // Attribute the dynamic queue-fetch atomics to whoever launched the
         // task loop — kernel drivers, not this file.
-        let launch_site = Location::caller();
+        let launch_site = OpSite::caller("queue_fetch");
         self.validate_block(block_threads)?;
         let warps_per_block = block_threads / WARP_SIZE as u32;
         let resident_warps = (grid_blocks * warps_per_block).max(1);
@@ -435,18 +431,27 @@ impl Gpu {
         // scratch (warp-private), sized by the per-SM budget.
         let mut cache =
             CacheModel::new(self.cfg.l2_lines, self.cfg.l2_ways, self.cfg.segment_bytes);
-        let mut san = self.san.take();
-        if let Some(s) = &mut san {
-            s.begin_launch(self.mem.allocated_words());
-        }
-        let mut anl = self.anl.take();
-        if let Some(a) = &mut anl {
-            a.begin_launch();
-        }
-        let mut fault: Option<SimtError> = None;
-        let mut chaos_plan = self.chaos_prelaunch();
+        let mut faults = LaunchFaults {
+            first: None,
+            drop_plan: self.chaos_prelaunch(),
+        };
+        let mut obs = Observers::begin_launch(
+            self.san.as_deref_mut(),
+            self.anl.as_deref_mut(),
+            self.prof.as_deref_mut(),
+            self.mem.allocated_words(),
+        );
         let mut tasks: Vec<WarpTrace> = Vec::with_capacity(num_tasks as usize);
         for task in 0..num_tasks {
+            let id = WarpId {
+                block: task,
+                warp_in_block: 0,
+                warps_per_block: 1,
+                num_blocks: num_tasks.max(1),
+            };
+            // Each task's shared scratch is warp-private, so every task is
+            // its own block as far as race detection goes.
+            let mut task_obs = obs.as_mut().map(Observers::begin_block);
             let mut wt = WarpTrace::new();
             if schedule == TaskSchedule::Dynamic {
                 // The chunk fetch: one-lane atomicAdd on the work counter.
@@ -456,24 +461,11 @@ impl Gpu {
                     replays: 0,
                 };
                 wt.ops.push(fetch);
-                if let Some(prof) = self.prof.as_deref_mut() {
-                    prof.note(launch_site, "queue_fetch", fetch, self.cfg.segment_words());
+                if let Some(o) = &mut task_obs {
+                    o.emit(id, launch_site, EventKind::Issue(fetch));
                 }
             }
             let mut shared = SharedMem::new(self.cfg.shared_words_per_sm);
-            let id = WarpId {
-                block: task,
-                warp_in_block: 0,
-                warps_per_block: 1,
-                num_blocks: num_tasks.max(1),
-            };
-            // Each task's shared scratch is warp-private, so a fresh shadow
-            // per task is the right race-detection scope.
-            let mut shadow = BlockShadow::default();
-            let scope = san.as_deref_mut().map(|san| SanScope {
-                san,
-                shadow: &mut shadow,
-            });
             let mut ctx = WarpCtx::new_instrumented(
                 &mut self.mem,
                 &mut shared,
@@ -481,28 +473,14 @@ impl Gpu {
                 &mut cache,
                 &self.cfg,
                 id,
-                scope,
-                self.prof.as_deref_mut(),
-                anl.as_deref_mut(),
-                0,
-                Some(&mut fault),
-                chaos_plan.as_mut(),
+                task_obs,
+                Some(&mut faults),
             );
             f(&mut ctx, task);
             tasks.push(wt);
         }
-        if let Some(s) = &mut san {
-            s.finish_launch();
-        }
-        if let Some(a) = &mut anl {
-            a.finish_launch();
-        }
-        self.san = san;
-        self.anl = anl;
-        self.chaos_postlaunch(chaos_plan.as_ref());
-        if let Some(e) = fault.take() {
-            return Err(e.into());
-        }
+        Observers::finish_launch(obs);
+        self.finish_functional(faults)?;
 
         // Scheduling perturbation rotates the task→warp assignment (static)
         // or the fetch order (dynamic); functional work already ran above.

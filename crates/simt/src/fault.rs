@@ -245,11 +245,22 @@ impl fmt::Display for SimtError {
 
 impl std::error::Error for SimtError {}
 
-/// Record `err` into the launch's fault slot, keeping only the first fault
-/// (later ones are usually knock-on effects of the first).
-pub(crate) fn record(slot: &mut Option<SimtError>, err: SimtError) {
-    if slot.is_none() {
-        *slot = Some(err);
+/// Launch-wide fault state every warp of a launch reports into and draws
+/// injections from.
+#[derive(Debug, Default)]
+pub(crate) struct LaunchFaults {
+    /// The first fault recorded; it fails the launch.
+    pub first: Option<SimtError>,
+    /// Chaos mode: the launch's dropped-atomic plan, if that fault class is
+    /// enabled.
+    pub drop_plan: Option<AtomicDropPlan>,
+}
+
+impl LaunchFaults {
+    /// Record `err`, keeping only the first fault (later ones are usually
+    /// knock-on effects of the first).
+    pub(crate) fn record(&mut self, err: SimtError) {
+        self.first.get_or_insert(err);
     }
 }
 
@@ -456,22 +467,16 @@ mod tests {
 
     #[test]
     fn record_keeps_first_fault() {
-        let mut slot = None;
-        record(
-            &mut slot,
-            SimtError::AddressSpaceExhausted {
-                requested_bytes: 8,
-                available_bytes: 4,
-            },
-        );
-        record(
-            &mut slot,
-            SimtError::AddressSpaceExhausted {
-                requested_bytes: 99,
-                available_bytes: 0,
-            },
-        );
-        match slot {
+        let mut faults = LaunchFaults::default();
+        faults.record(SimtError::AddressSpaceExhausted {
+            requested_bytes: 8,
+            available_bytes: 4,
+        });
+        faults.record(SimtError::AddressSpaceExhausted {
+            requested_bytes: 99,
+            available_bytes: 0,
+        });
+        match faults.first {
             Some(SimtError::AddressSpaceExhausted {
                 requested_bytes, ..
             }) => assert_eq!(requested_bytes, 8),

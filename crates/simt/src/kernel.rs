@@ -8,17 +8,15 @@
 //! memory effects of a phase are visible after the barrier, and the timing
 //! model makes the block's warps rendezvous there.
 
-use crate::analyze::Analyzer;
 use crate::cache::CacheModel;
 use crate::config::GpuConfig;
-use crate::fault::{self, AtomicDropPlan, SimtError};
+use crate::event::{Observers, OpSite};
+use crate::fault::{LaunchFaults, SimtError};
 use crate::lanes::{DeviceWord, WARP_SIZE};
 use crate::mem::DeviceMem;
-use crate::profile::Profiler;
-use crate::sanitize::{BlockShadow, Sanitizer};
 use crate::shared::{SharedMem, SharedPtr};
 use crate::trace::{BlockTrace, Op, WarpTrace};
-use crate::warp::{SanScope, WarpCtx, WarpId};
+use crate::warp::{WarpCtx, WarpId};
 use std::panic::Location;
 
 /// A device kernel: the code one thread block runs.
@@ -40,74 +38,61 @@ pub struct BlockCtx<'a> {
     shared: SharedMem,
     trace: BlockTrace,
     cfg: &'a GpuConfig,
-    block_id: u32,
-    num_blocks: u32,
-    warps_per_block: u32,
-    san: Option<&'a mut Sanitizer>,
-    prof: Option<&'a mut Profiler>,
-    anl: Option<&'a mut Analyzer>,
-    shadow: BlockShadow,
-    fault: Option<&'a mut Option<SimtError>>,
-    chaos: Option<&'a mut AtomicDropPlan>,
+    /// The block's coordinates, as the id of its warp 0.
+    id: WarpId,
+    /// This block's handle on the launch's observers (it carries the
+    /// block's barrier epoch); `None` when all are off.
+    obs: Option<Observers<'a>>,
+    faults: Option<&'a mut LaunchFaults>,
 }
 
 impl<'a> BlockCtx<'a> {
-    #[allow(clippy::too_many_arguments)]
+    /// Context for the block `id.block` of a `id.num_blocks` ×
+    /// `id.warps_per_block` grid.
     pub(crate) fn new(
         mem: &'a mut DeviceMem,
         cache: &'a mut CacheModel,
         cfg: &'a GpuConfig,
-        block_id: u32,
-        num_blocks: u32,
-        warps_per_block: u32,
-        san: Option<&'a mut Sanitizer>,
-        prof: Option<&'a mut Profiler>,
-        anl: Option<&'a mut Analyzer>,
-        fault: Option<&'a mut Option<SimtError>>,
-        chaos: Option<&'a mut AtomicDropPlan>,
+        id: WarpId,
+        obs: Option<Observers<'a>>,
+        faults: Option<&'a mut LaunchFaults>,
     ) -> Self {
         BlockCtx {
             mem,
             cache,
             shared: SharedMem::new(cfg.shared_words_per_sm),
             trace: BlockTrace {
-                warps: vec![WarpTrace::new(); warps_per_block as usize],
+                warps: vec![WarpTrace::new(); id.warps_per_block as usize],
             },
             cfg,
-            block_id,
-            num_blocks,
-            warps_per_block,
-            san,
-            prof,
-            anl,
-            shadow: BlockShadow::default(),
-            fault,
-            chaos,
+            id,
+            obs,
+            faults,
         }
     }
 
     /// This block's index in the grid.
     #[inline]
     pub fn block_id(&self) -> u32 {
-        self.block_id
+        self.id.block
     }
 
     /// Number of blocks in the grid.
     #[inline]
     pub fn num_blocks(&self) -> u32 {
-        self.num_blocks
+        self.id.num_blocks
     }
 
     /// Warps per block.
     #[inline]
     pub fn warps_per_block(&self) -> u32 {
-        self.warps_per_block
+        self.id.warps_per_block
     }
 
     /// Threads per block.
     #[inline]
     pub fn threads_per_block(&self) -> u32 {
-        self.warps_per_block * WARP_SIZE as u32
+        self.id.warps_per_block * WARP_SIZE as u32
     }
 
     /// Allocate zero-initialized block shared memory. Must be called outside
@@ -127,12 +112,12 @@ impl<'a> BlockCtx<'a> {
                     requested_words,
                     used_words,
                     capacity_words,
-                    block: self.block_id,
+                    block: self.id.block,
                     site,
                 };
-                match self.fault.as_deref_mut() {
-                    Some(slot) => {
-                        fault::record(slot, err);
+                match &mut self.faults {
+                    Some(faults) => {
+                        faults.record(err);
                         SharedMem::null_ptr()
                     }
                     None => panic!("{err}"),
@@ -148,31 +133,19 @@ impl<'a> BlockCtx<'a> {
     ///
     /// [`barrier`]: BlockCtx::barrier
     pub fn phase(&mut self, mut f: impl FnMut(&mut WarpCtx<'_>)) {
-        for w in 0..self.warps_per_block {
-            let id = WarpId {
-                block: self.block_id,
-                warp_in_block: w,
-                warps_per_block: self.warps_per_block,
-                num_blocks: self.num_blocks,
-            };
-            let epoch = self.shadow.epoch;
-            let scope = self.san.as_deref_mut().map(|san| SanScope {
-                san,
-                shadow: &mut self.shadow,
-            });
+        for w in 0..self.id.warps_per_block {
             let mut ctx = WarpCtx::new_instrumented(
                 self.mem,
                 &mut self.shared,
                 &mut self.trace.warps[w as usize],
                 self.cache,
                 self.cfg,
-                id,
-                scope,
-                self.prof.as_deref_mut(),
-                self.anl.as_deref_mut(),
-                epoch,
-                self.fault.as_deref_mut(),
-                self.chaos.as_deref_mut(),
+                WarpId {
+                    warp_in_block: w,
+                    ..self.id
+                },
+                self.obs.as_mut().map(Observers::reborrow),
+                self.faults.as_deref_mut(),
             );
             f(&mut ctx);
         }
@@ -181,17 +154,12 @@ impl<'a> BlockCtx<'a> {
     /// `__syncthreads()`: every warp of the block rendezvouses here.
     #[track_caller]
     pub fn barrier(&mut self) {
-        let site = Location::caller();
         for w in &mut self.trace.warps {
             w.ops.push(Op::Bar);
-            if let Some(prof) = self.prof.as_deref_mut() {
-                prof.note(site, "barrier", Op::Bar, self.cfg.segment_words());
-            }
         }
-        if let Some(anl) = self.anl.as_deref_mut() {
-            anl.barrier(self.block_id, self.warps_per_block, site);
+        if let Some(obs) = &mut self.obs {
+            obs.barrier(self.id, OpSite::caller("barrier"));
         }
-        self.shadow.advance_epoch();
     }
 
     /// Shared-memory words this block has allocated so far.
@@ -211,14 +179,29 @@ mod tests {
     use crate::lanes::Lanes;
     use crate::mask::Mask;
 
+    /// A bare (unobserved, panic-on-fault) context for block `block` of a
+    /// `num_blocks` × `warps_per_block` grid.
+    fn block_ctx<'a>(
+        mem: &'a mut DeviceMem,
+        cache: &'a mut CacheModel,
+        cfg: &'a GpuConfig,
+        (block, num_blocks, warps_per_block): (u32, u32, u32),
+    ) -> BlockCtx<'a> {
+        let id = WarpId {
+            block,
+            warp_in_block: 0,
+            warps_per_block,
+            num_blocks,
+        };
+        BlockCtx::new(mem, cache, cfg, id, None, None)
+    }
+
     #[test]
     fn phase_runs_every_warp_in_order() {
         let mut mem = DeviceMem::new();
         let cfg = GpuConfig::tiny_test();
         let mut cache = CacheModel::new(0, 1, 128);
-        let mut block = BlockCtx::new(
-            &mut mem, &mut cache, &cfg, 3, 5, 4, None, None, None, None, None,
-        );
+        let mut block = block_ctx(&mut mem, &mut cache, &cfg, (3, 5, 4));
         let mut seen = Vec::new();
         block.phase(|w| seen.push((w.id().block, w.id().warp_in_block)));
         assert_eq!(seen, vec![(3, 0), (3, 1), (3, 2), (3, 3)]);
@@ -229,9 +212,7 @@ mod tests {
         let mut mem = DeviceMem::new();
         let cfg = GpuConfig::tiny_test();
         let mut cache = CacheModel::new(0, 1, 128);
-        let mut block = BlockCtx::new(
-            &mut mem, &mut cache, &cfg, 0, 1, 2, None, None, None, None, None,
-        );
+        let mut block = block_ctx(&mut mem, &mut cache, &cfg, (0, 1, 2));
         block.phase(|w| w.alu_nop(Mask::FULL));
         block.barrier();
         let (trace, _) = block.into_trace();
@@ -246,9 +227,7 @@ mod tests {
         let mut mem = DeviceMem::new();
         let cfg = GpuConfig::tiny_test();
         let mut cache = CacheModel::new(0, 1, 128);
-        let mut block = BlockCtx::new(
-            &mut mem, &mut cache, &cfg, 0, 1, 2, None, None, None, None, None,
-        );
+        let mut block = block_ctx(&mut mem, &mut cache, &cfg, (0, 1, 2));
         let sp = block.shared_alloc::<u32>(64);
         block.phase(|w| {
             if w.id().warp_in_block == 0 {
@@ -273,9 +252,7 @@ mod tests {
         let mut mem = DeviceMem::new();
         let cfg = GpuConfig::tiny_test();
         let mut cache = CacheModel::new(0, 1, 128);
-        let mut block = BlockCtx::new(
-            &mut mem, &mut cache, &cfg, 0, 1, 1, None, None, None, None, None,
-        );
+        let mut block = block_ctx(&mut mem, &mut cache, &cfg, (0, 1, 1));
         k.run_block(&mut block);
         let (trace, used) = block.into_trace();
         assert_eq!(trace.warps[0].ops.len(), 1);
@@ -288,9 +265,7 @@ mod tests {
         let p = mem.alloc::<u32>(64);
         let cfg = GpuConfig::tiny_test();
         let mut cache = CacheModel::new(0, 1, 128);
-        let mut block = BlockCtx::new(
-            &mut mem, &mut cache, &cfg, 0, 1, 2, None, None, None, None, None,
-        );
+        let mut block = block_ctx(&mut mem, &mut cache, &cfg, (0, 1, 2));
         block.phase(|w| {
             let ids = w.global_thread_ids();
             w.st(Mask::FULL, p, &ids, &ids);

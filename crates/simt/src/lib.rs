@@ -55,6 +55,7 @@ pub mod cache;
 pub mod coalesce;
 pub mod config;
 pub mod device;
+pub(crate) mod event;
 pub mod fault;
 pub mod kernel;
 pub mod lanes;

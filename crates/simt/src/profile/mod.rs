@@ -20,15 +20,16 @@
 //! * **Timeline** — per-launch [`WarpSpan`](crate::timing::WarpSpan)s,
 //!   exportable as Chrome trace-event JSON (`chrome://tracing` / Perfetto).
 //!
-//! Profiling is opt-in (`GpuConfig::profile` or `MAXWARP_PROFILE=1`) and —
-//! like the sanitizer's `Op::San` markers — strictly observational: traces,
-//! `KernelStats`, and simulated cycles are byte-identical with it on or off
-//! (the profiler only reads what the functional phase already records; it
-//! never pushes trace ops).
+//! Profiling is opt-in (`GpuConfig::profile` or `MAXWARP_PROFILE=1`) and
+//! strictly observational: traces, `KernelStats`, and simulated cycles are
+//! byte-identical with it on or off (the profiler only reads the
+//! [`Issue`](crate::event) events of ops the functional phase records; it
+//! never writes the trace).
 
 mod export;
 
 use crate::config::GpuConfig;
+use crate::event::{Event, EventKind};
 use crate::timing::{TimingReport, WarpSpan};
 use crate::trace::Op;
 use serde::{Deserialize, Serialize};
@@ -167,6 +168,8 @@ pub struct Profiler {
     context: String,
     next_label: Option<String>,
     weights: CostWeights,
+    /// Coalescing segment size in words, for ideal-transaction counts.
+    seg_words: u32,
     sites: HashMap<(&'static Location<'static>, &'static str), SiteAgg>,
     launches: Vec<LaunchProfile>,
     timing: TimingReport,
@@ -184,6 +187,7 @@ impl Profiler {
                 dram_cycles_per_transaction: cfg.dram_cycles_per_transaction,
                 atomic_replay_cycles: cfg.atomic_replay_cycles,
             },
+            seg_words: cfg.segment_words(),
             sites: HashMap::new(),
             launches: Vec::new(),
             timing: TimingReport::default(),
@@ -201,16 +205,14 @@ impl Profiler {
         self.next_label = Some(label.to_string());
     }
 
-    /// Record one traced warp operation from `site`. `seg_words` is the
-    /// coalescing segment size in words, for the ideal-transaction count.
-    pub(crate) fn note(
-        &mut self,
-        site: &'static Location<'static>,
-        op_name: &'static str,
-        op: Op,
-        seg_words: u32,
-    ) {
-        let agg = self.sites.entry((site, op_name)).or_default();
+    /// Attribute one issued instruction to the kernel call site it came
+    /// from; every other event kind is ignored.
+    pub(crate) fn on_event(&mut self, ev: &Event<'_>) {
+        let EventKind::Issue(op) = ev.kind else {
+            return;
+        };
+        let seg_words = self.seg_words;
+        let agg = self.sites.entry((ev.site, ev.op)).or_default();
         agg.instructions += 1;
         agg.active_lane_sum += op.active_lanes() as u64;
         agg.transactions += op.transactions() as u64;
@@ -231,7 +233,7 @@ impl Profiler {
             Op::Shared { cost, .. } => {
                 agg.bank_passes += cost as u64;
             }
-            Op::Alu { .. } | Op::Bar | Op::San => {}
+            Op::Alu { .. } | Op::Bar => {}
         }
     }
 
@@ -329,6 +331,22 @@ mod tests {
         Location::caller()
     }
 
+    /// Feed `p` one issued instruction from `site`.
+    fn note(p: &mut Profiler, site: &'static Location<'static>, op_name: &'static str, op: Op) {
+        p.on_event(&Event {
+            id: crate::warp::WarpId {
+                block: 0,
+                warp_in_block: 0,
+                warps_per_block: 1,
+                num_blocks: 1,
+            },
+            epoch: 0,
+            op: op_name,
+            site,
+            kind: EventKind::Issue(op),
+        });
+    }
+
     #[test]
     fn sites_aggregate_and_rank() {
         let mut p = prof();
@@ -336,9 +354,9 @@ mod tests {
         let s2 = here();
         // s1: 2 scattered loads. s2: 1 coalesced load.
         for _ in 0..2 {
-            p.note(s1, "ld", Op::LdGlobal { active: 32, tx: 32 }, 32);
+            note(&mut p, s1, "ld", Op::LdGlobal { active: 32, tx: 32 });
         }
-        p.note(s2, "ld", Op::LdGlobal { active: 32, tx: 1 }, 32);
+        note(&mut p, s2, "ld", Op::LdGlobal { active: 32, tx: 1 });
         let r = p.report();
         assert_eq!(r.sites.len(), 2);
         // Scattered site costs more, so it ranks first.
@@ -356,25 +374,17 @@ mod tests {
     fn atomic_and_shared_costs_counted() {
         let mut p = prof();
         let s = here();
-        p.note(
-            s,
-            "atomic_add",
-            Op::Atomic {
-                active: 32,
-                tx: 1,
-                replays: 31,
-            },
-            32,
-        );
-        p.note(
-            s,
-            "sh_ld",
-            Op::Shared {
-                active: 32,
-                cost: 8,
-            },
-            32,
-        );
+        let atomic = Op::Atomic {
+            active: 32,
+            tx: 1,
+            replays: 31,
+        };
+        note(&mut p, s, "atomic_add", atomic);
+        let shared = Op::Shared {
+            active: 32,
+            cost: 8,
+        };
+        note(&mut p, s, "sh_ld", shared);
         let r = p.report();
         let atomic = r.sites.iter().find(|x| x.op == "atomic_add").unwrap();
         assert_eq!(atomic.atomic_replays, 31);

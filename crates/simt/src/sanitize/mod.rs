@@ -23,19 +23,20 @@
 //! Plus two warn-only performance lints per static op site: bank-conflict
 //! cost > 4 and coalescing efficiency < 25%.
 //!
-//! The sanitizer is observational: it never changes kernel results, and its
-//! bookkeeping trace markers (`Op::San`) are excluded from statistics and
-//! timing, so a sanitized run reports byte-identical `KernelStats` to an
-//! unsanitized run.
+//! The sanitizer is observational: it consumes the [`Event`] records the
+//! executor emits (see [`crate::event`]), never changes kernel results and
+//! never writes the trace, so a sanitized run reports byte-identical
+//! `KernelStats` to an unsanitized run.
 
 mod diag;
 mod shadow;
 
 pub use diag::{DiagKind, Diagnostic, Severity};
-pub use shadow::BlockShadow;
-pub(crate) use shadow::{Agent, GlobalCell};
 
-use crate::warp::WarpId;
+use crate::analyze::{AccessKind, Space};
+use crate::event::{Event, EventKind, LaneAccess, MemAccess};
+use crate::shared::NUM_BANKS;
+use shadow::{Agent, BlockShadow, GlobalCell};
 use std::collections::HashMap;
 use std::panic::Location;
 
@@ -71,6 +72,8 @@ pub struct Sanitizer {
     index: HashMap<(DiagKind, &'static Location<'static>), usize>,
     /// Global-memory shadow for the current launch, one cell per word.
     global: Vec<GlobalCell>,
+    /// Shared-memory shadow of the block currently executing.
+    shared: BlockShadow,
     /// Coalescing-lint accumulators for the current launch.
     coalesce: HashMap<&'static Location<'static>, CoalesceSite>,
     errors: u64,
@@ -104,25 +107,23 @@ impl Sanitizer {
         let mut sites: Vec<(&'static Location<'static>, CoalesceSite)> =
             self.coalesce.drain().collect();
         sites.sort_by_key(|(loc, _)| (loc.file(), loc.line(), loc.column()));
-        let context = self.context.clone();
-        let launch = self.launch;
         for (site, c) in sites {
             if c.ops < COALESCE_MIN_OPS || c.actual == 0 {
                 continue;
             }
             let efficiency = c.ideal as f64 / c.actual as f64;
             if efficiency < 0.25 {
-                self.record(
-                    Severity::Warning,
-                    DiagKind::CoalescingLint,
-                    &context,
-                    launch,
-                    c.who.0,
-                    c.who.1,
-                    None,
-                    c.op,
+                self.record(Diagnostic {
+                    severity: Severity::Warning,
+                    kind: DiagKind::CoalescingLint,
+                    kernel: String::new(),
+                    launch: 0,
+                    block: c.who.0,
+                    warp: c.who.1,
+                    lane: None,
+                    op: c.op,
                     site,
-                    format!(
+                    message: format!(
                         "coalescing efficiency {:.0}% over {} ops ({} transactions issued, \
                          {} ideal)",
                         efficiency * 100.0,
@@ -130,7 +131,8 @@ impl Sanitizer {
                         c.actual,
                         c.ideal
                     ),
-                );
+                    count: 1,
+                });
             }
         }
     }
@@ -184,228 +186,216 @@ impl Sanitizer {
         out
     }
 
-    /// Record one occurrence; returns 1 if a *new* diagnostic was created
-    /// (the caller pushes one `Op::San` trace marker per new diagnostic),
-    /// 0 if it folded into an existing one or was suppressed.
-    #[allow(clippy::too_many_arguments)]
-    fn record(
-        &mut self,
-        severity: Severity,
-        kind: DiagKind,
-        kernel: &str,
-        launch: u32,
-        block: u32,
-        warp: u32,
-        lane: Option<u32>,
-        op: &'static str,
-        site: &'static Location<'static>,
-        message: String,
-    ) -> u32 {
-        match severity {
+    /// Record one occurrence of `d` (its `kernel`/`launch` are filled in
+    /// here), folding it into an existing diagnostic of the same kind and
+    /// site.
+    fn record(&mut self, mut d: Diagnostic) {
+        match d.severity {
             Severity::Error => self.errors += 1,
             Severity::Warning => self.warnings += 1,
         }
-        crate::obs::sanitizer_finding(severity);
-        if let Some(&i) = self.index.get(&(kind, site)) {
+        crate::obs::sanitizer_finding(d.severity);
+        if let Some(&i) = self.index.get(&(d.kind, d.site)) {
             self.diags[i].count += 1;
-            return 0;
+            return;
         }
         if self.diags.len() >= MAX_DIAGS {
             self.suppressed += 1;
-            return 0;
+            return;
         }
-        self.index.insert((kind, site), self.diags.len());
-        self.diags.push(Diagnostic {
-            severity,
-            kind,
-            kernel: kernel.to_string(),
-            launch,
-            block,
-            warp,
-            lane,
-            op,
-            site,
-            message,
-            count: 1,
-        });
-        1
+        self.index.insert((d.kind, d.site), self.diags.len());
+        d.kernel = self.context.clone();
+        d.launch = self.launch;
+        self.diags.push(d);
     }
 
-    /// Like [`record`] but fills kernel/launch from the sanitizer's own
-    /// state — the shape every hook uses.
-    #[allow(clippy::too_many_arguments)]
+    /// Record a finding about the op `ev` describes.
     fn hit(
         &mut self,
         severity: Severity,
         kind: DiagKind,
-        id: WarpId,
+        ev: &Event<'_>,
         lane: Option<u32>,
-        op: &'static str,
-        site: &'static Location<'static>,
         message: String,
-    ) -> u32 {
-        let context = std::mem::take(&mut self.context);
-        let n = self.record(
+    ) {
+        self.record(Diagnostic {
             severity,
             kind,
-            &context,
-            self.launch,
-            id.block,
-            id.warp_in_block,
+            kernel: String::new(),
+            launch: 0,
+            block: ev.id.block,
+            warp: ev.id.warp_in_block,
             lane,
-            op,
-            site,
+            op: ev.op,
+            site: ev.site,
             message,
-        );
-        self.context = context;
-        n
+            count: 1,
+        });
     }
 
-    // ---- hooks called from WarpCtx / BlockCtx -------------------------------
+    // ---- the observer entry point -------------------------------------------
 
-    /// Out-of-bounds global access.
-    pub(crate) fn oob_global(
-        &mut self,
-        id: WarpId,
-        lane: u32,
-        idx: u32,
-        len: u32,
-        op: &'static str,
-        site: &'static Location<'static>,
-    ) -> u32 {
-        self.hit(
-            Severity::Error,
-            DiagKind::OutOfBounds,
-            id,
-            Some(lane),
-            op,
-            site,
-            format!(
-                "illegal device address: index {idx} out of bounds for allocation of {len} \
-                 (block {}, warp {}, lane {lane})",
-                id.block, id.warp_in_block
+    /// Start a block (or warp task): its shared memory is fresh.
+    pub(crate) fn begin_block(&mut self) {
+        self.shared.cells.clear();
+    }
+
+    /// Check one warp-level operation against the shadow state.
+    pub(crate) fn on_event(&mut self, ev: &Event<'_>) {
+        let id = ev.id;
+        match ev.kind {
+            EventKind::Mem(m) => match m.space {
+                Space::Global => self.global_access(ev, &m),
+                Space::Shared => self.shared_access(ev, &m),
+            },
+            EventKind::EmptyMask => self.hit(
+                Severity::Warning,
+                DiagKind::EmptyMaskCollective,
+                ev,
+                None,
+                format!("collective `{}` executed under an empty active mask", ev.op),
             ),
-        )
+            EventKind::DivergentShuffle { lanes } => {
+                for &(lane, src_lane) in lanes {
+                    self.hit(
+                        Severity::Error,
+                        DiagKind::DivergentShfl,
+                        ev,
+                        Some(lane),
+                        format!(
+                            "lane {lane} shuffles from lane {src_lane}, which is outside the \
+                             active mask (undefined data on hardware; simulator substitutes the \
+                             default value)"
+                        ),
+                    );
+                }
+            }
+            EventKind::Oob {
+                space,
+                lane,
+                index,
+                len,
+                word,
+            } => {
+                let message = match space {
+                    Space::Global => format!(
+                        "illegal device address: index {index} out of bounds for allocation of \
+                         {len} (block {}, warp {}, lane {lane})",
+                        id.block, id.warp_in_block
+                    ),
+                    Space::Shared => format!(
+                        "illegal shared-memory address: index {index} out of bounds for \
+                         allocation of {len} (block {}, warp {}, lane {lane}, bank {})",
+                        id.block,
+                        id.warp_in_block,
+                        word % NUM_BANKS as u32
+                    ),
+                };
+                self.hit(
+                    Severity::Error,
+                    DiagKind::OutOfBounds,
+                    ev,
+                    Some(lane),
+                    message,
+                );
+            }
+            EventKind::Collective { .. } | EventKind::Barrier { .. } | EventKind::Issue(_) => {}
+        }
     }
 
-    /// Out-of-bounds shared-memory access.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn oob_shared(
-        &mut self,
-        id: WarpId,
-        lane: u32,
-        idx: u32,
-        len: u32,
-        bank: u32,
-        op: &'static str,
-        site: &'static Location<'static>,
-    ) -> u32 {
-        self.hit(
-            Severity::Error,
-            DiagKind::OutOfBounds,
-            id,
-            Some(lane),
-            op,
-            site,
-            format!(
-                "illegal shared-memory address: index {idx} out of bounds for allocation of \
-                 {len} (block {}, warp {}, lane {lane}, bank {bank})",
-                id.block, id.warp_in_block
-            ),
-        )
-    }
-
-    /// Non-atomic global read of `word`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn global_read(
-        &mut self,
-        id: WarpId,
-        epoch: u32,
-        lane: u32,
-        word: u32,
-        valid: bool,
-        op: &'static str,
-        site: &'static Location<'static>,
-    ) -> u32 {
+    /// One global-memory op: coalescing sample, then each lane against the
+    /// per-word shadow in ascending lane order.
+    fn global_access(&mut self, ev: &Event<'_>, m: &MemAccess<'_>) {
+        if let Some((tx, distinct)) = m.coalesce {
+            self.coalesce_sample(ev, m.lanes.len(), tx, distinct, m.segment_words);
+        }
         let me = Agent {
-            block: id.block,
-            warp: id.warp_in_block,
-            epoch,
+            block: ev.id.block,
+            warp: ev.id.warp_in_block,
+            epoch: ev.epoch,
         };
-        let mut new = 0;
-        if !valid {
-            new += self.hit(
+        for (i, a) in m.lanes.iter().enumerate() {
+            match m.access {
+                AccessKind::Read => self.global_read(ev, me, a),
+                AccessKind::Atomic => self.global_atomic(ev, me, a),
+                AccessKind::Write => {
+                    self.global_write(ev, me, a);
+                    // Intra-warp collision: a lower lane already targeted
+                    // this word with a different value in this instruction.
+                    let earlier = &m.lanes[..i];
+                    if earlier
+                        .iter()
+                        .any(|k| k.word == a.word && k.value != a.value)
+                    {
+                        self.hit(
+                            Severity::Warning,
+                            DiagKind::StoreCollision,
+                            ev,
+                            Some(a.lane),
+                            format!(
+                                "intra-warp store collision at index {}: lanes store different \
+                                 values in one instruction (highest lane wins deterministically \
+                                 here; undefined on hardware)",
+                                a.word - m.base
+                            ),
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Non-atomic global read of `a.word`.
+    fn global_read(&mut self, ev: &Event<'_>, me: Agent, a: &LaneAccess) {
+        let word = a.word;
+        if !a.valid {
+            self.hit(
                 Severity::Warning,
                 DiagKind::UninitRead,
-                id,
-                Some(lane),
-                op,
-                site,
+                ev,
+                Some(a.lane),
                 format!("read of uninitialized device word {word}"),
             );
         }
         let Some(cell) = self.global.get_mut(word as usize) else {
-            return new;
+            return;
         };
         let writer = cell.writer;
         let atomic = cell.atomic;
         cell.reader = Some(me);
-        if let Some(w) = writer {
-            if w.conflicts(&me) {
-                new += self.hit(
-                    Severity::Warning,
-                    DiagKind::ReadWriteOverlap,
-                    id,
-                    Some(lane),
-                    op,
-                    site,
-                    format!(
-                        "word {word} read while unordered store from block {} warp {} is in \
-                         flight this launch",
-                        w.block, w.warp
-                    ),
-                );
-            }
+        if let Some(w) = writer.filter(|w| w.conflicts(&me)) {
+            self.hit(
+                Severity::Warning,
+                DiagKind::ReadWriteOverlap,
+                ev,
+                Some(a.lane),
+                format!(
+                    "word {word} read while unordered store from block {} warp {} is in \
+                     flight this launch",
+                    w.block, w.warp
+                ),
+            );
         }
-        if let Some(a) = atomic {
-            if a.conflicts(&me) {
-                new += self.hit(
-                    Severity::Warning,
-                    DiagKind::ReadWriteOverlap,
-                    id,
-                    Some(lane),
-                    op,
-                    site,
-                    format!(
-                        "word {word} read non-atomically while block {} warp {} updates it \
-                         atomically this launch",
-                        a.block, a.warp
-                    ),
-                );
-            }
+        if let Some(at) = atomic.filter(|at| at.conflicts(&me)) {
+            self.hit(
+                Severity::Warning,
+                DiagKind::ReadWriteOverlap,
+                ev,
+                Some(a.lane),
+                format!(
+                    "word {word} read non-atomically while block {} warp {} updates it \
+                     atomically this launch",
+                    at.block, at.warp
+                ),
+            );
         }
-        new
     }
 
-    /// Non-atomic global store of `value` to `word`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn global_write(
-        &mut self,
-        id: WarpId,
-        epoch: u32,
-        lane: u32,
-        word: u32,
-        value: u32,
-        op: &'static str,
-        site: &'static Location<'static>,
-    ) -> u32 {
-        let me = Agent {
-            block: id.block,
-            warp: id.warp_in_block,
-            epoch,
-        };
+    /// Non-atomic global store of `a.value` to `a.word`.
+    fn global_write(&mut self, ev: &Event<'_>, me: Agent, a: &LaneAccess) {
+        let (word, value) = (a.word, a.value);
         let Some(cell) = self.global.get_mut(word as usize) else {
-            return 0;
+            return;
         };
         let prev_writer = cell.writer;
         let prev_value = cell.value;
@@ -413,286 +403,146 @@ impl Sanitizer {
         let reader = cell.reader;
         cell.writer = Some(me);
         cell.value = value;
-        let mut new = 0;
-        if let Some(w) = prev_writer {
-            if w.conflicts(&me) && prev_value != value {
-                new += self.hit(
-                    Severity::Error,
-                    DiagKind::GlobalRace,
-                    id,
-                    Some(lane),
-                    op,
-                    site,
-                    format!(
-                        "word {word}: unordered stores of different values ({prev_value} from \
-                         block {} warp {}, {value} from block {} warp {})",
-                        w.block, w.warp, id.block, id.warp_in_block
-                    ),
-                );
-            }
+        if let Some(w) = prev_writer.filter(|w| w.conflicts(&me) && prev_value != value) {
+            self.hit(
+                Severity::Error,
+                DiagKind::GlobalRace,
+                ev,
+                Some(a.lane),
+                format!(
+                    "word {word}: unordered stores of different values ({prev_value} from \
+                     block {} warp {}, {value} from block {} warp {})",
+                    w.block, w.warp, me.block, me.warp
+                ),
+            );
         }
-        if let Some(a) = atomic {
-            if a.conflicts(&me) {
-                new += self.hit(
-                    Severity::Error,
-                    DiagKind::MixedAtomic,
-                    id,
-                    Some(lane),
-                    op,
-                    site,
-                    format!(
-                        "word {word} stored non-atomically while block {} warp {} updates it \
-                         atomically this launch",
-                        a.block, a.warp
-                    ),
-                );
-            }
+        if let Some(at) = atomic.filter(|at| at.conflicts(&me)) {
+            self.hit(
+                Severity::Error,
+                DiagKind::MixedAtomic,
+                ev,
+                Some(a.lane),
+                format!(
+                    "word {word} stored non-atomically while block {} warp {} updates it \
+                     atomically this launch",
+                    at.block, at.warp
+                ),
+            );
         }
-        if let Some(r) = reader {
-            if r.conflicts(&me) {
-                new += self.hit(
-                    Severity::Warning,
-                    DiagKind::ReadWriteOverlap,
-                    id,
-                    Some(lane),
-                    op,
-                    site,
-                    format!(
-                        "word {word} stored while unordered read from block {} warp {} exists \
-                         this launch",
-                        r.block, r.warp
-                    ),
-                );
-            }
+        if let Some(r) = reader.filter(|r| r.conflicts(&me)) {
+            self.hit(
+                Severity::Warning,
+                DiagKind::ReadWriteOverlap,
+                ev,
+                Some(a.lane),
+                format!(
+                    "word {word} stored while unordered read from block {} warp {} exists \
+                     this launch",
+                    r.block, r.warp
+                ),
+            );
         }
-        new
     }
 
-    /// Atomic update of `word`.
-    pub(crate) fn global_atomic(
-        &mut self,
-        id: WarpId,
-        epoch: u32,
-        lane: u32,
-        word: u32,
-        op: &'static str,
-        site: &'static Location<'static>,
-    ) -> u32 {
-        let me = Agent {
-            block: id.block,
-            warp: id.warp_in_block,
-            epoch,
-        };
+    /// Atomic update of `a.word`.
+    fn global_atomic(&mut self, ev: &Event<'_>, me: Agent, a: &LaneAccess) {
+        let word = a.word;
         let Some(cell) = self.global.get_mut(word as usize) else {
-            return 0;
+            return;
         };
         let writer = cell.writer;
         cell.atomic = Some(me);
-        let mut new = 0;
-        if let Some(w) = writer {
-            if w.conflicts(&me) {
-                new += self.hit(
+        if let Some(w) = writer.filter(|w| w.conflicts(&me)) {
+            self.hit(
+                Severity::Error,
+                DiagKind::MixedAtomic,
+                ev,
+                Some(a.lane),
+                format!(
+                    "word {word} updated atomically while unordered plain store from \
+                     block {} warp {} exists this launch",
+                    w.block, w.warp
+                ),
+            );
+        }
+    }
+
+    /// One shared-memory op: bank-conflict lint, then each lane against the
+    /// block's per-word shadow (valid bit, per-warp reader/writer masks of
+    /// the current barrier epoch).
+    fn shared_access(&mut self, ev: &Event<'_>, m: &MemAccess<'_>) {
+        let id = ev.id;
+        if m.bank_cost > 4 {
+            self.hit(
+                Severity::Warning,
+                DiagKind::BankConflictLint,
+                ev,
+                None,
+                format!(
+                    "shared-memory access serialized into {} bank passes (> 4)",
+                    m.bank_cost
+                ),
+            );
+        }
+        let bit = 1u32 << (id.warp_in_block % 32);
+        let write = m.access != AccessKind::Read;
+        for a in m.lanes {
+            let word = a.word;
+            let cell = self.shared.cell_mut(word, ev.epoch);
+            let (valid, readers, writers) = (cell.valid, cell.readers, cell.writers);
+            if write {
+                cell.writers |= bit;
+                cell.valid = true;
+            } else {
+                cell.readers |= bit;
+            }
+            if !write && !valid {
+                self.hit(
                     Severity::Error,
-                    DiagKind::MixedAtomic,
-                    id,
-                    Some(lane),
-                    op,
-                    site,
+                    DiagKind::UninitRead,
+                    ev,
+                    Some(a.lane),
+                    format!("read of uninitialized shared word {word}"),
+                );
+            }
+            if writers & !bit != 0 {
+                let other = (writers & !bit).trailing_zeros();
+                let message = if write {
                     format!(
-                        "word {word} updated atomically while unordered plain store from \
-                         block {} warp {} exists this launch",
-                        w.block, w.warp
+                        "shared word {word}: writes by warps {} and {other} with no barrier \
+                         between them (block {})",
+                        id.warp_in_block, id.block
+                    )
+                } else {
+                    format!(
+                        "shared word {word}: read by warp {} races with write by warp {other} \
+                         (no barrier between them, block {})",
+                        id.warp_in_block, id.block
+                    )
+                };
+                self.hit(
+                    Severity::Error,
+                    DiagKind::SharedRace,
+                    ev,
+                    Some(a.lane),
+                    message,
+                );
+            }
+            if write && readers & !bit != 0 {
+                let other = (readers & !bit).trailing_zeros();
+                self.hit(
+                    Severity::Error,
+                    DiagKind::SharedRace,
+                    ev,
+                    Some(a.lane),
+                    format!(
+                        "shared word {word}: write by warp {} races with read by warp {other} \
+                         (no barrier between them, block {})",
+                        id.warp_in_block, id.block
                     ),
                 );
             }
         }
-        new
-    }
-
-    /// Shared-memory read of `word` by `id`'s warp.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn shared_read(
-        &mut self,
-        shadow: &mut BlockShadow,
-        id: WarpId,
-        lane: u32,
-        word: u32,
-        op: &'static str,
-        site: &'static Location<'static>,
-    ) -> u32 {
-        let bit = 1u32 << (id.warp_in_block % 32);
-        let cell = shadow.cell_mut(word);
-        let valid = cell.valid;
-        let writers = cell.writers;
-        cell.readers |= bit;
-        let mut new = 0;
-        if !valid {
-            new += self.hit(
-                Severity::Error,
-                DiagKind::UninitRead,
-                id,
-                Some(lane),
-                op,
-                site,
-                format!("read of uninitialized shared word {word}"),
-            );
-        }
-        if writers & !bit != 0 {
-            let other = (writers & !bit).trailing_zeros();
-            new += self.hit(
-                Severity::Error,
-                DiagKind::SharedRace,
-                id,
-                Some(lane),
-                op,
-                site,
-                format!(
-                    "shared word {word}: read by warp {} races with write by warp {other} \
-                     (no barrier between them, block {})",
-                    id.warp_in_block, id.block
-                ),
-            );
-        }
-        new
-    }
-
-    /// Shared-memory write of `word` by `id`'s warp.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn shared_write(
-        &mut self,
-        shadow: &mut BlockShadow,
-        id: WarpId,
-        lane: u32,
-        word: u32,
-        op: &'static str,
-        site: &'static Location<'static>,
-    ) -> u32 {
-        let bit = 1u32 << (id.warp_in_block % 32);
-        let cell = shadow.cell_mut(word);
-        let readers = cell.readers;
-        let writers = cell.writers;
-        cell.writers |= bit;
-        cell.valid = true;
-        let mut new = 0;
-        if writers & !bit != 0 {
-            let other = (writers & !bit).trailing_zeros();
-            new += self.hit(
-                Severity::Error,
-                DiagKind::SharedRace,
-                id,
-                Some(lane),
-                op,
-                site,
-                format!(
-                    "shared word {word}: writes by warps {} and {other} with no barrier \
-                     between them (block {})",
-                    id.warp_in_block, id.block
-                ),
-            );
-        }
-        if readers & !bit != 0 {
-            let other = (readers & !bit).trailing_zeros();
-            new += self.hit(
-                Severity::Error,
-                DiagKind::SharedRace,
-                id,
-                Some(lane),
-                op,
-                site,
-                format!(
-                    "shared word {word}: write by warp {} races with read by warp {other} \
-                     (no barrier between them, block {})",
-                    id.warp_in_block, id.block
-                ),
-            );
-        }
-        new
-    }
-
-    /// Warp collective executed under an empty active mask.
-    pub(crate) fn empty_mask(
-        &mut self,
-        id: WarpId,
-        op: &'static str,
-        site: &'static Location<'static>,
-    ) -> u32 {
-        self.hit(
-            Severity::Warning,
-            DiagKind::EmptyMaskCollective,
-            id,
-            None,
-            op,
-            site,
-            format!("collective `{op}` executed under an empty active mask"),
-        )
-    }
-
-    /// Shuffle reading a source lane outside the active mask.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn divergent_shfl(
-        &mut self,
-        id: WarpId,
-        lane: u32,
-        src_lane: u32,
-        op: &'static str,
-        site: &'static Location<'static>,
-    ) -> u32 {
-        self.hit(
-            Severity::Error,
-            DiagKind::DivergentShfl,
-            id,
-            Some(lane),
-            op,
-            site,
-            format!(
-                "lane {lane} shuffles from lane {src_lane}, which is outside the active mask \
-                 (undefined data on hardware; simulator substitutes the default value)"
-            ),
-        )
-    }
-
-    /// Lanes of one warp stored different values to the same index in one
-    /// instruction.
-    pub(crate) fn store_collision(
-        &mut self,
-        id: WarpId,
-        lane: u32,
-        idx: u32,
-        op: &'static str,
-        site: &'static Location<'static>,
-    ) -> u32 {
-        self.hit(
-            Severity::Warning,
-            DiagKind::StoreCollision,
-            id,
-            Some(lane),
-            op,
-            site,
-            format!(
-                "intra-warp store collision at index {idx}: lanes store different values in \
-                 one instruction (highest lane wins deterministically here; undefined on \
-                 hardware)"
-            ),
-        )
-    }
-
-    /// Shared access serialized into more than 4 bank passes.
-    pub(crate) fn bank_conflict(
-        &mut self,
-        id: WarpId,
-        cost: u32,
-        op: &'static str,
-        site: &'static Location<'static>,
-    ) -> u32 {
-        self.hit(
-            Severity::Warning,
-            DiagKind::BankConflictLint,
-            id,
-            None,
-            op,
-            site,
-            format!("shared-memory access serialized into {cost} bank passes (> 4)"),
-        )
     }
 
     /// Sample one global-memory op for the per-site coalescing lint.
@@ -701,13 +551,10 @@ impl Sanitizer {
     /// footprint of one word and is already perfectly coalesced at one
     /// transaction, so the ideal is derived from the footprint, not from the
     /// active lane count.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn coalesce_sample(
+    fn coalesce_sample(
         &mut self,
-        id: WarpId,
-        op: &'static str,
-        site: &'static Location<'static>,
-        active: u32,
+        ev: &Event<'_>,
+        active: usize,
         tx: u32,
         distinct: u32,
         segment_words: u32,
@@ -716,12 +563,12 @@ impl Sanitizer {
             return;
         }
         let ideal = crate::coalesce::ideal_transactions(distinct, segment_words) as u64;
-        let entry = self.coalesce.entry(site).or_insert(CoalesceSite {
-            op,
+        let entry = self.coalesce.entry(ev.site).or_insert(CoalesceSite {
+            op: ev.op,
             ops: 0,
             actual: 0,
             ideal: 0,
-            who: (id.block, id.warp_in_block),
+            who: (ev.id.block, ev.id.warp_in_block),
         });
         entry.ops += 1;
         entry.actual += tx as u64;
@@ -732,6 +579,7 @@ impl Sanitizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::warp::WarpId;
 
     fn id(block: u32, warp: u32) -> WarpId {
         WarpId {
@@ -748,12 +596,69 @@ mod tests {
         s
     }
 
+    /// One-lane (lane 0, valid) access of `word` storing `value`.
+    fn lane(word: u32, value: u32) -> [LaneAccess; 1] {
+        [LaneAccess {
+            lane: 0,
+            word,
+            value,
+            valid: true,
+        }]
+    }
+
+    /// Feed `s` one memory event from `who` in barrier epoch `epoch`.
+    fn mem(
+        s: &mut Sanitizer,
+        who: (WarpId, u32),
+        site: &'static Location<'static>,
+        (space, access): (Space, AccessKind),
+        lanes: &[LaneAccess],
+    ) {
+        s.on_event(&Event {
+            id: who.0,
+            epoch: who.1,
+            op: "test",
+            site,
+            kind: EventKind::Mem(MemAccess {
+                space,
+                access,
+                base: 0,
+                lanes,
+                coalesce: None,
+                segment_words: 32,
+                bank_cost: 1,
+            }),
+        });
+    }
+
+    const G_READ: (Space, AccessKind) = (Space::Global, AccessKind::Read);
+    const G_WRITE: (Space, AccessKind) = (Space::Global, AccessKind::Write);
+    const G_ATOMIC: (Space, AccessKind) = (Space::Global, AccessKind::Atomic);
+    const S_READ: (Space, AccessKind) = (Space::Shared, AccessKind::Read);
+    const S_WRITE: (Space, AccessKind) = (Space::Shared, AccessKind::Write);
+
+    fn oob(s: &mut Sanitizer, who: WarpId, lane: u32, site: &'static Location<'static>) {
+        s.on_event(&Event {
+            id: who,
+            epoch: 0,
+            op: "st",
+            site,
+            kind: EventKind::Oob {
+                space: Space::Global,
+                lane,
+                index: 9,
+                len: 4,
+                word: 9,
+            },
+        });
+    }
+
     #[test]
     fn dedup_folds_repeat_occurrences() {
         let mut s = san();
         let site = Location::caller();
-        assert_eq!(s.oob_global(id(0, 0), 3, 99, 10, "ld", site), 1);
-        assert_eq!(s.oob_global(id(0, 1), 4, 100, 10, "ld", site), 0);
+        oob(&mut s, id(0, 0), 3, site);
+        oob(&mut s, id(0, 1), 4, site);
         assert_eq!(s.diagnostics().len(), 1);
         assert_eq!(s.diagnostics()[0].count, 2);
         assert_eq!(s.error_count(), 2);
@@ -764,12 +669,12 @@ mod tests {
     fn global_race_needs_differing_values() {
         let mut s = san();
         let site = Location::caller();
-        s.global_write(id(0, 0), 0, 0, 5, 7, "st", site);
+        mem(&mut s, (id(0, 0), 0), site, G_WRITE, &lane(5, 7));
         // Same value from another block: benign splat, no error.
-        s.global_write(id(1, 0), 0, 0, 5, 7, "st", site);
+        mem(&mut s, (id(1, 0), 0), site, G_WRITE, &lane(5, 7));
         assert!(!s.has_errors());
         // Different value: race.
-        s.global_write(id(2, 0), 0, 0, 5, 9, "st", site);
+        mem(&mut s, (id(2, 0), 0), site, G_WRITE, &lane(5, 9));
         assert!(s.has_errors());
         assert_eq!(s.diagnostics()[0].kind, DiagKind::GlobalRace);
     }
@@ -778,8 +683,8 @@ mod tests {
     fn same_block_stores_ordered_across_epochs() {
         let mut s = san();
         let site = Location::caller();
-        s.global_write(id(0, 0), 0, 0, 5, 7, "st", site);
-        s.global_write(id(0, 1), 1, 0, 5, 9, "st", site);
+        mem(&mut s, (id(0, 0), 0), site, G_WRITE, &lane(5, 7));
+        mem(&mut s, (id(0, 1), 1), site, G_WRITE, &lane(5, 9));
         assert!(!s.has_errors());
     }
 
@@ -787,8 +692,8 @@ mod tests {
     fn mixed_atomic_and_store_is_error() {
         let mut s = san();
         let site = Location::caller();
-        s.global_atomic(id(0, 0), 0, 0, 5, "atomic_add", site);
-        s.global_write(id(1, 0), 0, 0, 5, 1, "st", site);
+        mem(&mut s, (id(0, 0), 0), site, G_ATOMIC, &lane(5, 0));
+        mem(&mut s, (id(1, 0), 0), site, G_WRITE, &lane(5, 1));
         assert!(s.has_errors());
         assert_eq!(s.diagnostics()[0].kind, DiagKind::MixedAtomic);
     }
@@ -797,8 +702,8 @@ mod tests {
     fn read_of_atomic_word_is_warning_only() {
         let mut s = san();
         let site = Location::caller();
-        s.global_atomic(id(0, 0), 0, 0, 5, "atomic_min", site);
-        s.global_read(id(1, 0), 0, 0, 5, true, "ld", site);
+        mem(&mut s, (id(0, 0), 0), site, G_ATOMIC, &lane(5, 0));
+        mem(&mut s, (id(1, 0), 0), site, G_READ, &lane(5, 0));
         assert!(!s.has_errors());
         assert_eq!(s.warning_count(), 1);
     }
@@ -806,10 +711,9 @@ mod tests {
     #[test]
     fn shared_race_cross_warp_same_epoch() {
         let mut s = san();
-        let mut shadow = BlockShadow::default();
         let site = Location::caller();
-        s.shared_write(&mut shadow, id(0, 0), 0, 3, "sh_st", site);
-        s.shared_read(&mut shadow, id(0, 1), 0, 3, "sh_ld", site);
+        mem(&mut s, (id(0, 0), 0), site, S_WRITE, &lane(3, 0));
+        mem(&mut s, (id(0, 1), 0), site, S_READ, &lane(3, 0));
         assert!(s.has_errors());
         assert_eq!(s.diagnostics()[0].kind, DiagKind::SharedRace);
     }
@@ -817,20 +721,33 @@ mod tests {
     #[test]
     fn shared_race_suppressed_by_barrier() {
         let mut s = san();
-        let mut shadow = BlockShadow::default();
         let site = Location::caller();
-        s.shared_write(&mut shadow, id(0, 0), 0, 3, "sh_st", site);
-        shadow.advance_epoch();
-        s.shared_read(&mut shadow, id(0, 1), 0, 3, "sh_ld", site);
+        mem(&mut s, (id(0, 0), 0), site, S_WRITE, &lane(3, 0));
+        mem(&mut s, (id(0, 1), 1), site, S_READ, &lane(3, 0));
         assert!(!s.has_errors());
         assert_eq!(s.warning_count(), 0);
     }
 
     #[test]
+    fn shared_shadow_is_per_block() {
+        let mut s = san();
+        let site = Location::caller();
+        mem(&mut s, (id(0, 0), 0), site, S_WRITE, &lane(3, 0));
+        s.begin_block();
+        mem(&mut s, (id(1, 0), 0), site, S_READ, &lane(3, 0));
+        assert_eq!(s.diagnostics()[0].kind, DiagKind::UninitRead);
+    }
+
+    #[test]
     fn shared_uninit_read_is_error() {
         let mut s = san();
-        let mut shadow = BlockShadow::default();
-        s.shared_read(&mut shadow, id(0, 0), 2, 7, "sh_ld", Location::caller());
+        mem(
+            &mut s,
+            (id(0, 0), 0),
+            Location::caller(),
+            S_READ,
+            &lane(7, 0),
+        );
         assert!(s.has_errors());
         assert_eq!(s.diagnostics()[0].kind, DiagKind::UninitRead);
     }
@@ -838,7 +755,9 @@ mod tests {
     #[test]
     fn device_uninit_read_is_warning() {
         let mut s = san();
-        s.global_read(id(0, 0), 0, 0, 5, false, "ld", Location::caller());
+        let mut a = lane(5, 0);
+        a[0].valid = false;
+        mem(&mut s, (id(0, 0), 0), Location::caller(), G_READ, &a);
         assert!(!s.has_errors());
         assert_eq!(s.warning_count(), 1);
         assert_eq!(s.diagnostics()[0].kind, DiagKind::UninitRead);
@@ -848,10 +767,42 @@ mod tests {
     fn begin_launch_resets_global_shadow() {
         let mut s = san();
         let site = Location::caller();
-        s.global_write(id(0, 0), 0, 0, 5, 7, "st", site);
+        mem(&mut s, (id(0, 0), 0), site, G_WRITE, &lane(5, 7));
         s.begin_launch(64);
-        s.global_write(id(1, 0), 0, 0, 5, 9, "st", site);
+        mem(&mut s, (id(1, 0), 0), site, G_WRITE, &lane(5, 9));
         assert!(!s.has_errors());
+    }
+
+    /// Sample `n` 32-lane global loads at `site` with the given coalescing
+    /// outcome and 8- or 32-word segments.
+    fn sample(
+        s: &mut Sanitizer,
+        site: &'static Location<'static>,
+        n: usize,
+        coalesce: (u32, u32),
+        segment_words: u32,
+    ) {
+        let lanes = [LaneAccess {
+            valid: true,
+            ..LaneAccess::default()
+        }; 32];
+        for _ in 0..n {
+            s.on_event(&Event {
+                id: id(0, 0),
+                epoch: 0,
+                op: "ld",
+                site,
+                kind: EventKind::Mem(MemAccess {
+                    space: Space::Global,
+                    access: AccessKind::Read,
+                    base: 0,
+                    lanes: &lanes,
+                    coalesce: Some(coalesce),
+                    segment_words,
+                    bank_cost: 1,
+                }),
+            });
+        }
     }
 
     #[test]
@@ -860,14 +811,10 @@ mod tests {
         let bad = Location::caller();
         // 32 distinct words spread over 32 transactions, ideal 1 →
         // efficiency ~3%.
-        for _ in 0..10 {
-            s.coalesce_sample(id(0, 0), "ld", bad, 32, 32, 32, 32);
-        }
+        sample(&mut s, bad, 10, (32, 32), 32);
         // Perfectly coalesced site.
         let good = Location::caller();
-        for _ in 0..10 {
-            s.coalesce_sample(id(0, 0), "ld", good, 32, 1, 32, 32);
-        }
+        sample(&mut s, good, 10, (1, 32), 32);
         s.finish_launch();
         assert_eq!(s.warning_count(), 1);
         assert_eq!(s.diagnostics()[0].kind, DiagKind::CoalescingLint);
@@ -877,7 +824,7 @@ mod tests {
     #[test]
     fn coalesce_lint_needs_min_ops() {
         let mut s = san();
-        s.coalesce_sample(id(0, 0), "ld", Location::caller(), 32, 32, 32, 32);
+        sample(&mut s, Location::caller(), 1, (32, 32), 32);
         s.finish_launch();
         assert!(s.is_clean());
     }
@@ -889,10 +836,7 @@ mod tests {
         // called this 400% efficient, inflating the site's aggregate and
         // masking genuinely bad ops mixed into it; footprint ideal says 1/1.
         let mut s = san();
-        let site = Location::caller();
-        for _ in 0..10 {
-            s.coalesce_sample(id(0, 0), "ld", site, 32, 1, 1, 8);
-        }
+        sample(&mut s, Location::caller(), 10, (1, 1), 8);
         s.finish_launch();
         assert!(s.is_clean());
         // A broadcast-heavy site must not absolve scattered ops: 10
@@ -903,10 +847,8 @@ mod tests {
         // ops.
         let mut s2 = san();
         let mixed = Location::caller();
-        for _ in 0..10 {
-            s2.coalesce_sample(id(0, 0), "ld", mixed, 32, 1, 1, 8);
-            s2.coalesce_sample(id(0, 0), "ld", mixed, 32, 32, 32, 8);
-        }
+        sample(&mut s2, mixed, 10, (1, 1), 8);
+        sample(&mut s2, mixed, 10, (32, 32), 8);
         s2.finish_launch();
         assert_eq!(s2.warning_count(), 1);
         assert_eq!(s2.diagnostics()[0].kind, DiagKind::CoalescingLint);
@@ -916,7 +858,7 @@ mod tests {
     fn report_mentions_totals() {
         let mut s = san();
         s.set_context("fixture");
-        s.oob_global(id(1, 0), 2, 9, 4, "st", Location::caller());
+        oob(&mut s, id(1, 0), 2, Location::caller());
         let r = s.report();
         assert!(r.contains("1 error(s)"));
         assert!(r.contains("kernel `fixture`"));

@@ -8,9 +8,10 @@
 //!   launch; agents from different warps of the same block are ordered only
 //!   across a barrier (epoch).
 //! * **Shared memory** — a per-block [`BlockShadow`] of [`SharedCell`]s with
-//!   per-warp reader/writer bitmasks, reset at every barrier by bumping the
-//!   block epoch (cells lazily renormalize on next touch). A conflicting
-//!   access from a *different* warp in the *same* epoch is a race.
+//!   per-warp reader/writer bitmasks, reset at every barrier: events carry
+//!   the block's barrier epoch and cells lazily renormalize on the first
+//!   touch in a new one. A conflicting access from a *different* warp in the
+//!   *same* epoch is a race.
 //!
 //! Same-warp accesses are never racy: warps execute in lockstep in this
 //! simulator (and warp-synchronous programming relies on exactly that), so
@@ -69,23 +70,21 @@ pub(crate) struct SharedCell {
     pub valid: bool,
 }
 
-/// Per-block shared-memory shadow. A `barrier()` bumps `epoch`; stale cells
+/// Per-block shared-memory shadow. Cells from an earlier barrier epoch
 /// renormalize (clear access masks, keep the valid bit) on next touch.
 #[derive(Clone, Debug, Default)]
-pub struct BlockShadow {
-    pub(crate) epoch: u32,
+pub(crate) struct BlockShadow {
     pub(crate) cells: Vec<SharedCell>,
 }
 
 impl BlockShadow {
-    /// Cell for `word`, grown on demand and renormalized to the current
-    /// epoch.
-    pub(crate) fn cell_mut(&mut self, word: u32) -> &mut SharedCell {
+    /// Cell for `word`, grown on demand and renormalized to `epoch`, the
+    /// accessing block's current barrier epoch.
+    pub(crate) fn cell_mut(&mut self, word: u32, epoch: u32) -> &mut SharedCell {
         let idx = word as usize;
         if idx >= self.cells.len() {
             self.cells.resize(idx + 1, SharedCell::default());
         }
-        let epoch = self.epoch;
         let cell = &mut self.cells[idx];
         if cell.epoch != epoch {
             cell.epoch = epoch;
@@ -93,12 +92,6 @@ impl BlockShadow {
             cell.writers = 0;
         }
         cell
-    }
-
-    /// Advance the barrier epoch: all prior accesses become ordered with
-    /// everything that follows.
-    pub(crate) fn advance_epoch(&mut self) {
-        self.epoch += 1;
     }
 }
 
@@ -156,12 +149,11 @@ mod tests {
     #[test]
     fn barrier_clears_access_masks_but_keeps_valid() {
         let mut shadow = BlockShadow::default();
-        let c = shadow.cell_mut(10);
+        let c = shadow.cell_mut(10, 0);
         c.readers |= 1;
         c.writers |= 2;
         c.valid = true;
-        shadow.advance_epoch();
-        let c = shadow.cell_mut(10);
+        let c = shadow.cell_mut(10, 1);
         assert_eq!(c.readers, 0);
         assert_eq!(c.writers, 0);
         assert!(c.valid);

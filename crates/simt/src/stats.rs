@@ -56,9 +56,6 @@ impl KernelStats {
             s.per_warp_instructions.push(wt.len() as u32);
             for op in &wt.ops {
                 use crate::trace::Op::*;
-                if matches!(op, San) {
-                    continue;
-                }
                 s.instructions += 1;
                 s.active_lane_sum += op.active_lanes() as u64;
                 s.mem_transactions += op.transactions() as u64;
@@ -80,7 +77,6 @@ impl KernelStats {
                         s.atomic_replays += replays as u64;
                     }
                     Bar => s.barriers += 1,
-                    San => unreachable!("filtered above"),
                 }
             }
         }
@@ -339,17 +335,6 @@ mod tests {
         let mut acc = s.clone();
         acc.accumulate(&s);
         assert_eq!(acc.cache_hit_segments, 6);
-    }
-
-    #[test]
-    fn san_markers_do_not_change_stats() {
-        let mut with_markers = sample_trace();
-        with_markers.blocks[0].warps[0].ops.insert(0, Op::San);
-        with_markers.blocks[0].warps[1].ops.push(Op::San);
-        assert_eq!(
-            KernelStats::from_trace(&with_markers),
-            KernelStats::from_trace(&sample_trace())
-        );
     }
 
     #[test]

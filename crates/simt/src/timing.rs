@@ -307,7 +307,7 @@ impl Wait {
             Op::LdGlobal { .. } | Op::StGlobal { .. } | Op::LdCached { .. } => Wait::Mem,
             Op::Atomic { .. } => Wait::Atomic,
             Op::Shared { .. } => Wait::Shared,
-            Op::Bar | Op::San => Wait::Compute,
+            Op::Bar => Wait::Compute,
         }
     }
 }
@@ -336,15 +336,14 @@ impl<'a> WarpRt<'a> {
             .copied()
     }
 
-    /// Advance past the current op; skips empty traces and sanitizer
-    /// markers. Returns true if another op exists in the fixed stream.
+    /// Advance past the current op, skipping empty traces. Returns true if
+    /// another op exists in the fixed stream.
     fn advance(&mut self) -> bool {
         self.cur_op += 1;
         self.normalize()
     }
 
-    /// Position at the first real op, skipping empty traces and sanitizer
-    /// markers (which cost nothing); false if none.
+    /// Position at the next op, skipping empty traces; false if none.
     fn normalize(&mut self) -> bool {
         loop {
             match self.stream.get(self.cur_trace) {
@@ -353,7 +352,6 @@ impl<'a> WarpRt<'a> {
                     self.cur_trace += 1;
                     self.cur_op = 0;
                 }
-                Some(t) if matches!(t.ops[self.cur_op], Op::San) => self.cur_op += 1,
                 Some(_) => return true,
             }
         }
@@ -737,7 +735,6 @@ impl<'a> Engine<'a> {
                     + replays as u64 * cfg.atomic_replay_cycles
             }
             Op::Bar => unreachable!("barriers handled by caller"),
-            Op::San => unreachable!("sanitizer markers are skipped by normalize()"),
         }
     }
 
@@ -1126,26 +1123,6 @@ mod tests {
         let c2 = simulate(&input(), &mk_cfg(2)).unwrap();
         assert!(c2 < c1, "dual issue {c2} vs single {c1}");
         assert!(c2 * 3 > c1, "speedup bounded by 2x: {c1} -> {c2}");
-    }
-
-    #[test]
-    fn san_markers_cost_zero_cycles() {
-        let plain = [alu_trace(10)];
-        let mut marked = alu_trace(10);
-        marked.ops.insert(0, Op::San);
-        marked.ops.insert(5, Op::San);
-        marked.ops.push(Op::San);
-        let m = [marked];
-        let cfg = cfg();
-        assert_eq!(
-            simulate(&one_block_input(&m, 32), &cfg).unwrap(),
-            simulate(&one_block_input(&plain, 32), &cfg).unwrap()
-        );
-        // A trace of only markers retires immediately.
-        let only = [WarpTrace {
-            ops: vec![Op::San; 3],
-        }];
-        assert_eq!(simulate(&one_block_input(&only, 32), &cfg).unwrap(), 0);
     }
 
     /// Every SM's stall buckets must sum exactly to the reported cycles.

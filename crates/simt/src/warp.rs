@@ -27,18 +27,24 @@
 //!   instruction with the given active mask.
 //! * Reductions and scans cost `log2(width)` instructions, matching the
 //!   shuffle-tree implementations used on real hardware.
+//!
+//! ## Observation
+//!
+//! Ops never call the sanitizer, analyzer or profiler. Each describes what
+//! it did as an [`Event`](crate::event::Event) and hands it to the launch's
+//! [`Observers`] through `emit`; with no observer on, that is one
+//! predictable branch per op and no per-lane marshalling.
 
-use crate::analyze::{AccessKind, Analyzer, MemObs, Space};
+use crate::analyze::{AccessKind, Site, Space};
 use crate::cache::CacheModel;
 use crate::coalesce::{distinct_addrs, transactions};
 use crate::config::GpuConfig;
-use crate::fault::{self, AddressSpace, AtomicDropPlan, SimtError, WatchdogKind};
+use crate::event::{EventKind, LaneAccess, MemAccess, Observers, OpSite, Region};
+use crate::fault::{AddressSpace, AtomicDropPlan, LaunchFaults, SimtError, WatchdogKind};
 use crate::lanes::{DeviceWord, Lanes, WARP_SIZE};
 use crate::mask::Mask;
 use crate::mem::{DevPtr, DeviceMem};
-use crate::profile::Profiler;
-use crate::sanitize::{BlockShadow, Sanitizer};
-use crate::shared::{bank_conflict_cost, SharedMem, SharedPtr, NUM_BANKS};
+use crate::shared::{bank_conflict_cost, SharedMem, SharedPtr};
 use crate::trace::{Op, WarpTrace};
 use std::panic::Location;
 
@@ -69,13 +75,6 @@ impl WarpId {
     }
 }
 
-/// Borrowed sanitizer state a warp checks against: the launch-wide
-/// [`Sanitizer`] plus this block's shared-memory shadow.
-pub(crate) struct SanScope<'a> {
-    pub(crate) san: &'a mut Sanitizer,
-    pub(crate) shadow: &'a mut BlockShadow,
-}
-
 /// Per-warp execution context handed to kernel code.
 pub struct WarpCtx<'a> {
     mem: &'a mut DeviceMem,
@@ -84,27 +83,20 @@ pub struct WarpCtx<'a> {
     cache: &'a mut CacheModel,
     segment_bytes: u32,
     id: WarpId,
-    san: Option<SanScope<'a>>,
-    prof: Option<&'a mut Profiler>,
-    /// Static analyzer observing abstract per-site access patterns.
-    anl: Option<&'a mut Analyzer>,
-    /// Barrier epoch of the current phase (from the block's shadow); the
-    /// analyzer orders same-block accesses by it.
-    epoch: u32,
-    /// Launch-wide fault slot. `Some` on the `Gpu::launch` path: the first
+    /// Sanitizer / analyzer / profiler of this launch; `None` when all
+    /// three are off.
+    obs: Option<Observers<'a>>,
+    /// Launch-wide fault state. `Some` on the `Gpu::launch` path: the first
     /// fault is recorded, the offending lanes are dropped, and the launch
     /// returns `Err`. `None` for bare (test-harness) contexts, which keep
     /// the historical panic-on-fault behavior.
-    fault: Option<&'a mut Option<SimtError>>,
+    faults: Option<&'a mut LaunchFaults>,
     /// Per-warp functional instruction budget (`watchdog.max_instructions`).
     budget: Option<u64>,
-    /// Chaos mode: the launch's dropped-atomic plan, if that fault class is
-    /// enabled.
-    chaos: Option<&'a mut AtomicDropPlan>,
 }
 
 impl<'a> WarpCtx<'a> {
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub(crate) fn new(
         mem: &'a mut DeviceMem,
         shared: &'a mut SharedMem,
@@ -113,9 +105,7 @@ impl<'a> WarpCtx<'a> {
         cfg: &GpuConfig,
         id: WarpId,
     ) -> Self {
-        Self::new_instrumented(
-            mem, shared, trace, cache, cfg, id, None, None, None, 0, None, None,
-        )
+        Self::new_instrumented(mem, shared, trace, cache, cfg, id, None, None)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -126,12 +116,8 @@ impl<'a> WarpCtx<'a> {
         cache: &'a mut CacheModel,
         cfg: &GpuConfig,
         id: WarpId,
-        san: Option<SanScope<'a>>,
-        prof: Option<&'a mut Profiler>,
-        anl: Option<&'a mut Analyzer>,
-        epoch: u32,
-        fault: Option<&'a mut Option<SimtError>>,
-        chaos: Option<&'a mut AtomicDropPlan>,
+        obs: Option<Observers<'a>>,
+        faults: Option<&'a mut LaunchFaults>,
     ) -> Self {
         WarpCtx {
             mem,
@@ -140,13 +126,9 @@ impl<'a> WarpCtx<'a> {
             cache,
             segment_bytes: cfg.segment_bytes,
             id,
-            san,
-            prof,
-            anl,
-            epoch,
-            fault,
+            obs,
+            faults,
             budget: cfg.watchdog.max_instructions,
-            chaos,
         }
     }
 
@@ -280,15 +262,11 @@ impl<'a> WarpCtx<'a> {
     #[inline]
     #[track_caller]
     pub fn ballot(&mut self, mask: Mask, pred: Mask) -> Mask {
-        let site = Location::caller();
-        if self.tripped(site) {
+        let at = OpSite::caller("ballot");
+        if self.tripped(at.site) {
             return Mask::NONE;
         }
-        self.check_empty_mask(mask, "ballot", site);
-        if let Some(anl) = self.anl.as_deref_mut() {
-            anl.collective(self.id, "ballot", site, mask.count(), (pred & mask).count());
-        }
-        self.push_alu(mask);
+        self.collective(at, mask, pred);
         pred & mask
     }
 
@@ -296,15 +274,11 @@ impl<'a> WarpCtx<'a> {
     #[inline]
     #[track_caller]
     pub fn any(&mut self, mask: Mask, pred: Mask) -> bool {
-        let site = Location::caller();
-        if self.tripped(site) {
+        let at = OpSite::caller("any");
+        if self.tripped(at.site) {
             return false;
         }
-        self.check_empty_mask(mask, "any", site);
-        if let Some(anl) = self.anl.as_deref_mut() {
-            anl.collective(self.id, "any", site, mask.count(), (pred & mask).count());
-        }
-        self.push_alu(mask);
+        self.collective(at, mask, pred);
         (pred & mask).any()
     }
 
@@ -312,15 +286,11 @@ impl<'a> WarpCtx<'a> {
     #[inline]
     #[track_caller]
     pub fn all(&mut self, mask: Mask, pred: Mask) -> bool {
-        let site = Location::caller();
-        if self.tripped(site) {
+        let at = OpSite::caller("all");
+        if self.tripped(at.site) {
             return false;
         }
-        self.check_empty_mask(mask, "all", site);
-        if let Some(anl) = self.anl.as_deref_mut() {
-            anl.collective(self.id, "all", site, mask.count(), (pred & mask).count());
-        }
-        self.push_alu(mask);
+        self.collective(at, mask, pred);
         (pred & mask) == mask
     }
 
@@ -338,33 +308,13 @@ impl<'a> WarpCtx<'a> {
         vals: &Lanes<T>,
         src: &Lanes<u32>,
     ) -> Lanes<T> {
-        let site = Location::caller();
+        let at = OpSite::caller("shfl");
         self.push_alu(mask);
-        if let Some(scope) = &mut self.san {
-            let mut new = 0;
-            for l in mask.iter() {
-                let s = src.get(l) as usize % WARP_SIZE;
-                if !mask.get(s) {
-                    new += scope
-                        .san
-                        .divergent_shfl(self.id, l as u32, s as u32, "shfl", site);
-                }
-            }
-            for _ in 0..new {
-                self.trace.ops.push(Op::San);
-            }
-        }
-        if self.anl.is_some()
-            && mask
-                .iter()
-                .any(|l| !mask.get(src.get(l) as usize % WARP_SIZE))
-        {
-            if let Some(anl) = self.anl.as_deref_mut() {
-                anl.divergent_shuffle(self.id, "shfl", site);
-            }
-        }
+        let src_of = |l: usize| src.get(l) as usize % WARP_SIZE;
+        let reads = mask.iter().map(|l| (l, src_of(l)));
+        self.divergent(at, reads.filter(|&(_, s)| !mask.get(s)));
         Lanes::from_fn(|l| {
-            let s = src.get(l) as usize % WARP_SIZE;
+            let s = src_of(l);
             if mask.get(s) {
                 vals.get(s)
             } else {
@@ -384,31 +334,15 @@ impl<'a> WarpCtx<'a> {
         vals: &Lanes<T>,
         src_lane: usize,
     ) -> Lanes<T> {
-        let site = Location::caller();
+        let at = OpSite::caller("shfl_bcast");
         self.push_alu(mask);
         let s = src_lane % WARP_SIZE;
         if mask.get(s) {
             return Lanes::splat(vals.get(s));
         }
-        if let Some(scope) = &mut self.san {
-            let new = match mask.leader() {
-                Some(l) => {
-                    scope
-                        .san
-                        .divergent_shfl(self.id, l as u32, s as u32, "shfl_bcast", site)
-                }
-                None => scope.san.empty_mask(self.id, "shfl_bcast", site),
-            };
-            for _ in 0..new {
-                self.trace.ops.push(Op::San);
-            }
-        }
-        if let Some(anl) = self.anl.as_deref_mut() {
-            if mask.any() {
-                anl.divergent_shuffle(self.id, "shfl_bcast", site);
-            } else {
-                anl.empty_collective(self.id, "shfl_bcast", site);
-            }
+        match mask.leader() {
+            Some(l) => self.divergent(at, std::iter::once((l, s))),
+            None => self.emit(at, EventKind::EmptyMask),
         }
         Lanes::splat(T::default())
     }
@@ -417,7 +351,7 @@ impl<'a> WarpCtx<'a> {
     /// instructions. Returns the total of active lanes broadcast to all.
     #[track_caller]
     pub fn reduce_add(&mut self, mask: Mask, vals: &Lanes<u32>) -> u32 {
-        self.check_empty_mask(mask, "reduce_add", Location::caller());
+        self.check_empty_mask(mask, OpSite::caller("reduce_add"));
         self.charge_tree(mask, WARP_SIZE);
         vals.sum_active(mask) as u32
     }
@@ -425,7 +359,7 @@ impl<'a> WarpCtx<'a> {
     /// Warp-wide min reduction (5 instructions); `u32::MAX` if mask empty.
     #[track_caller]
     pub fn reduce_min(&mut self, mask: Mask, vals: &Lanes<u32>) -> u32 {
-        self.check_empty_mask(mask, "reduce_min", Location::caller());
+        self.check_empty_mask(mask, OpSite::caller("reduce_min"));
         self.charge_tree(mask, WARP_SIZE);
         vals.min_active(mask).unwrap_or(u32::MAX)
     }
@@ -433,7 +367,7 @@ impl<'a> WarpCtx<'a> {
     /// Warp-wide max reduction (5 instructions); 0 if mask empty.
     #[track_caller]
     pub fn reduce_max(&mut self, mask: Mask, vals: &Lanes<u32>) -> u32 {
-        self.check_empty_mask(mask, "reduce_max", Location::caller());
+        self.check_empty_mask(mask, OpSite::caller("reduce_max"));
         self.charge_tree(mask, WARP_SIZE);
         vals.max_active(mask).unwrap_or(0)
     }
@@ -443,7 +377,7 @@ impl<'a> WarpCtx<'a> {
     /// what compaction code needs.
     #[track_caller]
     pub fn scan_add_exclusive(&mut self, mask: Mask, vals: &Lanes<u32>) -> Lanes<u32> {
-        self.check_empty_mask(mask, "scan_add_exclusive", Location::caller());
+        self.check_empty_mask(mask, OpSite::caller("scan_add_exclusive"));
         self.charge_tree(mask, WARP_SIZE);
         let mut acc = 0u32;
         Lanes::from_fn(|l| {
@@ -463,11 +397,11 @@ impl<'a> WarpCtx<'a> {
     /// instructions; every lane of a segment receives its segment's total.
     #[track_caller]
     pub fn seg_reduce_add(&mut self, mask: Mask, vals: &Lanes<u32>, width: usize) -> Lanes<u32> {
-        let site = Location::caller();
-        if self.tripped(site) || !self.check_width(width, "seg_reduce_add", site) {
+        let at = OpSite::caller("seg_reduce_add");
+        if self.tripped(at.site) || !self.check_width(width, at) {
             return Lanes::splat(0u32);
         }
-        self.check_empty_mask(mask, "seg_reduce_add", site);
+        self.check_empty_mask(mask, at);
         self.charge_tree(mask, width);
         let mut out = Lanes::splat(0u32);
         for seg in 0..WARP_SIZE / width {
@@ -495,11 +429,11 @@ impl<'a> WarpCtx<'a> {
         vals: &Lanes<f32>,
         width: usize,
     ) -> Lanes<f32> {
-        let site = Location::caller();
-        if self.tripped(site) || !self.check_width(width, "seg_reduce_add_f32", site) {
+        let at = OpSite::caller("seg_reduce_add_f32");
+        if self.tripped(at.site) || !self.check_width(width, at) {
             return Lanes::splat(0.0f32);
         }
-        self.check_empty_mask(mask, "seg_reduce_add_f32", site);
+        self.check_empty_mask(mask, at);
         self.charge_tree(mask, width);
         let mut out = Lanes::splat(0.0f32);
         for seg in 0..WARP_SIZE / width {
@@ -529,39 +463,17 @@ impl<'a> WarpCtx<'a> {
         vals: &Lanes<T>,
         width: usize,
     ) -> Lanes<T> {
-        let site = Location::caller();
-        if self.tripped(site) || !self.check_width(width, "seg_bcast", site) {
+        let at = OpSite::caller("seg_bcast");
+        if self.tripped(at.site) || !self.check_width(width, at) {
             return Lanes::splat(T::default());
         }
         self.push_alu(mask);
-        if let Some(scope) = &mut self.san {
-            let mut new = 0;
-            for seg in 0..WARP_SIZE / width {
-                let base = seg * width;
-                if mask.get(base) {
-                    continue;
-                }
-                if let Some(l) = (base..base + width).find(|&l| mask.get(l)) {
-                    new +=
-                        scope
-                            .san
-                            .divergent_shfl(self.id, l as u32, base as u32, "seg_bcast", site);
-                }
-            }
-            for _ in 0..new {
-                self.trace.ops.push(Op::San);
-            }
-        }
-        if self.anl.is_some()
-            && (0..WARP_SIZE / width).any(|seg| {
-                let base = seg * width;
-                !mask.get(base) && (base..base + width).any(|l| mask.get(l))
-            })
-        {
-            if let Some(anl) = self.anl.as_deref_mut() {
-                anl.divergent_shuffle(self.id, "seg_bcast", site);
-            }
-        }
+        // Per segment with an inactive base: its first active lane, if any.
+        let orphans = (0..WARP_SIZE).step_by(width).filter_map(|base| {
+            let first = (base..base + width).find(|&l| mask.get(l))?;
+            (first != base).then_some((first, base))
+        });
+        self.divergent(at, orphans);
         Lanes::from_fn(|l| {
             let base = l / width * width;
             if mask.get(base) {
@@ -577,11 +489,11 @@ impl<'a> WarpCtx<'a> {
     /// instruction). Result replicated across the segment as a mask.
     #[track_caller]
     pub fn seg_any(&mut self, mask: Mask, pred: Mask, width: usize) -> Mask {
-        let site = Location::caller();
-        if self.tripped(site) || !self.check_width(width, "seg_any", site) {
+        let at = OpSite::caller("seg_any");
+        if self.tripped(at.site) || !self.check_width(width, at) {
             return Mask::NONE;
         }
-        self.check_empty_mask(mask, "seg_any", site);
+        self.check_empty_mask(mask, at);
         self.push_alu(mask);
         let hits = pred & mask;
         Mask::from_fn(|l| {
@@ -596,57 +508,18 @@ impl<'a> WarpCtx<'a> {
     /// transactions per the coalescing model.
     #[track_caller]
     pub fn ld<T: DeviceWord>(&mut self, mask: Mask, ptr: DevPtr<T>, idx: &Lanes<u32>) -> Lanes<T> {
-        let site = Location::caller();
-        if self.tripped(site) {
+        let at = OpSite::caller("ld");
+        if self.tripped(at.site) {
             return Lanes::splat(T::default());
         }
-        let mask = self.guard_global(mask, ptr, idx, "ld", site);
-        let tx = self.mem_tx(mask, ptr, idx);
+        let mask = self.guard(mask, ptr.into(), idx, at);
         let op = Op::LdGlobal {
             active: mask.count() as u8,
-            tx,
+            tx: self.mem_tx(mask, ptr, idx),
         };
-        self.trace.ops.push(op);
-        self.prof_note(site, "ld", op);
-        if let Some(scope) = &mut self.san {
-            let epoch = scope.shadow.epoch;
-            let distinct = distinct_addrs(mask.iter().map(|l| ptr.byte_addr(idx.get(l))));
-            scope.san.coalesce_sample(
-                self.id,
-                "ld",
-                site,
-                mask.count(),
-                tx as u32,
-                distinct,
-                self.segment_bytes / 4,
-            );
-            let mut new = 0;
-            for l in mask.iter() {
-                let w = ptr.base() + idx.get(l);
-                let valid = self.mem.word_valid(w);
-                new += scope
-                    .san
-                    .global_read(self.id, epoch, l as u32, w, valid, "ld", site);
-            }
-            for _ in 0..new {
-                self.trace.ops.push(Op::San);
-            }
-        }
-        self.anl_global(
-            mask,
-            ptr,
-            idx,
-            None,
-            AccessKind::Read,
-            "ld",
-            site,
-            Some(tx as u32),
-        );
-        let mut out = Lanes::splat(T::default());
-        for l in mask.iter() {
-            out.set(l, self.mem.read(ptr, idx.get(l)));
-        }
-        out
+        let lanes = mask.iter().map(|l| (l, idx.get(l), 0));
+        self.issue_mem(at, op, ptr.into(), AccessKind::Read, true, lanes);
+        self.gather(mask, ptr, idx)
     }
 
     /// Scatter store: active lane `l` writes `vals.get(l)` to
@@ -661,65 +534,17 @@ impl<'a> WarpCtx<'a> {
         idx: &Lanes<u32>,
         vals: &Lanes<T>,
     ) {
-        let site = Location::caller();
-        if self.tripped(site) {
+        let at = OpSite::caller("st");
+        if self.tripped(at.site) {
             return;
         }
-        let mask = self.guard_global(mask, ptr, idx, "st", site);
-        let tx = self.mem_tx(mask, ptr, idx);
+        let mask = self.guard(mask, ptr.into(), idx, at);
         let op = Op::StGlobal {
             active: mask.count() as u8,
-            tx,
+            tx: self.mem_tx(mask, ptr, idx),
         };
-        self.trace.ops.push(op);
-        self.prof_note(site, "st", op);
-        if let Some(scope) = &mut self.san {
-            let epoch = scope.shadow.epoch;
-            let distinct = distinct_addrs(mask.iter().map(|l| ptr.byte_addr(idx.get(l))));
-            scope.san.coalesce_sample(
-                self.id,
-                "st",
-                site,
-                mask.count(),
-                tx as u32,
-                distinct,
-                self.segment_bytes / 4,
-            );
-            let mut new = 0;
-            for l in mask.iter() {
-                let i = idx.get(l);
-                new += scope.san.global_write(
-                    self.id,
-                    epoch,
-                    l as u32,
-                    ptr.base() + i,
-                    vals.get(l).to_word(),
-                    "st",
-                    site,
-                );
-                // Intra-warp collision: a lower lane already targeted this
-                // index with a different value in this same instruction.
-                for k in mask.iter().take_while(|&k| k < l) {
-                    if idx.get(k) == i && vals.get(k).to_word() != vals.get(l).to_word() {
-                        new += scope.san.store_collision(self.id, l as u32, i, "st", site);
-                        break;
-                    }
-                }
-            }
-            for _ in 0..new {
-                self.trace.ops.push(Op::San);
-            }
-        }
-        self.anl_global(
-            mask,
-            ptr,
-            idx,
-            Some(vals),
-            AccessKind::Write,
-            "st",
-            site,
-            Some(tx as u32),
-        );
+        let lanes = mask.iter().map(|l| (l, idx.get(l), vals.get(l).to_word()));
+        self.issue_mem(at, op, ptr.into(), AccessKind::Write, true, lanes);
         for l in mask.iter() {
             self.mem.write(ptr, idx.get(l), vals.get(l));
         }
@@ -735,11 +560,11 @@ impl<'a> WarpCtx<'a> {
         ptr: DevPtr<T>,
         idx: &Lanes<u32>,
     ) -> Lanes<T> {
-        let site = Location::caller();
-        if self.tripped(site) {
+        let at = OpSite::caller("ld_cached");
+        if self.tripped(at.site) {
             return Lanes::splat(T::default());
         }
-        let mask = self.guard_global(mask, ptr, idx, "ld_cached", site);
+        let mask = self.guard(mask, ptr.into(), idx, at);
         // Distinct segments among the active lanes, like the coalescer.
         let shift = self.segment_bytes.trailing_zeros();
         let mut segs = [0u64; WARP_SIZE];
@@ -768,115 +593,42 @@ impl<'a> WarpCtx<'a> {
             hits,
             misses,
         };
-        self.trace.ops.push(op);
-        self.prof_note(site, "ld_cached", op);
-        if let Some(scope) = &mut self.san {
-            let epoch = scope.shadow.epoch;
-            let mut new = 0;
-            for l in mask.iter() {
-                let w = ptr.base() + idx.get(l);
-                let valid = self.mem.word_valid(w);
-                new += scope
-                    .san
-                    .global_read(self.id, epoch, l as u32, w, valid, "ld_cached", site);
-            }
-            for _ in 0..new {
-                self.trace.ops.push(Op::San);
-            }
-        }
-        self.anl_global(
-            mask,
-            ptr,
-            idx,
-            None,
-            AccessKind::Read,
-            "ld_cached",
-            site,
-            None,
-        );
-        let mut out = Lanes::splat(T::default());
-        for l in mask.iter() {
-            out.set(l, self.mem.read(ptr, idx.get(l)));
-        }
-        out
+        let lanes = mask.iter().map(|l| (l, idx.get(l), 0));
+        self.issue_mem(at, op, ptr.into(), AccessKind::Read, false, lanes);
+        self.gather(mask, ptr, idx)
     }
 
     /// Uniform load: all active lanes read the same element (one
     /// instruction, one transaction). Models `ptr[c]` with scalar `c`.
     #[track_caller]
     pub fn ld_uniform<T: DeviceWord>(&mut self, mask: Mask, ptr: DevPtr<T>, idx: u32) -> T {
-        let site = Location::caller();
-        if self.tripped(site) {
+        let at = OpSite::caller("ld_uniform");
+        if self.tripped(at.site) {
             return T::default();
         }
         let op = Op::LdGlobal {
             active: mask.count() as u8,
             tx: 1,
         };
-        self.trace.ops.push(op);
-        self.prof_note(site, "ld_uniform", op);
-        if !self.guard_global_scalar(mask, ptr, idx, "ld_uniform", site) {
-            return T::default();
+        if self.issue_uniform(at, op, mask, ptr, AccessKind::Read, (idx, 0)) {
+            self.mem.read(ptr, idx)
+        } else {
+            T::default()
         }
-        if let Some(scope) = &mut self.san {
-            let epoch = scope.shadow.epoch;
-            let lane = mask.leader().unwrap_or(0) as u32;
-            let w = ptr.base() + idx;
-            let valid = self.mem.word_valid(w);
-            let new = scope
-                .san
-                .global_read(self.id, epoch, lane, w, valid, "ld_uniform", site);
-            for _ in 0..new {
-                self.trace.ops.push(Op::San);
-            }
-        }
-        self.anl_global_scalar(mask, ptr, idx, None, AccessKind::Read, "ld_uniform", site);
-        self.mem.read(ptr, idx)
     }
 
     /// Uniform store: the warp leader writes one element (one instruction,
     /// one transaction). Models `if (lane == 0) ptr[c] = v`.
     #[track_caller]
     pub fn st_uniform<T: DeviceWord>(&mut self, mask: Mask, ptr: DevPtr<T>, idx: u32, v: T) {
-        if !mask.any() {
-            return;
-        }
-        let site = Location::caller();
-        if self.tripped(site) {
+        let at = OpSite::caller("st_uniform");
+        if !mask.any() || self.tripped(at.site) {
             return;
         }
         let op = Op::StGlobal { active: 1, tx: 1 };
-        self.trace.ops.push(op);
-        self.prof_note(site, "st_uniform", op);
-        if !self.guard_global_scalar(mask, ptr, idx, "st_uniform", site) {
-            return;
+        if self.issue_uniform(at, op, mask, ptr, AccessKind::Write, (idx, v.to_word())) {
+            self.mem.write(ptr, idx, v);
         }
-        if let Some(scope) = &mut self.san {
-            let epoch = scope.shadow.epoch;
-            let lane = mask.leader().unwrap_or(0) as u32;
-            let new = scope.san.global_write(
-                self.id,
-                epoch,
-                lane,
-                ptr.base() + idx,
-                v.to_word(),
-                "st_uniform",
-                site,
-            );
-            for _ in 0..new {
-                self.trace.ops.push(Op::San);
-            }
-        }
-        self.anl_global_scalar(
-            mask,
-            ptr,
-            idx,
-            Some(v),
-            AccessKind::Write,
-            "st_uniform",
-            site,
-        );
-        self.mem.write(ptr, idx, v);
     }
 
     // ---------------------------------------------------------------- atomics
@@ -892,9 +644,9 @@ impl<'a> WarpCtx<'a> {
         idx: &Lanes<u32>,
         vals: &Lanes<T>,
     ) -> Lanes<T> {
-        let site = Location::caller();
-        self.atomic_rmw(mask, ptr, idx, vals, "atomic_add", site, |old, v| {
-            old.atomic_add(v)
+        let at = OpSite::caller("atomic_add");
+        self.atomic_rmw(mask, ptr, idx, at, |l, old| {
+            Some(old.atomic_add(vals.get(l)))
         })
     }
 
@@ -907,9 +659,9 @@ impl<'a> WarpCtx<'a> {
         idx: &Lanes<u32>,
         vals: &Lanes<T>,
     ) -> Lanes<T> {
-        let site = Location::caller();
-        self.atomic_rmw(mask, ptr, idx, vals, "atomic_min", site, |old, v| {
-            old.atomic_min(v)
+        let at = OpSite::caller("atomic_min");
+        self.atomic_rmw(mask, ptr, idx, at, |l, old| {
+            Some(old.atomic_min(vals.get(l)))
         })
     }
 
@@ -923,8 +675,8 @@ impl<'a> WarpCtx<'a> {
         idx: &Lanes<u32>,
         vals: &Lanes<u32>,
     ) -> Lanes<u32> {
-        let site = Location::caller();
-        self.atomic_rmw(mask, ptr, idx, vals, "atomic_or", site, |old, v| old | v)
+        let at = OpSite::caller("atomic_or");
+        self.atomic_rmw(mask, ptr, idx, at, |l, old| Some(old | vals.get(l)))
     }
 
     /// `atomicAnd` per active lane; returns fetched values.
@@ -936,8 +688,8 @@ impl<'a> WarpCtx<'a> {
         idx: &Lanes<u32>,
         vals: &Lanes<u32>,
     ) -> Lanes<u32> {
-        let site = Location::caller();
-        self.atomic_rmw(mask, ptr, idx, vals, "atomic_and", site, |old, v| old & v)
+        let at = OpSite::caller("atomic_and");
+        self.atomic_rmw(mask, ptr, idx, at, |l, old| Some(old & vals.get(l)))
     }
 
     /// `atomicExch` per active lane; returns fetched values.
@@ -949,8 +701,8 @@ impl<'a> WarpCtx<'a> {
         idx: &Lanes<u32>,
         vals: &Lanes<T>,
     ) -> Lanes<T> {
-        let site = Location::caller();
-        self.atomic_rmw(mask, ptr, idx, vals, "atomic_exch", site, |_, v| v)
+        let at = OpSite::caller("atomic_exch");
+        self.atomic_rmw(mask, ptr, idx, at, |l, _| Some(vals.get(l)))
     }
 
     /// `atomicCAS` per active lane: if `ptr[idx] == cmp` store `new`;
@@ -964,35 +716,10 @@ impl<'a> WarpCtx<'a> {
         cmp: &Lanes<T>,
         new: &Lanes<T>,
     ) -> Lanes<T> {
-        let site = Location::caller();
-        if self.tripped(site) {
-            return Lanes::splat(T::default());
-        }
-        let mask = self.guard_global(mask, ptr, idx, "atomic_cas", site);
-        let tx = self.mem_tx(mask, ptr, idx);
-        let replays = self.atomic_replays(mask, idx);
-        let op = Op::Atomic {
-            active: mask.count() as u8,
-            tx,
-            replays,
-        };
-        self.trace.ops.push(op);
-        self.prof_note(site, "atomic_cas", op);
-        self.note_atomics(mask, ptr, idx, "atomic_cas", site, tx);
-        let dropped_lane = match self.chaos.as_mut() {
-            Some(plan) => plan.should_drop().then(|| mask.leader()).flatten(),
-            None => None,
-        };
-        let mut out = Lanes::splat(T::default());
-        for l in mask.iter() {
-            let i = idx.get(l);
-            let old = self.mem.read(ptr, i);
-            out.set(l, old);
-            if old == cmp.get(l) && dropped_lane != Some(l) {
-                self.mem.write(ptr, i, new.get(l));
-            }
-        }
-        out
+        let at = OpSite::caller("atomic_cas");
+        self.atomic_rmw(mask, ptr, idx, at, |l, old| {
+            (old == cmp.get(l)).then(|| new.get(l))
+        })
     }
 
     /// Leader-only `atomicAdd` on a single counter, broadcast to the caller
@@ -1001,11 +728,8 @@ impl<'a> WarpCtx<'a> {
     /// distribution.
     #[track_caller]
     pub fn atomic_add_uniform(&mut self, mask: Mask, ptr: DevPtr<u32>, idx: u32, v: u32) -> u32 {
-        if !mask.any() {
-            return 0;
-        }
-        let site = Location::caller();
-        if self.tripped(site) {
+        let at = OpSite::caller("atomic_add_uniform");
+        if !mask.any() || self.tripped(at.site) {
             return 0;
         }
         let op = Op::Atomic {
@@ -1013,132 +737,50 @@ impl<'a> WarpCtx<'a> {
             tx: 1,
             replays: 0,
         };
-        self.trace.ops.push(op);
-        self.prof_note(site, "atomic_add_uniform", op);
-        if !self.guard_global_scalar(mask, ptr, idx, "atomic_add_uniform", site) {
+        if !self.issue_uniform(at, op, mask, ptr, AccessKind::Atomic, (idx, 0)) {
             return 0;
         }
-        if let Some(scope) = &mut self.san {
-            let epoch = scope.shadow.epoch;
-            let lane = mask.leader().unwrap_or(0) as u32;
-            let new = scope.san.global_atomic(
-                self.id,
-                epoch,
-                lane,
-                ptr.base() + idx,
-                "atomic_add_uniform",
-                site,
-            );
-            for _ in 0..new {
-                self.trace.ops.push(Op::San);
-            }
-        }
-        self.anl_global_scalar(
-            mask,
-            ptr,
-            idx,
-            None,
-            AccessKind::Atomic,
-            "atomic_add_uniform",
-            site,
-        );
         let old = self.mem.read(ptr, idx);
-        let dropped = self.chaos.as_mut().is_some_and(|plan| plan.should_drop());
-        if !dropped {
+        if !self.chaos_drop() {
             self.mem.write(ptr, idx, old.wrapping_add(v));
         }
         old
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// The lane-wise atomics: each active lane fetches `ptr[idx]` and stores
+    /// `f(lane, fetched)` unless that is `None` (a failed compare-and-swap).
     fn atomic_rmw<T: DeviceWord>(
         &mut self,
         mask: Mask,
         ptr: DevPtr<T>,
         idx: &Lanes<u32>,
-        vals: &Lanes<T>,
-        op: &'static str,
-        site: &'static Location<'static>,
-        mut f: impl FnMut(T, T) -> T,
+        at: OpSite,
+        mut f: impl FnMut(usize, T) -> Option<T>,
     ) -> Lanes<T> {
-        if self.tripped(site) {
+        if self.tripped(at.site) {
             return Lanes::splat(T::default());
         }
-        let mask = self.guard_global(mask, ptr, idx, op, site);
-        let tx = self.mem_tx(mask, ptr, idx);
-        let replays = self.atomic_replays(mask, idx);
-        let traced = Op::Atomic {
+        let mask = self.guard(mask, ptr.into(), idx, at);
+        let op = Op::Atomic {
             active: mask.count() as u8,
-            tx,
-            replays,
+            tx: self.mem_tx(mask, ptr, idx),
+            replays: self.atomic_replays(mask, idx),
         };
-        self.trace.ops.push(traced);
-        self.prof_note(site, op, traced);
-        self.note_atomics(mask, ptr, idx, op, site, tx);
-        let dropped_lane = match self.chaos.as_mut() {
-            Some(plan) => plan.should_drop().then(|| mask.leader()).flatten(),
-            None => None,
-        };
+        let lanes = mask.iter().map(|l| (l, idx.get(l), 0));
+        self.issue_mem(at, op, ptr.into(), AccessKind::Atomic, true, lanes);
+        let dropped_lane = self.chaos_drop().then(|| mask.leader()).flatten();
         let mut out = Lanes::splat(T::default());
         for l in mask.iter() {
             let i = idx.get(l);
             let old = self.mem.read(ptr, i);
             out.set(l, old);
             if dropped_lane != Some(l) {
-                self.mem.write(ptr, i, f(old, vals.get(l)));
+                if let Some(new) = f(l, old) {
+                    self.mem.write(ptr, i, new);
+                }
             }
         }
         out
-    }
-
-    /// Sanitizer bookkeeping shared by the lane-wise atomic ops: coalescing
-    /// sample plus per-lane atomic shadow updates.
-    fn note_atomics<T: DeviceWord>(
-        &mut self,
-        mask: Mask,
-        ptr: DevPtr<T>,
-        idx: &Lanes<u32>,
-        op: &'static str,
-        site: &'static Location<'static>,
-        tx: u8,
-    ) {
-        if let Some(scope) = &mut self.san {
-            let epoch = scope.shadow.epoch;
-            let distinct = distinct_addrs(mask.iter().map(|l| ptr.byte_addr(idx.get(l))));
-            scope.san.coalesce_sample(
-                self.id,
-                op,
-                site,
-                mask.count(),
-                tx as u32,
-                distinct,
-                self.segment_bytes / 4,
-            );
-            let mut new = 0;
-            for l in mask.iter() {
-                new += scope.san.global_atomic(
-                    self.id,
-                    epoch,
-                    l as u32,
-                    ptr.base() + idx.get(l),
-                    op,
-                    site,
-                );
-            }
-            for _ in 0..new {
-                self.trace.ops.push(Op::San);
-            }
-        }
-        self.anl_global(
-            mask,
-            ptr,
-            idx,
-            None,
-            AccessKind::Atomic,
-            op,
-            site,
-            Some(tx as u32),
-        );
     }
 
     // ------------------------------------------------------------ shared mem
@@ -1151,34 +793,12 @@ impl<'a> WarpCtx<'a> {
         ptr: SharedPtr<T>,
         idx: &Lanes<u32>,
     ) -> Lanes<T> {
-        let site = Location::caller();
-        if self.tripped(site) {
+        let at = OpSite::caller("sh_ld");
+        if self.tripped(at.site) {
             return Lanes::splat(T::default());
         }
-        let mask = self.guard_shared(mask, ptr, idx, "sh_ld", site);
-        let cost = bank_conflict_cost(mask.iter().map(|l| ptr.word_of(idx.get(l)) as u32));
-        let op = Op::Shared {
-            active: mask.count() as u8,
-            cost: cost.max(1) as u8,
-        };
-        self.trace.ops.push(op);
-        self.prof_note(site, "sh_ld", op);
-        if let Some(scope) = &mut self.san {
-            let mut new = 0;
-            if cost > 4 {
-                new += scope.san.bank_conflict(self.id, cost, "sh_ld", site);
-            }
-            for l in mask.iter() {
-                let w = ptr.base() + idx.get(l);
-                new += scope
-                    .san
-                    .shared_read(scope.shadow, self.id, l as u32, w, "sh_ld", site);
-            }
-            for _ in 0..new {
-                self.trace.ops.push(Op::San);
-            }
-        }
-        self.anl_shared(mask, ptr, idx, None, AccessKind::Read, "sh_ld", site, cost);
+        let mask = self.guard(mask, ptr.into(), idx, at);
+        self.issue_shared(at, mask, ptr, idx, None);
         let mut out = Lanes::splat(T::default());
         for l in mask.iter() {
             out.set(l, T::from_word(self.shared.word(ptr.word_of(idx.get(l)))));
@@ -1196,202 +816,203 @@ impl<'a> WarpCtx<'a> {
         idx: &Lanes<u32>,
         vals: &Lanes<T>,
     ) {
-        let site = Location::caller();
-        if self.tripped(site) {
+        let at = OpSite::caller("sh_st");
+        if self.tripped(at.site) {
             return;
         }
-        let mask = self.guard_shared(mask, ptr, idx, "sh_st", site);
-        let cost = bank_conflict_cost(mask.iter().map(|l| ptr.word_of(idx.get(l)) as u32));
-        let op = Op::Shared {
-            active: mask.count() as u8,
-            cost: cost.max(1) as u8,
-        };
-        self.trace.ops.push(op);
-        self.prof_note(site, "sh_st", op);
-        if let Some(scope) = &mut self.san {
-            let mut new = 0;
-            if cost > 4 {
-                new += scope.san.bank_conflict(self.id, cost, "sh_st", site);
-            }
-            for l in mask.iter() {
-                let w = ptr.base() + idx.get(l);
-                new += scope
-                    .san
-                    .shared_write(scope.shadow, self.id, l as u32, w, "sh_st", site);
-            }
-            for _ in 0..new {
-                self.trace.ops.push(Op::San);
-            }
-        }
-        self.anl_shared(
-            mask,
-            ptr,
-            idx,
-            Some(vals),
-            AccessKind::Write,
-            "sh_st",
-            site,
-            cost,
-        );
+        let mask = self.guard(mask, ptr.into(), idx, at);
+        self.issue_shared(at, mask, ptr, idx, Some(vals));
         for l in mask.iter() {
             let w = ptr.word_of(idx.get(l));
             self.shared.set_word(w, vals.get(l).to_word());
         }
     }
 
-    // ---------------------------------------------------------------- private
+    // ------------------------------------------------------- the observer seam
 
-    /// Hand one lane-wise global access to the static analyzer: absolute
-    /// word addresses, stored bit patterns, and validity of the words read,
-    /// all sampled at the same moment the sanitizer would observe them.
-    #[allow(clippy::too_many_arguments)]
-    fn anl_global<T: DeviceWord>(
-        &mut self,
-        mask: Mask,
-        ptr: DevPtr<T>,
-        idx: &Lanes<u32>,
-        vals: Option<&Lanes<T>>,
-        kind: AccessKind,
-        op: &'static str,
-        site: &'static Location<'static>,
-        coalesce_tx: Option<u32>,
-    ) {
-        if self.anl.is_none() {
-            return;
+    /// Hand one event to the launch's observers, if there are any. This is
+    /// the only way an op reaches the sanitizer, analyzer or profiler.
+    #[inline]
+    fn emit(&mut self, at: OpSite, kind: EventKind<'_>) {
+        if let Some(obs) = &mut self.obs {
+            obs.emit(self.id, at, kind);
         }
-        let mut addrs = [(0usize, 0i64); WARP_SIZE];
-        let mut values = [(0usize, 0i64); WARP_SIZE];
-        let mut n = 0usize;
-        let mut invalid = 0u32;
-        for l in mask.iter() {
-            let w = ptr.base() + idx.get(l);
-            addrs[n] = (l, w as i64);
-            if let Some(v) = vals {
-                values[n] = (l, v.get(l).to_word() as i64);
-            }
-            if kind == AccessKind::Read && !self.mem.word_valid(w) {
-                invalid += 1;
-            }
+    }
+
+    /// Issue one instruction: into the trace, and to the observers.
+    #[inline]
+    fn issue(&mut self, at: OpSite, op: Op) {
+        self.trace.ops.push(op);
+        self.emit(at, EventKind::Issue(op));
+    }
+
+    /// Issue one memory instruction and describe its (guarded) per-lane
+    /// accesses. `lanes` yields `(lane, element index, stored bits)` in
+    /// ascending lane order and is only walked when an observer is on;
+    /// `sampled` marks the op classes the coalescing lints sample.
+    #[inline]
+    fn issue_mem(
+        &mut self,
+        at: OpSite,
+        op: Op,
+        region: Region,
+        access: AccessKind,
+        sampled: bool,
+        lanes: impl Iterator<Item = (usize, u32, u32)>,
+    ) {
+        self.trace.ops.push(op);
+        if self.obs.is_some() {
+            self.observe_mem(at, op, region, access, sampled, lanes);
+        }
+    }
+
+    /// The observed half of [`issue_mem`](Self::issue_mem): marshal the
+    /// lanes into one `Mem` event behind the instruction's `Issue`.
+    #[cold]
+    #[inline(never)]
+    fn observe_mem(
+        &mut self,
+        at: OpSite,
+        op: Op,
+        region: Region,
+        access: AccessKind,
+        sampled: bool,
+        lanes: impl Iterator<Item = (usize, u32, u32)>,
+    ) {
+        self.emit(at, EventKind::Issue(op));
+        let mut buf = [LaneAccess::default(); WARP_SIZE];
+        let mut n = 0;
+        let global_read = region.space == Space::Global && access == AccessKind::Read;
+        for (lane, i, value) in lanes {
+            let word = region.base + i;
+            buf[n] = LaneAccess {
+                lane: lane as u32,
+                word,
+                value,
+                valid: !global_read || self.mem.word_valid(word),
+            };
             n += 1;
         }
-        let coalesce = coalesce_tx.map(|tx| {
-            (
-                tx,
-                distinct_addrs(mask.iter().map(|l| ptr.byte_addr(idx.get(l)))),
-            )
-        });
-        if let Some(anl) = self.anl.as_deref_mut() {
-            anl.mem_access(MemObs {
-                id: self.id,
-                epoch: self.epoch,
-                kind,
-                space: Space::Global,
-                op,
-                site,
-                addrs: &addrs[..n],
-                values: vals.map(|_| &values[..n]),
-                lane_span: mask.span(),
-                invalid,
-                coalesce,
+        let lanes = &buf[..n];
+        let footprint = || distinct_addrs(lanes.iter().map(|a| a.word as u64));
+        self.emit(
+            at,
+            EventKind::Mem(MemAccess {
+                space: region.space,
+                access,
+                base: region.base,
+                lanes,
+                coalesce: sampled.then(|| (op.transactions(), footprint())),
                 segment_words: self.segment_bytes / 4,
-                bank_cost: 1,
-            });
-        }
+                bank_cost: match op {
+                    Op::Shared { cost, .. } => cost as u32,
+                    _ => 1,
+                },
+            }),
+        );
     }
 
-    /// Hand one uniform (scalar-index) global access to the analyzer as a
-    /// single leader-lane observation.
-    #[allow(clippy::too_many_arguments)]
-    fn anl_global_scalar<T: DeviceWord>(
+    /// Issue a uniform (scalar-index) global op on element `(index, stored
+    /// bits)`: bounds-check it against `ptr`, trace `op` either way, and
+    /// describe the access as the leader lane's. False means out of bounds
+    /// and suppressed.
+    fn issue_uniform<T: DeviceWord>(
         &mut self,
+        at: OpSite,
+        op: Op,
         mask: Mask,
         ptr: DevPtr<T>,
-        idx: u32,
-        val: Option<T>,
-        kind: AccessKind,
-        op: &'static str,
-        site: &'static Location<'static>,
-    ) {
-        if self.anl.is_none() {
-            return;
-        }
+        access: AccessKind,
+        (idx, value): (u32, u32),
+    ) -> bool {
         let lane = mask.leader().unwrap_or(0);
-        let w = ptr.base() + idx;
-        let invalid = (kind == AccessKind::Read && !self.mem.word_valid(w)) as u32;
-        let addrs = [(lane, w as i64)];
-        let values = val.map(|v| [(lane, v.to_word() as i64)]);
-        if let Some(anl) = self.anl.as_deref_mut() {
-            anl.mem_access(MemObs {
-                id: self.id,
-                epoch: self.epoch,
-                kind,
-                space: Space::Global,
-                op,
-                site,
-                addrs: &addrs,
-                values: values.as_ref().map(|a| &a[..]),
-                lane_span: Some((lane, lane)),
-                invalid,
-                coalesce: None,
-                segment_words: self.segment_bytes / 4,
-                bank_cost: 1,
-            });
-        }
+        let ok = self.in_bounds(ptr.into(), lane, idx, at);
+        let lanes = ok.then_some((lane, idx, value)).into_iter();
+        self.issue_mem(at, op, ptr.into(), access, false, lanes);
+        ok
     }
 
-    /// Hand one lane-wise shared access to the analyzer (which keeps its
-    /// own per-block valid-bit shadow).
-    #[allow(clippy::too_many_arguments)]
-    fn anl_shared<T: DeviceWord>(
+    /// Issue a shared-memory load, or a store of `vals`, with its
+    /// bank-conflict cost.
+    fn issue_shared<T: DeviceWord>(
         &mut self,
+        at: OpSite,
         mask: Mask,
         ptr: SharedPtr<T>,
         idx: &Lanes<u32>,
         vals: Option<&Lanes<T>>,
-        kind: AccessKind,
-        op: &'static str,
-        site: &'static Location<'static>,
-        bank_cost: u32,
     ) {
-        if self.anl.is_none() {
-            return;
-        }
-        let mut addrs = [(0usize, 0i64); WARP_SIZE];
-        let mut values = [(0usize, 0i64); WARP_SIZE];
-        let mut n = 0usize;
-        for l in mask.iter() {
-            addrs[n] = (l, (ptr.base() + idx.get(l)) as i64);
-            if let Some(v) = vals {
-                values[n] = (l, v.get(l).to_word() as i64);
-            }
-            n += 1;
-        }
-        if let Some(anl) = self.anl.as_deref_mut() {
-            anl.mem_access(MemObs {
-                id: self.id,
-                epoch: self.epoch,
-                kind,
-                space: Space::Shared,
-                op,
-                site,
-                addrs: &addrs[..n],
-                values: vals.map(|_| &values[..n]),
-                lane_span: mask.span(),
-                invalid: 0,
-                coalesce: None,
-                segment_words: self.segment_bytes / 4,
-                bank_cost,
-            });
+        let cost = bank_conflict_cost(mask.iter().map(|l| ptr.word_of(idx.get(l)) as u32));
+        let op = Op::Shared {
+            active: mask.count() as u8,
+            cost: cost.max(1) as u8,
+        };
+        let access = match vals {
+            Some(_) => AccessKind::Write,
+            None => AccessKind::Read,
+        };
+        let stored = |l| vals.map_or(0, |v| v.get(l).to_word());
+        let lanes = mask.iter().map(|l| (l, idx.get(l), stored(l)));
+        self.issue_mem(at, op, ptr.into(), access, false, lanes);
+    }
+
+    /// Report shuffle reads whose source lane is outside the active mask:
+    /// `(reading lane, source lane)` pairs, walked only when observed.
+    #[inline]
+    fn divergent(&mut self, at: OpSite, reads: impl Iterator<Item = (usize, usize)>) {
+        if self.obs.is_some() {
+            self.observe_divergent(at, reads);
         }
     }
 
-    /// Route a fault to the launch's fault slot (keeping the first), or —
-    /// for bare test contexts with no slot — abort like the hardware would.
+    #[cold]
+    #[inline(never)]
+    fn observe_divergent(&mut self, at: OpSite, reads: impl Iterator<Item = (usize, usize)>) {
+        let mut buf = [(0u32, 0u32); WARP_SIZE];
+        let mut n = 0;
+        for (lane, src) in reads {
+            buf[n] = (lane as u32, src as u32);
+            n += 1;
+        }
+        if n > 0 {
+            self.emit(at, EventKind::DivergentShuffle { lanes: &buf[..n] });
+        }
+    }
+
+    /// `ballot`/`any`/`all`: the empty-mask check, the collective's
+    /// predicate statistics, and its one instruction.
+    #[inline]
+    #[track_caller]
+    fn collective(&mut self, at: OpSite, mask: Mask, pred: Mask) {
+        self.check_empty_mask(mask, at);
+        let (active, pred) = (mask.count(), (pred & mask).count());
+        self.emit(at, EventKind::Collective { active, pred });
+        self.push_alu(mask);
+    }
+
+    /// Report a warp collective executed under an empty active mask.
+    fn check_empty_mask(&mut self, mask: Mask, at: OpSite) {
+        if mask.none() {
+            self.emit(at, EventKind::EmptyMask);
+        }
+    }
+
+    // ---------------------------------------------------------------- private
+
+    /// Route a fault to the launch's fault state (keeping the first), or —
+    /// for bare test contexts with none — abort like the hardware would.
     fn record_fault(&mut self, e: SimtError) {
-        match &mut self.fault {
-            Some(slot) => fault::record(slot, e),
+        match &mut self.faults {
+            Some(faults) => faults.record(e),
             None => panic!("{e}"),
         }
+    }
+
+    /// Chaos mode: true if this atomic warp-op is the launch's designated
+    /// victim and loses an update.
+    fn chaos_drop(&mut self) -> bool {
+        let plan = self.faults.as_mut().and_then(|f| f.drop_plan.as_mut());
+        plan.is_some_and(AtomicDropPlan::should_drop)
     }
 
     /// Watchdog: true once this warp's trace has hit its instruction budget.
@@ -1399,7 +1020,7 @@ impl<'a> WarpCtx<'a> {
     /// suppressed and mask-producing ops return empty results, so kernel
     /// `while mask.any()` loops unwind instead of spinning forever.
     #[inline]
-    fn tripped(&mut self, site: &'static Location<'static>) -> bool {
+    fn tripped(&mut self, site: Site) -> bool {
         let Some(budget) = self.budget else {
             return false;
         };
@@ -1421,12 +1042,7 @@ impl<'a> WarpCtx<'a> {
     /// Validate a virtual-warp width; on failure records
     /// [`SimtError::InvalidShuffle`] and tells the caller to bail out with a
     /// neutral result.
-    fn check_width(
-        &mut self,
-        width: usize,
-        op: &'static str,
-        site: &'static Location<'static>,
-    ) -> bool {
+    fn check_width(&mut self, width: usize, at: OpSite) -> bool {
         if width.is_power_of_two() && width <= WARP_SIZE {
             return true;
         }
@@ -1434,8 +1050,8 @@ impl<'a> WarpCtx<'a> {
             width: width as u32,
             block: self.id.block,
             warp: self.id.warp_in_block,
-            op,
-            site,
+            op: at.op,
+            site: at.site,
         };
         self.record_fault(e);
         false
@@ -1444,173 +1060,68 @@ impl<'a> WarpCtx<'a> {
     #[inline]
     #[track_caller]
     fn push_alu(&mut self, mask: Mask) {
-        if self.tripped(Location::caller()) {
+        let at = OpSite::caller("alu");
+        if self.tripped(at.site) {
             return;
         }
-        let op = Op::Alu {
-            active: mask.count() as u8,
-        };
-        self.trace.ops.push(op);
-        if self.prof.is_some() {
-            self.prof_note(Location::caller(), "alu", op);
-        }
+        let active = mask.count() as u8;
+        self.issue(at, Op::Alu { active });
     }
 
-    /// Record one traced op against its kernel call site in the profiler
-    /// (no-op when profiling is off; pushes nothing into the trace).
+    /// The one bounds check, for every address space and op shape. An
+    /// out-of-bounds lane is always dropped from the access and reported
+    /// through the seam; with the sanitizer on that report becomes a
+    /// structured diagnostic and the launch runs on, with it off the first
+    /// offender is recorded as a [`SimtError::OutOfBounds`] launch fault (the
+    /// moral equivalent of `cudaErrorIllegalAddress`).
     #[inline]
-    fn prof_note(&mut self, site: &'static Location<'static>, op_name: &'static str, op: Op) {
-        if let Some(prof) = self.prof.as_deref_mut() {
-            prof.note(site, op_name, op, self.segment_bytes / 4);
-        }
-    }
-
-    /// Warn on a warp collective executed under an empty active mask.
-    fn check_empty_mask(&mut self, mask: Mask, op: &'static str, site: &'static Location<'static>) {
-        if !mask.none() {
-            return;
-        }
-        if let Some(scope) = &mut self.san {
-            let new = scope.san.empty_mask(self.id, op, site);
-            for _ in 0..new {
-                self.trace.ops.push(Op::San);
-            }
-        }
-        if let Some(anl) = self.anl.as_deref_mut() {
-            anl.empty_collective(self.id, op, site);
-        }
-    }
-
-    /// Bounds-check a lane-wise global access. With the sanitizer on,
-    /// out-of-bounds lanes are reported as structured diagnostics and
-    /// dropped from the returned mask; with it off, the first offender is
-    /// recorded as a [`SimtError::OutOfBounds`] launch fault (the moral
-    /// equivalent of `cudaErrorIllegalAddress`) and the lane is dropped.
-    fn guard_global<T: DeviceWord>(
-        &mut self,
-        mask: Mask,
-        ptr: DevPtr<T>,
-        idx: &Lanes<u32>,
-        op: &'static str,
-        site: &'static Location<'static>,
-    ) -> Mask {
-        let mut ok = mask;
-        for l in mask.iter() {
-            let i = idx.get(l);
-            if i < ptr.len() {
-                continue;
-            }
-            if let Some(anl) = self.anl.as_deref_mut() {
-                anl.oob(self.id, Space::Global, op, site);
-            }
-            match &mut self.san {
-                Some(scope) => {
-                    let new = scope
-                        .san
-                        .oob_global(self.id, l as u32, i, ptr.len(), op, site);
-                    for _ in 0..new {
-                        self.trace.ops.push(Op::San);
-                    }
-                }
-                None => self.record_fault(SimtError::OutOfBounds {
-                    space: AddressSpace::Global,
-                    block: self.id.block,
-                    warp: self.id.warp_in_block,
-                    lane: Some(l as u32),
-                    index: i as u64,
-                    len: ptr.len() as u64,
-                    op,
-                    site,
-                }),
-            }
-            ok = ok.with(l, false);
-        }
-        ok
-    }
-
-    /// Bounds-check a uniform (scalar-index) global access; false means the
-    /// access was out of bounds and suppressed (diagnosed by the sanitizer
-    /// when it is on, recorded as a launch fault otherwise).
-    fn guard_global_scalar<T: DeviceWord>(
-        &mut self,
-        mask: Mask,
-        ptr: DevPtr<T>,
-        idx: u32,
-        op: &'static str,
-        site: &'static Location<'static>,
-    ) -> bool {
-        if idx < ptr.len() {
+    fn in_bounds(&mut self, region: Region, lane: usize, index: u32, at: OpSite) -> bool {
+        if index < region.len {
             return true;
         }
-        let lane = mask.leader().unwrap_or(0);
-        if let Some(anl) = self.anl.as_deref_mut() {
-            anl.oob(self.id, Space::Global, op, site);
-        }
-        match &mut self.san {
-            Some(scope) => {
-                let new = scope
-                    .san
-                    .oob_global(self.id, lane as u32, idx, ptr.len(), op, site);
-                for _ in 0..new {
-                    self.trace.ops.push(Op::San);
-                }
-            }
-            None => self.record_fault(SimtError::OutOfBounds {
-                space: AddressSpace::Global,
-                block: self.id.block,
-                warp: self.id.warp_in_block,
-                lane: Some(lane as u32),
-                index: idx as u64,
-                len: ptr.len() as u64,
-                op,
-                site,
-            }),
-        }
+        self.out_of_bounds(region, lane as u32, index, at);
         false
     }
 
-    /// Bounds-check a lane-wise shared-memory access (same policy as
-    /// [`guard_global`](WarpCtx::guard_global), with the faulting bank in
-    /// the message).
-    fn guard_shared<T: DeviceWord>(
-        &mut self,
-        mask: Mask,
-        ptr: SharedPtr<T>,
-        idx: &Lanes<u32>,
-        op: &'static str,
-        site: &'static Location<'static>,
-    ) -> Mask {
+    #[cold]
+    fn out_of_bounds(&mut self, region: Region, lane: u32, index: u32, at: OpSite) {
+        if !self.obs.as_ref().is_some_and(Observers::sanitizing) {
+            self.record_fault(SimtError::OutOfBounds {
+                space: match region.space {
+                    Space::Global => AddressSpace::Global,
+                    Space::Shared => AddressSpace::Shared,
+                },
+                block: self.id.block,
+                warp: self.id.warp_in_block,
+                lane: Some(lane),
+                index: index as u64,
+                len: region.len as u64,
+                op: at.op,
+                site: at.site,
+            });
+        }
+        let (space, len) = (region.space, region.len);
+        let word = region.base.wrapping_add(index);
+        self.emit(
+            at,
+            EventKind::Oob {
+                space,
+                lane,
+                index,
+                len,
+                word,
+            },
+        );
+    }
+
+    /// Bounds-check a lane-wise access; returns `mask` without the
+    /// out-of-bounds lanes.
+    fn guard(&mut self, mask: Mask, region: Region, idx: &Lanes<u32>, at: OpSite) -> Mask {
         let mut ok = mask;
         for l in mask.iter() {
-            let i = idx.get(l);
-            if i < ptr.len() {
-                continue;
+            if !self.in_bounds(region, l, idx.get(l), at) {
+                ok = ok.with(l, false);
             }
-            let bank = (ptr.base().wrapping_add(i)) % NUM_BANKS as u32;
-            if let Some(anl) = self.anl.as_deref_mut() {
-                anl.oob(self.id, Space::Shared, op, site);
-            }
-            match &mut self.san {
-                Some(scope) => {
-                    let new = scope
-                        .san
-                        .oob_shared(self.id, l as u32, i, ptr.len(), bank, op, site);
-                    for _ in 0..new {
-                        self.trace.ops.push(Op::San);
-                    }
-                }
-                None => self.record_fault(SimtError::OutOfBounds {
-                    space: AddressSpace::Shared,
-                    block: self.id.block,
-                    warp: self.id.warp_in_block,
-                    lane: Some(l as u32),
-                    index: i as u64,
-                    len: ptr.len() as u64,
-                    op,
-                    site,
-                }),
-            }
-            ok = ok.with(l, false);
         }
         ok
     }
@@ -1621,6 +1132,15 @@ impl<'a> WarpCtx<'a> {
         for _ in 0..width.trailing_zeros() {
             self.push_alu(mask);
         }
+    }
+
+    /// The value of `ptr[idx]` for every (guarded) active lane.
+    fn gather<T: DeviceWord>(&self, mask: Mask, ptr: DevPtr<T>, idx: &Lanes<u32>) -> Lanes<T> {
+        let mut out = Lanes::splat(T::default());
+        for l in mask.iter() {
+            out.set(l, self.mem.read(ptr, idx.get(l)));
+        }
+        out
     }
 
     fn mem_tx<T: DeviceWord>(&self, mask: Mask, ptr: DevPtr<T>, idx: &Lanes<u32>) -> u8 {

@@ -323,8 +323,8 @@ fn oob_access_is_structured_diagnostic_when_sanitizing() {
 // ------------------------------------------------- statistics transparency
 
 /// A sanitized run must report byte-identical `KernelStats` to an
-/// unsanitized run — even when diagnostics fire (their `Op::San` markers
-/// are invisible to accounting and timing).
+/// unsanitized run — even when diagnostics fire (observers never write the
+/// trace).
 #[test]
 fn sanitized_and_unsanitized_stats_are_identical() {
     let run = |sanitize: bool| {
@@ -360,6 +360,33 @@ fn sanitized_and_unsanitized_stats_are_identical() {
     let (san_stats, san_mem) = run(true);
     assert_eq!(plain_stats, san_stats, "sanitizer changed KernelStats");
     assert_eq!(plain_mem, san_mem, "sanitizer changed results");
+}
+
+/// Diagnostics must not count against the instruction watchdog: a warp that
+/// issues exactly `max_instructions` ops, one of which draws a sanitizer
+/// warning, succeeds with the sanitizer on exactly as it does with it off.
+#[test]
+fn sanitizer_findings_do_not_consume_the_instruction_budget() {
+    let run = |sanitize: bool| {
+        let mut cfg = GpuConfig::tiny_test();
+        cfg.sanitize = sanitize;
+        cfg.watchdog.max_instructions = Some(6);
+        let mut gpu = Gpu::new(cfg);
+        let uninit = gpu.mem.alloc::<u32>(32);
+        let r = gpu.launch(1, 32, &move |b: &mut BlockCtx<'_>| {
+            b.phase(move |w| {
+                let ids = w.lane_ids();
+                let _ = w.ld(Mask::FULL, uninit, &ids); // read-before-write
+                for _ in 0..5 {
+                    w.alu_nop(Mask::FULL);
+                }
+            });
+        });
+        let warnings = gpu.sanitizer().map(|s| s.warning_count());
+        (r.map(|stats| stats.instructions), warnings)
+    };
+    assert_eq!(run(false), (Ok(6), None));
+    assert_eq!(run(true), (Ok(6), Some(32)));
 }
 
 // -------------------------------------------------------------- warp tasks
