@@ -1,10 +1,11 @@
 //! # maxwarp-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md's experiment
-//! index), plus `repro_all`, which regenerates everything in one run:
+//! One module per table/figure of the paper (see DESIGN.md's experiment
+//! index) and one binary, `repro_all`, which regenerates all of them or the
+//! ones named with `--only`:
 //!
 //! ```text
-//! cargo run --release -p maxwarp-bench --bin repro_all [tiny|small|medium] [--jobs N]
+//! cargo run --release -p maxwarp-bench --bin repro_all [--only fig3,fig4] [tiny|small|medium] [--jobs N]
 //! ```
 //!
 //! Every experiment expresses its measurements as independent cells run
@@ -13,7 +14,7 @@
 //! serial (`--jobs 1`) run.
 //!
 //! Criterion benches (in `benches/`) measure the *host* performance of the
-//! simulator and baselines; the figure binaries report *simulated* GPU
+//! simulator and baselines; the experiments report *simulated* GPU
 //! cycles.
 
 pub mod bench_suite;

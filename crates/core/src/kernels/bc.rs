@@ -12,13 +12,10 @@
 //! takes an explicit *source sample*.
 
 use crate::device_graph::DeviceGraph;
-use crate::kernels::common::{
-    load_row_range, scalar_neighbor_loop, vertices_per_pass, vw_neighbor_loop,
-};
-use crate::method::{ExecConfig, Method, WarpCentricOpts};
+use crate::kernels::common::{item_sweep, load_row_range, Sweep};
+use crate::method::{ExecConfig, Method};
 use crate::runner::{check_iteration_bound, AlgoRun};
-use crate::vwarp::VwLayout;
-use maxwarp_simt::{BlockCtx, DevPtr, Gpu, Lanes, LaunchError, Mask, WarpCtx};
+use maxwarp_simt::{DevPtr, Gpu, KernelStats, Lanes, LaunchError};
 
 /// Level value of undiscovered vertices.
 pub const INF: u32 = u32::MAX;
@@ -109,31 +106,8 @@ pub fn run_betweenness(
     })
 }
 
-/// Per-edge forward action: discover at `cur+1` and accumulate sigma.
-fn forward_body(
-    g: DeviceGraph,
-    st_level: DevPtr<u32>,
-    st_sigma: DevPtr<f32>,
-    changed: DevPtr<u32>,
-    cur: u32,
-    sv: Lanes<f32>,
-) -> impl Fn(&mut WarpCtx<'_>, Mask, &Lanes<u32>) + Copy {
-    move |w, act, i| {
-        let nbr = w.ld(act, g.col_indices, i);
-        let nlv = w.ld(act, st_level, &nbr);
-        let m_inf = w.alu_pred(act, &nlv, |x| x == INF);
-        if m_inf.any() {
-            w.st(m_inf, st_level, &nbr, &Lanes::splat(cur + 1));
-            w.st_uniform(m_inf, changed, 0, 1);
-        }
-        let m_next = w.alu_pred(act, &nlv, |x| x == cur + 1);
-        let m_add = m_inf | m_next;
-        if m_add.any() {
-            let _ = w.atomic_add(m_add, st_sigma, &nbr, &sv);
-        }
-    }
-}
-
+/// One forward level: vertices at level `cur` discover their neighbors at
+/// `cur + 1` and add their path counts to them.
 fn launch_forward(
     gpu: &mut Gpu,
     g: &DeviceGraph,
@@ -141,51 +115,35 @@ fn launch_forward(
     cur: u32,
     method: Method,
     exec: &ExecConfig,
-) -> Result<maxwarp_simt::KernelStats, LaunchError> {
-    let (g, level, sigma, changed) = (*g, st.level, st.sigma, st.changed);
-    let n = g.n;
-    match method {
-        Method::Baseline => {
-            let kernel = move |b: &mut BlockCtx<'_>| {
-                b.phase(|w| {
-                    let vid = w.global_thread_ids();
-                    let m = w.lt_scalar(Mask::FULL, &vid, n);
-                    if m.none() {
-                        return;
-                    }
-                    let lv = w.ld(m, level, &vid);
-                    let mf = w.alu_pred(m, &lv, |x| x == cur);
-                    if mf.none() {
-                        return;
-                    }
-                    let sv = w.ld(mf, sigma, &vid);
-                    let (s, e) = load_row_range(w, &g, mf, &vid);
-                    let body = forward_body(g, level, sigma, changed, cur, sv);
-                    scalar_neighbor_loop(w, mf, &s, &e, body);
-                });
-            };
-            gpu.launch(
-                n.div_ceil(exec.block_threads).max(1),
-                exec.block_threads,
-                &kernel,
-            )
+) -> Result<KernelStats, LaunchError> {
+    let (level, sigma, changed) = (st.level, st.sigma, st.changed);
+    item_sweep(gpu, g.n, method, exec, |w, sweep, vids, m| {
+        let lv = w.ld(m, level, vids);
+        let mf = w.alu_pred(m, &lv, |x| x == cur);
+        if mf.none() {
+            return;
         }
-        Method::WarpCentric(opts) => {
-            launch_warp_sweep(gpu, g, opts, exec, move |w, layout, vids, m| {
-                let lv = w.ld(m, level, vids);
-                let mf = w.alu_pred(m, &lv, |x| x == cur);
-                if mf.none() {
-                    return;
-                }
-                let sv = w.ld(mf, sigma, vids);
-                let (s, e) = load_row_range(w, &g, mf, vids);
-                let body = forward_body(g, level, sigma, changed, cur, sv);
-                vw_neighbor_loop(w, layout, mf, &s, &e, body);
-            })
-        }
-    }
+        let sv = w.ld(mf, sigma, vids);
+        let (s, e) = load_row_range(w, g, mf, vids);
+        sweep.neighbor_loop(w, mf, &s, &e, |w, act, i| {
+            let nbr = w.ld(act, g.col_indices, i);
+            let nlv = w.ld(act, level, &nbr);
+            let m_inf = w.alu_pred(act, &nlv, |x| x == INF);
+            if m_inf.any() {
+                w.st(m_inf, level, &nbr, &Lanes::splat(cur + 1));
+                w.st_uniform(m_inf, changed, 0, 1);
+            }
+            let m_next = w.alu_pred(act, &nlv, |x| x == cur + 1);
+            let m_add = m_inf | m_next;
+            if m_add.any() {
+                let _ = w.atomic_add(m_add, sigma, &nbr, &sv);
+            }
+        });
+    })
 }
 
+/// One backward level: vertices at level `d` accumulate dependency from
+/// their successors at level `d + 1`.
 fn launch_backward(
     gpu: &mut Gpu,
     g: &DeviceGraph,
@@ -193,164 +151,68 @@ fn launch_backward(
     d: u32,
     method: Method,
     exec: &ExecConfig,
-) -> Result<maxwarp_simt::KernelStats, LaunchError> {
-    let (g, level, sigma, delta) = (*g, st.level, st.sigma, st.delta);
-    let n = g.n;
-    match method {
-        Method::Baseline => {
-            let kernel = move |b: &mut BlockCtx<'_>| {
-                b.phase(|w| {
-                    let vid = w.global_thread_ids();
-                    let m = w.lt_scalar(Mask::FULL, &vid, n);
-                    if m.none() {
-                        return;
-                    }
-                    let lv = w.ld(m, level, &vid);
-                    let mf = w.alu_pred(m, &lv, |x| x == d);
-                    if mf.none() {
-                        return;
-                    }
-                    let sv_f = w.ld(mf, sigma, &vid);
-                    let (s, e) = load_row_range(w, &g, mf, &vid);
-                    let mut acc = Lanes::splat(0.0f32);
-                    scalar_neighbor_loop(w, mf, &s, &e, |w, act, i| {
-                        backward_edge(w, &g, level, sigma, delta, d, &sv_f, &mut acc, act, i);
-                    });
-                    w.st(mf, delta, &vid, &acc);
-                });
-            };
-            gpu.launch(
-                n.div_ceil(exec.block_threads).max(1),
-                exec.block_threads,
-                &kernel,
-            )
+) -> Result<KernelStats, LaunchError> {
+    let (level, sigma, delta) = (st.level, st.sigma, st.delta);
+    item_sweep(gpu, g.n, method, exec, |w, sweep, vids, m| {
+        let lv = w.ld(m, level, vids);
+        let mf = w.alu_pred(m, &lv, |x| x == d);
+        if mf.none() {
+            return;
         }
-        Method::WarpCentric(opts) => {
-            launch_warp_sweep(gpu, g, opts, exec, move |w, layout, vids, m| {
-                let lv = w.ld(m, level, vids);
-                let mf = w.alu_pred(m, &lv, |x| x == d);
-                if mf.none() {
-                    return;
-                }
-                let sv_f = w.ld(mf, sigma, vids);
-                let (s, e) = load_row_range(w, &g, mf, vids);
-                let mut acc = Lanes::splat(0.0f32);
-                vw_neighbor_loop(w, layout, mf, &s, &e, |w, act, i| {
-                    backward_edge(w, &g, level, sigma, delta, d, &sv_f, &mut acc, act, i);
-                });
-                // Sum each virtual warp's partials; the leader writes delta.
-                let total = w.seg_reduce_add_f32(mf, &acc, layout.vw.k() as usize);
-                let leaders = mf & layout.leaders;
-                w.st(leaders, delta, vids, &total);
-            })
-        }
-    }
+        let sv_f = w.ld(mf, sigma, vids);
+        let (s, e) = load_row_range(w, g, mf, vids);
+        let mut acc = Lanes::splat(0.0f32);
+        sweep.neighbor_loop(w, mf, &s, &e, |w, act, i| {
+            let nbr = w.ld(act, g.col_indices, i);
+            let nlv = w.ld(act, level, &nbr);
+            let m_succ = w.alu_pred(act, &nlv, |x| x == d + 1);
+            if m_succ.none() {
+                return;
+            }
+            let s_nbr = w.ld(m_succ, sigma, &nbr);
+            let d_nbr = w.ld(m_succ, delta, &nbr);
+            let ratio = w.alu2(
+                m_succ,
+                &sv_f,
+                &s_nbr,
+                |s, n| if n > 0.0 { s / n } else { 0.0 },
+            );
+            let contrib = w.alu2(m_succ, &ratio, &d_nbr, |r, dl| r * (1.0 + dl));
+            let acc2 = w.alu2(m_succ, &acc, &contrib, |a, c| a + c);
+            acc = acc2.select(m_succ, &acc);
+        });
+        // A lane that walked the whole list holds the vertex's sum; the
+        // lanes of a virtual warp hold partials the leader must collect.
+        let total = match sweep {
+            Sweep::PerThread => acc,
+            Sweep::PerVirtualWarp(l) => w.seg_reduce_add_f32(mf, &acc, l.vw.k() as usize),
+        };
+        w.st(sweep.owners(mf), delta, vids, &total);
+    })
 }
 
-/// Per-edge backward action: accumulate dependency from successors at
-/// level `d + 1` into the per-lane accumulator.
-#[allow(clippy::too_many_arguments)]
-fn backward_edge(
-    w: &mut WarpCtx<'_>,
-    g: &DeviceGraph,
-    level: DevPtr<u32>,
-    sigma: DevPtr<f32>,
-    delta: DevPtr<f32>,
-    d: u32,
-    sv_f: &Lanes<f32>,
-    acc: &mut Lanes<f32>,
-    act: Mask,
-    i: &Lanes<u32>,
-) {
-    let nbr = w.ld(act, g.col_indices, i);
-    let nlv = w.ld(act, level, &nbr);
-    let m_succ = w.alu_pred(act, &nlv, |x| x == d + 1);
-    if m_succ.none() {
-        return;
-    }
-    let s_nbr = w.ld(m_succ, sigma, &nbr);
-    let d_nbr = w.ld(m_succ, delta, &nbr);
-    let ratio = w.alu2(
-        m_succ,
-        sv_f,
-        &s_nbr,
-        |s, n| if n > 0.0 { s / n } else { 0.0 },
-    );
-    let contrib = w.alu2(m_succ, &ratio, &d_nbr, |r, dl| r * (1.0 + dl));
-    let acc2 = w.alu2(m_succ, acc, &contrib, |a, c| a + c);
-    *acc = acc2.select(m_succ, acc);
-}
-
-/// `bc[v] += delta[v]` for reached vertices other than the source.
+/// `bc[v] += delta[v]` for reached vertices other than the source (a
+/// uniform map kernel).
 fn launch_accumulate(
     gpu: &mut Gpu,
     g: &DeviceGraph,
     st: &BcState,
     src: u32,
     exec: &ExecConfig,
-) -> Result<maxwarp_simt::KernelStats, LaunchError> {
+) -> Result<KernelStats, LaunchError> {
     let (level, delta, bc) = (st.level, st.delta, st.bc);
-    let n = g.n;
-    let kernel = move |b: &mut BlockCtx<'_>| {
-        b.phase(|w| {
-            let vid = w.global_thread_ids();
-            let m = w.lt_scalar(Mask::FULL, &vid, n);
-            if m.none() {
-                return;
-            }
-            let lv = w.ld(m, level, &vid);
-            let reached = w.alu_pred(m, &lv, |x| x != INF);
-            let not_src = w.alu_pred(reached, &vid, |v| v != src);
-            if not_src.none() {
-                return;
-            }
-            let dl = w.ld(not_src, delta, &vid);
-            let cur = w.ld(not_src, bc, &vid);
-            let sum = w.alu2(not_src, &cur, &dl, |a, b| a + b);
-            w.st(not_src, bc, &vid, &sum);
-        });
-    };
-    gpu.launch(
-        n.div_ceil(exec.block_threads).max(1),
-        exec.block_threads,
-        &kernel,
-    )
-}
-
-/// Shared warp-task chunking loop for the BC sweeps.
-fn launch_warp_sweep(
-    gpu: &mut Gpu,
-    g: DeviceGraph,
-    opts: WarpCentricOpts,
-    exec: &ExecConfig,
-    body: impl Fn(&mut WarpCtx<'_>, &VwLayout, &Lanes<u32>, Mask) + Copy,
-) -> Result<maxwarp_simt::KernelStats, LaunchError> {
-    let layout = VwLayout::new(opts.vw);
-    let vpp = vertices_per_pass(&layout);
-    let n = g.n;
-    let chunk = exec.chunk_vertices.max(vpp);
-    let num_tasks = n.div_ceil(chunk);
-    let grid = exec.resident_grid(&gpu.cfg);
-    gpu.launch_warp_tasks(
-        grid,
-        exec.block_threads,
-        num_tasks,
-        opts.schedule(),
-        move |w, task| {
-            let chunk_base = task * chunk;
-            let chunk_end = (chunk_base + chunk).min(n);
-            let mut base = chunk_base;
-            while base < chunk_end {
-                let vids = layout.task_ids(base);
-                let m = w.lt_scalar(Mask::FULL, &vids, chunk_end);
-                if m.none() {
-                    break;
-                }
-                body(w, &layout, &vids, m);
-                base += vpp;
-            }
-        },
-    )
+    item_sweep(gpu, g.n, Method::Baseline, exec, |w, _, vid, m| {
+        let lv = w.ld(m, level, vid);
+        let reached = w.alu_pred(m, &lv, |x| x != INF);
+        let not_src = w.alu_pred(reached, vid, |v| v != src);
+        if not_src.none() {
+            return;
+        }
+        let dl = w.ld(not_src, delta, vid);
+        let cur = w.ld(not_src, bc, vid);
+        let sum = w.alu2(not_src, &cur, &dl, |a, b| a + b);
+        w.st(not_src, bc, vid, &sum);
+    })
 }
 
 #[cfg(test)]

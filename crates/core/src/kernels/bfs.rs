@@ -5,22 +5,19 @@
 //! kernel launch per level, terminating when a level produces no updates.
 //!
 //! * **Baseline**: one thread per vertex; each frontier thread walks its
-//!   adjacency list serially ([`scalar_neighbor_loop`]).
+//!   adjacency list serially.
 //! * **Warp-centric**: one *virtual warp* per vertex; the K lanes stride
-//!   the list together ([`vw_neighbor_loop`]), optionally deferring
-//!   high-degree outliers to a block-cooperative second kernel and/or
-//!   fetching vertex chunks from an atomic work counter (dynamic workload
-//!   distribution).
+//!   the list together, optionally deferring high-degree outliers to a
+//!   block-cooperative second kernel and/or fetching vertex chunks from an
+//!   atomic work counter (dynamic workload distribution).
 
 use crate::device_graph::DeviceGraph;
 use crate::kernels::common::{
-    defer_outliers, ld_cols_opt, load_row_range_opt, outlier_kernel, scalar_neighbor_loop,
-    vertices_per_pass, vw_neighbor_loop,
+    item_sweep, ld_cols_opt, load_row_range_opt, outlier_sweep, OutlierQueue,
 };
-use crate::method::{ExecConfig, Method, WarpCentricOpts};
+use crate::method::{ExecConfig, Method};
 use crate::runner::{check_iteration_bound, AlgoRun};
-use crate::vwarp::VwLayout;
-use maxwarp_simt::{BlockCtx, DevPtr, Gpu, Lanes, LaunchError, Mask, WarpCtx};
+use maxwarp_simt::{DevPtr, Gpu, Lanes, LaunchError, Mask, WarpCtx};
 
 /// Level value of unvisited vertices.
 pub const INF: u32 = u32::MAX;
@@ -93,51 +90,46 @@ pub fn bfs_round(
     if gpu.profiling() {
         gpu.set_profile_label(&format!("bfs level {cur}"));
     }
-    let stats = match method {
-        Method::Baseline => launch_baseline_level(gpu, g, st, cur, exec)?,
-        Method::WarpCentric(opts) => launch_warp_level(gpu, g, st, cur, opts, exec)?,
-    };
-    run.absorb(&stats);
+    let (g, levels, changed) = (*g, st.levels, st.changed);
+    let cached = exec.cached_graph_loads;
+    let outliers = OutlierQueue::new(method, st.queue, st.qcount);
 
-    // Outlier pass: block-cooperative expansion of deferred vertices.
-    if let Method::WarpCentric(opts) = method {
-        if opts.defer_threshold.is_some() {
-            let qc = gpu.mem.read(st.qcount, 0);
-            if qc > 0 {
-                let body =
-                    bfs_edge_body(*g, st.levels, st.changed, cur + 1, exec.cached_graph_loads);
-                let k = outlier_kernel(*g, st.queue, qc, body);
-                let grid = qc.min(exec.resident_grid(&gpu.cfg));
-                if gpu.profiling() {
-                    gpu.set_profile_label(&format!("bfs level {cur} outliers"));
-                }
-                let s = gpu.launch(grid, exec.block_threads, &k)?;
-                run.absorb(&s);
-            }
-        }
-    }
-
-    Ok(gpu.mem.read(st.changed, 0) != 0)
-}
-
-/// The per-edge action of a BFS expansion: claim unvisited neighbors at
-/// level `next` and raise the changed flag.
-fn bfs_edge_body(
-    g: DeviceGraph,
-    levels: DevPtr<u32>,
-    changed: DevPtr<u32>,
-    next: u32,
-    cached: bool,
-) -> impl Fn(&mut WarpCtx<'_>, Mask, &Lanes<u32>) + Copy {
-    move |w, act, i| {
+    // Per-edge action: claim unvisited neighbors at the next level and
+    // raise the changed flag.
+    let claim = move |w: &mut WarpCtx<'_>, act: Mask, i: &Lanes<u32>| {
         let nbr = ld_cols_opt(w, &g, act, i, cached);
         let nlv = w.ld(act, levels, &nbr);
         let upd = w.alu_pred(act, &nlv, |x| x == INF);
         if upd.any() {
-            w.st(upd, levels, &nbr, &Lanes::splat(next));
+            w.st(upd, levels, &nbr, &Lanes::splat(cur + 1));
             w.st_uniform(upd, changed, 0, 1);
         }
+    };
+
+    let stats = item_sweep(gpu, g.n, method, exec, |w, sweep, vids, m| {
+        let lv = w.ld(m, levels, vids);
+        let mf = w.alu_pred(m, &lv, |x| x == cur);
+        if mf.none() {
+            return;
+        }
+        let (s, e) = load_row_range_opt(w, &g, mf, vids, cached);
+        let mwork = sweep.defer_outliers(w, &outliers, mf, vids, &s, &e);
+        if mwork.any() {
+            sweep.neighbor_loop(w, mwork, &s, &e, claim);
+        }
+    })?;
+    run.absorb(&stats);
+
+    // Outlier pass: block-cooperative expansion of deferred vertices.
+    if gpu.profiling() && outliers.pending(gpu) > 0 {
+        gpu.set_profile_label(&format!("bfs level {cur} outliers"));
     }
+    let expand = |w: &mut WarpCtx<'_>, _: &(), act: Mask, i: &Lanes<u32>| claim(w, act, i);
+    if let Some(s) = outlier_sweep(gpu, &g, &outliers, exec, |_, _| (), expand)? {
+        run.absorb(&s);
+    }
+
+    Ok(gpu.mem.read(st.changed, 0) != 0)
 }
 
 /// Run BFS from `src` using `method`. The graph must already be on the
@@ -165,94 +157,10 @@ pub fn run_bfs(
     })
 }
 
-/// One baseline (thread-per-vertex) level.
-fn launch_baseline_level(
-    gpu: &mut Gpu,
-    g: &DeviceGraph,
-    st: &BfsState,
-    cur: u32,
-    exec: &ExecConfig,
-) -> Result<maxwarp_simt::KernelStats, LaunchError> {
-    let (g, levels, changed) = (*g, st.levels, st.changed);
-    let n = g.n;
-    let cached = exec.cached_graph_loads;
-    let body = bfs_edge_body(g, levels, changed, cur + 1, cached);
-    let kernel = move |b: &mut BlockCtx<'_>| {
-        b.phase(|w| {
-            let vid = w.global_thread_ids();
-            let m = w.lt_scalar(Mask::FULL, &vid, n);
-            if m.none() {
-                return;
-            }
-            let lv = w.ld(m, levels, &vid);
-            let mf = w.alu_pred(m, &lv, |x| x == cur);
-            if mf.none() {
-                return;
-            }
-            let (s, e) = load_row_range_opt(w, &g, mf, &vid, cached);
-            scalar_neighbor_loop(w, mf, &s, &e, body);
-        });
-    };
-    let grid = n.div_ceil(exec.block_threads).max(1);
-    gpu.launch(grid, exec.block_threads, &kernel)
-}
-
-/// One virtual warp-centric level (as warp tasks over vertex chunks).
-fn launch_warp_level(
-    gpu: &mut Gpu,
-    g: &DeviceGraph,
-    st: &BfsState,
-    cur: u32,
-    opts: WarpCentricOpts,
-    exec: &ExecConfig,
-) -> Result<maxwarp_simt::KernelStats, LaunchError> {
-    let (g, levels, changed, queue, qcount) = (*g, st.levels, st.changed, st.queue, st.qcount);
-    let layout = VwLayout::new(opts.vw);
-    let vpp = vertices_per_pass(&layout);
-    let n = g.n;
-    let chunk = exec.chunk_vertices.max(vpp);
-    let num_tasks = n.div_ceil(chunk);
-    let grid = exec.resident_grid(&gpu.cfg);
-    let cached = exec.cached_graph_loads;
-    let body = bfs_edge_body(g, levels, changed, cur + 1, cached);
-
-    gpu.launch_warp_tasks(
-        grid,
-        exec.block_threads,
-        num_tasks,
-        opts.schedule(),
-        move |w, task| {
-            let chunk_base = task * chunk;
-            let chunk_end = (chunk_base + chunk).min(n);
-            let mut base = chunk_base;
-            while base < chunk_end {
-                let vids = layout.task_ids(base);
-                let m = w.lt_scalar(Mask::FULL, &vids, chunk_end);
-                if m.none() {
-                    break;
-                }
-                let lv = w.ld(m, levels, &vids);
-                let mf = w.alu_pred(m, &lv, |x| x == cur);
-                if mf.any() {
-                    let (s, e) = load_row_range_opt(w, &g, mf, &vids, cached);
-                    let mwork = match opts.defer_threshold {
-                        Some(t) => defer_outliers(w, &layout, mf, &vids, &s, &e, t, queue, qcount),
-                        None => mf,
-                    };
-                    if mwork.any() {
-                        vw_neighbor_loop(w, &layout, mwork, &s, &e, body);
-                    }
-                }
-                base += vpp;
-            }
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::method::Method;
+    use crate::method::WarpCentricOpts;
     use maxwarp_graph::reference::bfs_levels;
     use maxwarp_graph::{Dataset, Scale};
     use maxwarp_simt::{Gpu, GpuConfig};

@@ -15,13 +15,10 @@
 
 use crate::device_graph::DeviceGraph;
 use crate::kernels::bfs::{BfsOutput, INF};
-use crate::kernels::common::{
-    ld_cols_opt, load_row_range_opt, scalar_neighbor_loop, vertices_per_pass, vw_neighbor_loop,
-};
-use crate::method::{ExecConfig, Method, WarpCentricOpts};
+use crate::kernels::common::{item_sweep, ld_cols_opt, load_row_range_opt, Sweep};
+use crate::method::{ExecConfig, Method};
 use crate::runner::{check_iteration_bound, AlgoRun};
-use crate::vwarp::VwLayout;
-use maxwarp_simt::{BlockCtx, DevPtr, Gpu, Lanes, LaunchError, Mask, WarpCtx};
+use maxwarp_simt::{DevPtr, Gpu, KernelStats, Lanes, LaunchError, Mask};
 
 /// Which way a level was executed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -149,57 +146,29 @@ fn launch_top_down(
     cur: u32,
     method: Method,
     exec: &ExecConfig,
-) -> Result<maxwarp_simt::KernelStats, LaunchError> {
-    let g = *g;
-    let n = g.n;
+) -> Result<KernelStats, LaunchError> {
     let (levels, nf) = (st.levels, st.nf);
     let cached = exec.cached_graph_loads;
-    let body = move |w: &mut WarpCtx<'_>, act: Mask, i: &Lanes<u32>| {
-        let nbr = ld_cols_opt(w, &g, act, i, cached);
-        let nlv = w.ld(act, levels, &nbr);
-        let upd = w.alu_pred(act, &nlv, |x| x == INF);
-        if upd.any() {
-            w.st(upd, levels, &nbr, &Lanes::splat(cur + 1));
-            // Count discoveries (duplicate claims within one level
-            // over-count slightly; the heuristic only needs magnitude, and
-            // the warp aggregates to one atomic).
-            let _ = w.atomic_add_uniform(upd, nf, 0, upd.count());
+    item_sweep(gpu, g.n, method, exec, |w, sweep, vids, m| {
+        let lv = w.ld(m, levels, vids);
+        let mf = w.alu_pred(m, &lv, |x| x == cur);
+        if mf.none() {
+            return;
         }
-    };
-    match method {
-        Method::Baseline => {
-            let kernel = move |b: &mut BlockCtx<'_>| {
-                b.phase(|w| {
-                    let vid = w.global_thread_ids();
-                    let m = w.lt_scalar(Mask::FULL, &vid, n);
-                    if m.none() {
-                        return;
-                    }
-                    let lv = w.ld(m, levels, &vid);
-                    let mf = w.alu_pred(m, &lv, |x| x == cur);
-                    if mf.none() {
-                        return;
-                    }
-                    let (s, e) = load_row_range_opt(w, &g, mf, &vid, cached);
-                    scalar_neighbor_loop(w, mf, &s, &e, body);
-                });
-            };
-            gpu.launch(
-                n.div_ceil(exec.block_threads).max(1),
-                exec.block_threads,
-                &kernel,
-            )
-        }
-        Method::WarpCentric(opts) => warp_sweep(gpu, exec, opts, n, move |w, layout, vids, m| {
-            let lv = w.ld(m, levels, vids);
-            let mf = w.alu_pred(m, &lv, |x| x == cur);
-            if mf.none() {
-                return;
+        let (s, e) = load_row_range_opt(w, g, mf, vids, cached);
+        sweep.neighbor_loop(w, mf, &s, &e, |w, act, i| {
+            let nbr = ld_cols_opt(w, g, act, i, cached);
+            let nlv = w.ld(act, levels, &nbr);
+            let upd = w.alu_pred(act, &nlv, |x| x == INF);
+            if upd.any() {
+                w.st(upd, levels, &nbr, &Lanes::splat(cur + 1));
+                // Count discoveries (duplicate claims within one level
+                // over-count slightly; the heuristic only needs magnitude,
+                // and the warp aggregates to one atomic).
+                let _ = w.atomic_add_uniform(upd, nf, 0, upd.count());
             }
-            let (s, e) = load_row_range_opt(w, &g, mf, vids, cached);
-            vw_neighbor_loop(w, layout, mf, &s, &e, body);
-        }),
-    }
+        });
+    })
 }
 
 /// Bottom-up level: unvisited vertices scan in-neighbors for a parent at
@@ -211,115 +180,40 @@ fn launch_bottom_up(
     cur: u32,
     method: Method,
     exec: &ExecConfig,
-) -> Result<maxwarp_simt::KernelStats, LaunchError> {
-    let rev = *rev;
-    let n = rev.n;
+) -> Result<KernelStats, LaunchError> {
     let (levels, nf) = (st.levels, st.nf);
     let cached = exec.cached_graph_loads;
-    match method {
-        Method::Baseline => {
-            let kernel = move |b: &mut BlockCtx<'_>| {
-                b.phase(|w| {
-                    let vid = w.global_thread_ids();
-                    let m = w.lt_scalar(Mask::FULL, &vid, n);
-                    if m.none() {
-                        return;
-                    }
-                    let lv = w.ld(m, levels, &vid);
-                    let mu = w.alu_pred(m, &lv, |x| x == INF);
-                    if mu.none() {
-                        return;
-                    }
-                    let (s, e) = load_row_range_opt(w, &rev, mu, &vid, cached);
-                    // Scalar scan with early exit per lane.
-                    let mut found = Mask::NONE;
-                    let mut i = s;
-                    let mut act = w.lt(mu, &i, &e);
-                    while act.any() {
-                        let parent = ld_cols_opt(w, &rev, act, &i, cached);
-                        let plv = w.ld(act, levels, &parent);
-                        let hit = w.alu_pred(act, &plv, |x| x == cur);
-                        found |= hit;
-                        act = act.andnot(hit); // early exit for satisfied lanes
-                        i = w.add_scalar(act, &i, 1);
-                        act = act & w.lt(act, &i, &e);
-                    }
-                    if found.any() {
-                        w.st(found, levels, &vid, &Lanes::splat(cur + 1));
-                        let _ = w.atomic_add_uniform(found, nf, 0, found.count());
-                    }
-                });
-            };
-            gpu.launch(
-                n.div_ceil(exec.block_threads).max(1),
-                exec.block_threads,
-                &kernel,
-            )
+    item_sweep(gpu, rev.n, method, exec, |w, sweep, vids, m| {
+        let lv = w.ld(m, levels, vids);
+        let mu = w.alu_pred(m, &lv, |x| x == INF);
+        if mu.none() {
+            return;
         }
-        Method::WarpCentric(opts) => warp_sweep(gpu, exec, opts, n, move |w, layout, vids, m| {
-            let lv = w.ld(m, levels, vids);
-            let mu = w.alu_pred(m, &lv, |x| x == INF);
-            if mu.none() {
-                return;
+        let (s, e) = load_row_range_opt(w, rev, mu, vids, cached);
+        // The neighbor scan, except that a vertex leaves it the moment a
+        // parent is found.
+        let mut found = Mask::NONE;
+        let (mut i, step) = sweep.edge_cursor(w, mu, &s);
+        let mut act = w.lt(mu, &i, &e);
+        while act.any() {
+            let parent = ld_cols_opt(w, rev, act, &i, cached);
+            let plv = w.ld(act, levels, &parent);
+            let mut hit = w.alu_pred(act, &plv, |x| x == cur);
+            // One lane's hit retires the whole virtual warp.
+            if let Sweep::PerVirtualWarp(l) = sweep {
+                hit = w.seg_any(act, hit, l.vw.k() as usize);
             }
-            let (s, e) = load_row_range_opt(w, &rev, mu, vids, cached);
-            let k = layout.vw.k();
-            // Strided scan; a virtual warp exits as soon as any lane hits.
-            let mut found_vw = Mask::NONE;
-            let mut i = w.add(mu, &s, &layout.lane_in_vw);
-            let mut act = w.lt(mu, &i, &e);
-            while act.any() {
-                let parent = ld_cols_opt(w, &rev, act, &i, cached);
-                let plv = w.ld(act, levels, &parent);
-                let hit = w.alu_pred(act, &plv, |x| x == cur);
-                let hit_vw = w.seg_any(act, hit, k as usize);
-                found_vw |= hit_vw;
-                act = act.andnot(hit_vw); // whole virtual warp exits
-                i = w.add_scalar(act, &i, k);
-                act = act & w.lt(act, &i, &e);
-            }
-            let claim = found_vw & mu & layout.leaders;
-            if claim.any() {
-                w.st(claim, levels, vids, &Lanes::splat(cur + 1));
-                let _ = w.atomic_add_uniform(claim, nf, 0, claim.count());
-            }
-        }),
-    }
-}
-
-/// Shared warp-task chunking loop.
-fn warp_sweep(
-    gpu: &mut Gpu,
-    exec: &ExecConfig,
-    opts: WarpCentricOpts,
-    n: u32,
-    body: impl Fn(&mut WarpCtx<'_>, &VwLayout, &Lanes<u32>, Mask) + Copy,
-) -> Result<maxwarp_simt::KernelStats, LaunchError> {
-    let layout = VwLayout::new(opts.vw);
-    let vpp = vertices_per_pass(&layout);
-    let chunk = exec.chunk_vertices.max(vpp);
-    let num_tasks = n.div_ceil(chunk);
-    let grid = exec.resident_grid(&gpu.cfg);
-    gpu.launch_warp_tasks(
-        grid,
-        exec.block_threads,
-        num_tasks,
-        opts.schedule(),
-        move |w, task| {
-            let chunk_base = task * chunk;
-            let chunk_end = (chunk_base + chunk).min(n);
-            let mut base = chunk_base;
-            while base < chunk_end {
-                let vids = layout.task_ids(base);
-                let m = w.lt_scalar(Mask::FULL, &vids, chunk_end);
-                if m.none() {
-                    break;
-                }
-                body(w, &layout, &vids, m);
-                base += vpp;
-            }
-        },
-    )
+            found |= hit;
+            act = act.andnot(hit);
+            i = w.add_scalar(act, &i, step);
+            act = act & w.lt(act, &i, &e);
+        }
+        let claim = sweep.owners(found & mu);
+        if claim.any() {
+            w.st(claim, levels, vids, &Lanes::splat(cur + 1));
+            let _ = w.atomic_add_uniform(claim, nf, 0, claim.count());
+        }
+    })
 }
 
 #[cfg(test)]

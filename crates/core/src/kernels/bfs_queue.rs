@@ -16,11 +16,10 @@
 
 use crate::device_graph::DeviceGraph;
 use crate::kernels::bfs::{BfsOutput, INF};
-use crate::kernels::common::{load_row_range, scalar_neighbor_loop, vw_neighbor_loop};
-use crate::method::{ExecConfig, Method, WarpCentricOpts};
+use crate::kernels::common::{item_sweep, load_row_range};
+use crate::method::{ExecConfig, Method};
 use crate::runner::{check_iteration_bound, AlgoRun};
-use crate::vwarp::VwLayout;
-use maxwarp_simt::{BlockCtx, DevPtr, Gpu, Lanes, LaunchError, Mask, WarpCtx};
+use maxwarp_simt::{DevPtr, Gpu, Lanes, LaunchError, Mask, WarpCtx};
 
 struct QueueState {
     levels: DevPtr<u32>,
@@ -95,12 +94,15 @@ pub fn run_bfs_queue(
         if gpu.profiling() {
             gpu.set_profile_label(&format!("bfs_queue level {cur}"));
         }
-        let stats = match method {
-            Method::Baseline => launch_baseline_level(gpu, g, &st, frontier_len, cur, exec)?,
-            Method::WarpCentric(opts) => {
-                launch_warp_level(gpu, g, &st, frontier_len, cur, opts, exec)?
-            }
-        };
+        // The items are frontier-queue entries: one thread, or one virtual
+        // warp, per entry.
+        let stats = item_sweep(gpu, frontier_len, method, exec, |w, sweep, entry, m| {
+            let v = w.ld(m, st.f_in, entry);
+            let (s, e) = load_row_range(w, g, m, &v);
+            sweep.neighbor_loop(w, m, &s, &e, |w, act, i| {
+                claim_and_enqueue(w, g, st.levels, st.f_out, st.count_out, cur + 1, act, i);
+            });
+        })?;
         run.absorb(&stats);
 
         frontier_len = gpu.mem.read(st.count_out, 0);
@@ -115,81 +117,10 @@ pub fn run_bfs_queue(
     })
 }
 
-/// Thread-per-frontier-entry expansion.
-fn launch_baseline_level(
-    gpu: &mut Gpu,
-    g: &DeviceGraph,
-    st: &QueueState,
-    frontier_len: u32,
-    cur: u32,
-    exec: &ExecConfig,
-) -> Result<maxwarp_simt::KernelStats, LaunchError> {
-    let (g, levels, f_in, f_out, count_out) = (*g, st.levels, st.f_in, st.f_out, st.count_out);
-    let kernel = move |b: &mut BlockCtx<'_>| {
-        b.phase(|w| {
-            let tid = w.global_thread_ids();
-            let m = w.lt_scalar(Mask::FULL, &tid, frontier_len);
-            if m.none() {
-                return;
-            }
-            let v = w.ld(m, f_in, &tid);
-            let (s, e) = load_row_range(w, &g, m, &v);
-            scalar_neighbor_loop(w, m, &s, &e, |w, act, i| {
-                claim_and_enqueue(w, &g, levels, f_out, count_out, cur + 1, act, i);
-            });
-        });
-    };
-    let grid = frontier_len.div_ceil(exec.block_threads).max(1);
-    gpu.launch(grid, exec.block_threads, &kernel)
-}
-
-/// Virtual-warp-per-frontier-entry expansion (as warp tasks over chunks of
-/// frontier entries, honoring static/dynamic distribution).
-fn launch_warp_level(
-    gpu: &mut Gpu,
-    g: &DeviceGraph,
-    st: &QueueState,
-    frontier_len: u32,
-    cur: u32,
-    opts: WarpCentricOpts,
-    exec: &ExecConfig,
-) -> Result<maxwarp_simt::KernelStats, LaunchError> {
-    let (g, levels, f_in, f_out, count_out) = (*g, st.levels, st.f_in, st.f_out, st.count_out);
-    let layout = VwLayout::new(opts.vw);
-    let vpp = layout.vw.per_physical();
-    let chunk = exec.chunk_vertices.max(vpp);
-    let num_tasks = frontier_len.div_ceil(chunk);
-    let grid = exec.resident_grid(&gpu.cfg);
-
-    gpu.launch_warp_tasks(
-        grid,
-        exec.block_threads,
-        num_tasks,
-        opts.schedule(),
-        move |w, task| {
-            let chunk_base = task * chunk;
-            let chunk_end = (chunk_base + chunk).min(frontier_len);
-            let mut base = chunk_base;
-            while base < chunk_end {
-                let entry = layout.task_ids(base);
-                let m = w.lt_scalar(Mask::FULL, &entry, chunk_end);
-                if m.none() {
-                    break;
-                }
-                let v = w.ld(m, f_in, &entry);
-                let (s, e) = load_row_range(w, &g, m, &v);
-                vw_neighbor_loop(w, &layout, m, &s, &e, |w, act, i| {
-                    claim_and_enqueue(w, &g, levels, f_out, count_out, cur + 1, act, i);
-                });
-                base += vpp;
-            }
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::method::WarpCentricOpts;
     use crate::vwarp::VirtualWarp;
     use maxwarp_graph::reference::bfs_levels;
     use maxwarp_graph::{Dataset, Scale};

@@ -9,13 +9,10 @@
 //! harness symmetrize first.
 
 use crate::device_graph::DeviceGraph;
-use crate::kernels::common::{
-    defer_outliers, load_row_range, scalar_neighbor_loop, vertices_per_pass, vw_neighbor_loop,
-};
-use crate::method::{ExecConfig, Method, WarpCentricOpts};
+use crate::kernels::common::{item_sweep, load_row_range, outlier_sweep, OutlierQueue};
+use crate::method::{ExecConfig, Method};
 use crate::runner::{check_iteration_bound, AlgoRun};
-use crate::vwarp::VwLayout;
-use maxwarp_simt::{BlockCtx, DevPtr, Gpu, Lanes, LaunchError, Mask, WarpCtx, WARP_SIZE};
+use maxwarp_simt::{DevPtr, Gpu, Lanes, LaunchError, Mask, WarpCtx};
 
 /// Result of a connected-components run.
 #[derive(Clone, Debug)]
@@ -77,41 +74,38 @@ pub fn cc_round(
     gpu.mem.write(st.changed, 0, 0u32);
     gpu.mem.write(st.qcount, 0, 0u32);
 
-    let stats = match method {
-        Method::Baseline => launch_baseline_round(gpu, g, st, exec)?,
-        Method::WarpCentric(opts) => launch_warp_round(gpu, g, st, opts, exec)?,
+    let (g, labels, changed) = (*g, st.labels, st.changed);
+    let outliers = OutlierQueue::new(method, st.queue, st.qcount);
+
+    // Per-edge action: push source labels `lu` across the edges at
+    // indices `i`.
+    let push = move |w: &mut WarpCtx<'_>, lu: &Lanes<u32>, act: Mask, i: &Lanes<u32>| {
+        let nbr = w.ld(act, g.col_indices, i);
+        let old = w.atomic_min(act, labels, &nbr, lu);
+        let improved = w.lt(act, lu, &old);
+        if improved.any() {
+            w.st_uniform(improved, changed, 0, 1);
+        }
     };
+
+    let stats = item_sweep(gpu, g.n, method, exec, |w, sweep, vids, m| {
+        let lu = w.ld(m, labels, vids);
+        let (s, e) = load_row_range(w, &g, m, vids);
+        let mwork = sweep.defer_outliers(w, &outliers, m, vids, &s, &e);
+        if mwork.any() {
+            sweep.neighbor_loop(w, mwork, &s, &e, |w, act, i| push(w, &lu, act, i));
+        }
+    })?;
     run.absorb(&stats);
 
-    if let Method::WarpCentric(opts) = method {
-        if opts.defer_threshold.is_some() {
-            let qc = gpu.mem.read(st.qcount, 0);
-            if qc > 0 {
-                let s = launch_outlier_round(gpu, g, st, qc, exec)?;
-                run.absorb(&s);
-            }
-        }
+    // Outlier pass: whole blocks push the deferred high-degree vertices.
+    let source_label =
+        |w: &mut WarpCtx<'_>, v: u32| Lanes::splat(w.ld_uniform(Mask::FULL, labels, v));
+    if let Some(s) = outlier_sweep(gpu, &g, &outliers, exec, source_label, push)? {
+        run.absorb(&s);
     }
 
     Ok(gpu.mem.read(st.changed, 0) != 0)
-}
-
-/// Push source labels `lu` across the edges at indices `i`.
-fn push_labels(
-    w: &mut WarpCtx<'_>,
-    g: &DeviceGraph,
-    labels: DevPtr<u32>,
-    changed: DevPtr<u32>,
-    lu: &Lanes<u32>,
-    act: Mask,
-    i: &Lanes<u32>,
-) {
-    let nbr = w.ld(act, g.col_indices, i);
-    let old = w.atomic_min(act, labels, &nbr, lu);
-    let improved = w.lt(act, lu, &old);
-    if improved.any() {
-        w.st_uniform(improved, changed, 0, 1);
-    }
 }
 
 /// Run connected components with the given method.
@@ -137,120 +131,10 @@ pub fn run_cc(
     })
 }
 
-fn launch_baseline_round(
-    gpu: &mut Gpu,
-    g: &DeviceGraph,
-    st: &CcState,
-    exec: &ExecConfig,
-) -> Result<maxwarp_simt::KernelStats, LaunchError> {
-    let (g, labels, changed) = (*g, st.labels, st.changed);
-    let n = g.n;
-    let kernel = move |b: &mut BlockCtx<'_>| {
-        b.phase(|w| {
-            let vid = w.global_thread_ids();
-            let m = w.lt_scalar(Mask::FULL, &vid, n);
-            if m.none() {
-                return;
-            }
-            let lu = w.ld(m, labels, &vid);
-            let (s, e) = load_row_range(w, &g, m, &vid);
-            scalar_neighbor_loop(w, m, &s, &e, |w, act, i| {
-                push_labels(w, &g, labels, changed, &lu, act, i);
-            });
-        });
-    };
-    let grid = n.div_ceil(exec.block_threads).max(1);
-    gpu.launch(grid, exec.block_threads, &kernel)
-}
-
-fn launch_warp_round(
-    gpu: &mut Gpu,
-    g: &DeviceGraph,
-    st: &CcState,
-    opts: WarpCentricOpts,
-    exec: &ExecConfig,
-) -> Result<maxwarp_simt::KernelStats, LaunchError> {
-    let (g, labels, changed, queue, qcount) = (*g, st.labels, st.changed, st.queue, st.qcount);
-    let layout = VwLayout::new(opts.vw);
-    let vpp = vertices_per_pass(&layout);
-    let n = g.n;
-    let chunk = exec.chunk_vertices.max(vpp);
-    let num_tasks = n.div_ceil(chunk);
-    let grid = exec.resident_grid(&gpu.cfg);
-
-    gpu.launch_warp_tasks(
-        grid,
-        exec.block_threads,
-        num_tasks,
-        opts.schedule(),
-        move |w, task| {
-            let chunk_base = task * chunk;
-            let chunk_end = (chunk_base + chunk).min(n);
-            let mut base = chunk_base;
-            while base < chunk_end {
-                let vids = layout.task_ids(base);
-                let m = w.lt_scalar(Mask::FULL, &vids, chunk_end);
-                if m.none() {
-                    break;
-                }
-                let lu = w.ld(m, labels, &vids);
-                let (s, e) = load_row_range(w, &g, m, &vids);
-                let mwork = match opts.defer_threshold {
-                    Some(t) => defer_outliers(w, &layout, m, &vids, &s, &e, t, queue, qcount),
-                    None => m,
-                };
-                if mwork.any() {
-                    vw_neighbor_loop(w, &layout, mwork, &s, &e, |w, act, i| {
-                        push_labels(w, &g, labels, changed, &lu, act, i);
-                    });
-                }
-                base += vpp;
-            }
-        },
-    )
-}
-
-fn launch_outlier_round(
-    gpu: &mut Gpu,
-    g: &DeviceGraph,
-    st: &CcState,
-    qc: u32,
-    exec: &ExecConfig,
-) -> Result<maxwarp_simt::KernelStats, LaunchError> {
-    let (g, labels, changed, queue) = (*g, st.labels, st.changed, st.queue);
-    let kernel = move |b: &mut BlockCtx<'_>| {
-        let bid = b.block_id();
-        let stride = b.num_blocks();
-        let bthreads = b.threads_per_block();
-        let mut qi = bid;
-        while qi < qc {
-            b.phase(|w| {
-                let v = w.ld_uniform(Mask::FULL, queue, qi);
-                let luv = w.ld_uniform(Mask::FULL, labels, v);
-                let lu = Lanes::splat(luv);
-                let s = w.ld_uniform(Mask::FULL, g.row_offsets, v);
-                let e = w.ld_uniform(Mask::FULL, g.row_offsets, v + 1);
-                let base = w.id().warp_in_block * WARP_SIZE as u32;
-                let offs = Lanes::from_fn(|l| base + l as u32);
-                let mut i = w.alu1(Mask::FULL, &offs, |o| s.wrapping_add(o));
-                let endv = Lanes::splat(e);
-                let mut act = w.lt(Mask::FULL, &i, &endv);
-                while act.any() {
-                    push_labels(w, &g, labels, changed, &lu, act, &i);
-                    i = w.add_scalar(act, &i, bthreads);
-                    act = w.lt(act, &i, &endv);
-                }
-            });
-            qi += stride;
-        }
-    };
-    let grid = qc.min(exec.resident_grid(&gpu.cfg));
-    gpu.launch(grid, exec.block_threads, &kernel)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::method::WarpCentricOpts;
     use crate::vwarp::VirtualWarp;
     use maxwarp_graph::reference::{connected_components, count_distinct};
     use maxwarp_graph::{Dataset, Scale};

@@ -12,13 +12,10 @@
 //! variants compute *identical* colorings, which the tests exploit.
 
 use crate::device_graph::DeviceGraph;
-use crate::kernels::common::{
-    load_row_range, scalar_neighbor_loop, vertices_per_pass, vw_neighbor_loop,
-};
+use crate::kernels::common::{item_sweep, load_row_range, Sweep};
 use crate::method::{ExecConfig, Method};
 use crate::runner::{check_iteration_bound, AlgoRun};
-use crate::vwarp::VwLayout;
-use maxwarp_simt::{BlockCtx, DevPtr, Gpu, Lanes, LaunchError, Mask, WarpCtx};
+use maxwarp_simt::{DevPtr, Gpu, KernelStats, Lanes, LaunchError, Mask};
 
 /// Color of uncolored vertices.
 pub const UNCOLORED: u32 = u32::MAX;
@@ -103,33 +100,8 @@ pub fn run_coloring(
     })
 }
 
-/// Per-edge action of the selection phase: a vertex loses candidacy if any
+/// Selection phase: an uncolored vertex stays a candidate unless an
 /// *uncolored* neighbor beats it.
-fn select_body(
-    g: DeviceGraph,
-    colors: DevPtr<u32>,
-    vids: Lanes<u32>,
-) -> impl FnMut(&mut WarpCtx<'_>, Mask, &Lanes<u32>) -> Mask + Copy {
-    move |w, act, i| {
-        let nbr = w.ld(act, g.col_indices, i);
-        let ncol = w.ld(act, colors, &nbr);
-        let m_uncolored = w.alu_pred(act, &ncol, |c| c == UNCOLORED);
-        // One compare instruction evaluating the beats relation.
-
-        {
-            let vv = vids;
-            let mut mask = Mask::NONE;
-            for l in m_uncolored.iter() {
-                if beats(nbr.get(l), vv.get(l)) {
-                    mask = mask.with(l, true);
-                }
-            }
-            w.alu_nop(m_uncolored);
-            mask
-        }
-    }
-}
-
 fn launch_select(
     gpu: &mut Gpu,
     g: &DeviceGraph,
@@ -138,91 +110,38 @@ fn launch_select(
     remaining: DevPtr<u32>,
     method: Method,
     exec: &ExecConfig,
-) -> Result<maxwarp_simt::KernelStats, LaunchError> {
-    let g = *g;
-    let n = g.n;
-    match method {
-        Method::Baseline => {
-            let kernel = move |b: &mut BlockCtx<'_>| {
-                b.phase(|w| {
-                    let vid = w.global_thread_ids();
-                    let m = w.lt_scalar(Mask::FULL, &vid, n);
-                    if m.none() {
-                        return;
-                    }
-                    let col = w.ld(m, colors, &vid);
-                    let mu = w.alu_pred(m, &col, |c| c == UNCOLORED);
-                    if mu.none() {
-                        return;
-                    }
-                    w.st_uniform(mu, remaining, 0, 1);
-                    let (s, e) = load_row_range(w, &g, mu, &vid);
-                    let mut alive = mu;
-                    let mut body = select_body(g, colors, vid);
-                    scalar_neighbor_loop(w, mu, &s, &e, |w, act, i| {
-                        let loses = body(w, act, i);
-                        alive = alive.andnot(loses);
-                    });
-                    // candidate[v] = 1 for surviving vertices, 0 otherwise.
-                    w.st(mu, candidate, &vid, &Lanes::splat(0u32));
-                    if alive.any() {
-                        w.st(alive, candidate, &vid, &Lanes::splat(1u32));
-                    }
-                });
-            };
-            gpu.launch(
-                n.div_ceil(exec.block_threads).max(1),
-                exec.block_threads,
-                &kernel,
-            )
+) -> Result<KernelStats, LaunchError> {
+    item_sweep(gpu, g.n, method, exec, |w, sweep, vids, m| {
+        let col = w.ld(m, colors, vids);
+        let mu = w.alu_pred(m, &col, |c| c == UNCOLORED);
+        if mu.none() {
+            return;
         }
-        Method::WarpCentric(opts) => {
-            let layout = VwLayout::new(opts.vw);
-            let vpp = vertices_per_pass(&layout);
-            let chunk = exec.chunk_vertices.max(vpp);
-            let num_tasks = n.div_ceil(chunk);
-            let grid = exec.resident_grid(&gpu.cfg);
-            gpu.launch_warp_tasks(
-                grid,
-                exec.block_threads,
-                num_tasks,
-                opts.schedule(),
-                move |w, task| {
-                    let chunk_base = task * chunk;
-                    let chunk_end = (chunk_base + chunk).min(n);
-                    let mut base = chunk_base;
-                    while base < chunk_end {
-                        let vids = layout.task_ids(base);
-                        let m = w.lt_scalar(Mask::FULL, &vids, chunk_end);
-                        if m.none() {
-                            break;
-                        }
-                        let col = w.ld(m, colors, &vids);
-                        let mu = w.alu_pred(m, &col, |c| c == UNCOLORED);
-                        if mu.any() {
-                            w.st_uniform(mu, remaining, 0, 1);
-                            let (s, e) = load_row_range(w, &g, mu, &vids);
-                            let mut alive = mu;
-                            let mut body = select_body(g, colors, vids);
-                            vw_neighbor_loop(w, &layout, mu, &s, &e, |w, act, i| {
-                                let loses = body(w, act, i);
-                                alive = alive.andnot(loses);
-                            });
-                            // A vertex survives only if *no lane* of its
-                            // virtual warp saw a beating neighbor.
-                            let defeated = w.seg_any(mu, mu.andnot(alive), layout.vw.k() as usize);
-                            let survivors = mu.andnot(defeated) & layout.leaders;
-                            w.st(mu & layout.leaders, candidate, &vids, &Lanes::splat(0u32));
-                            if survivors.any() {
-                                w.st(survivors, candidate, &vids, &Lanes::splat(1u32));
-                            }
-                        }
-                        base += vpp;
-                    }
-                },
-            )
+        w.st_uniform(mu, remaining, 0, 1);
+        let (s, e) = load_row_range(w, g, mu, vids);
+        let mut alive = mu;
+        sweep.neighbor_loop(w, mu, &s, &e, |w, act, i| {
+            let nbr = w.ld(act, g.col_indices, i);
+            let ncol = w.ld(act, colors, &nbr);
+            let m_uncolored = w.alu_pred(act, &ncol, |c| c == UNCOLORED);
+            // One compare instruction evaluating the beats relation.
+            w.alu_nop(m_uncolored);
+            let loses = Mask::from_fn(|l| m_uncolored.get(l) && beats(nbr.get(l), vids.get(l)));
+            alive = alive.andnot(loses);
+        });
+        // A vertex survives only if *no lane* that walked its list saw a
+        // beating neighbor.
+        let mut defeated = mu.andnot(alive);
+        if let Sweep::PerVirtualWarp(l) = sweep {
+            defeated = w.seg_any(mu, defeated, l.vw.k() as usize);
         }
-    }
+        // candidate[v] = 1 for surviving vertices, 0 otherwise.
+        w.st(sweep.owners(mu), candidate, vids, &Lanes::splat(0u32));
+        let survivors = sweep.owners(mu.andnot(defeated));
+        if survivors.any() {
+            w.st(survivors, candidate, vids, &Lanes::splat(1u32));
+        }
+    })
 }
 
 /// Commit phase: candidates take the round's color (a uniform map kernel).
@@ -233,34 +152,21 @@ fn launch_commit(
     candidate: DevPtr<u32>,
     round: u32,
     exec: &ExecConfig,
-) -> Result<maxwarp_simt::KernelStats, LaunchError> {
-    let n = g.n;
-    let kernel = move |b: &mut BlockCtx<'_>| {
-        b.phase(|w| {
-            let vid = w.global_thread_ids();
-            let m = w.lt_scalar(Mask::FULL, &vid, n);
-            if m.none() {
-                return;
-            }
-            let cand = w.ld(m, candidate, &vid);
-            let mc = w.alu_pred(m, &cand, |c| c == 1);
-            if mc.none() {
-                return;
-            }
-            // Guard against stale candidate flags from earlier rounds:
-            // only still-uncolored vertices take the color.
-            let col = w.ld(mc, colors, &vid);
-            let mu = w.alu_pred(mc, &col, |c| c == UNCOLORED);
-            if mu.any() {
-                w.st(mu, colors, &vid, &Lanes::splat(round));
-            }
-        });
-    };
-    gpu.launch(
-        n.div_ceil(exec.block_threads).max(1),
-        exec.block_threads,
-        &kernel,
-    )
+) -> Result<KernelStats, LaunchError> {
+    item_sweep(gpu, g.n, Method::Baseline, exec, |w, _, vid, m| {
+        let cand = w.ld(m, candidate, vid);
+        let mc = w.alu_pred(m, &cand, |c| c == 1);
+        if mc.none() {
+            return;
+        }
+        // Guard against stale candidate flags from earlier rounds:
+        // only still-uncolored vertices take the color.
+        let col = w.ld(mc, colors, vid);
+        let mu = w.alu_pred(mc, &col, |c| c == UNCOLORED);
+        if mu.any() {
+            w.st(mu, colors, vid, &Lanes::splat(round));
+        }
+    })
 }
 
 #[cfg(test)]

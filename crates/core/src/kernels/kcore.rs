@@ -13,13 +13,10 @@
 //! graph classes; the tests use those.
 
 use crate::device_graph::DeviceGraph;
-use crate::kernels::common::{
-    load_row_range, scalar_neighbor_loop, vertices_per_pass, vw_neighbor_loop,
-};
+use crate::kernels::common::{item_sweep, load_row_range};
 use crate::method::{ExecConfig, Method};
 use crate::runner::{check_iteration_bound, AlgoRun};
-use crate::vwarp::VwLayout;
-use maxwarp_simt::{BlockCtx, DevPtr, Gpu, Lanes, LaunchError, Mask, WarpCtx};
+use maxwarp_simt::{DevPtr, Gpu, KernelStats, Lanes, LaunchError};
 
 /// Core number of not-yet-peeled vertices during the run.
 const PENDING: u32 = u32::MAX;
@@ -143,35 +140,22 @@ fn launch_mark(
     st: &KcoreState,
     k: u32,
     exec: &ExecConfig,
-) -> Result<maxwarp_simt::KernelStats, LaunchError> {
-    let n = g.n;
+) -> Result<KernelStats, LaunchError> {
     let (deg, core, pending, changed) = (st.deg, st.core, st.pending, st.changed);
-    let kernel = move |b: &mut BlockCtx<'_>| {
-        b.phase(|w| {
-            let vid = w.global_thread_ids();
-            let m = w.lt_scalar(Mask::FULL, &vid, n);
-            if m.none() {
-                return;
-            }
-            let c = w.ld(m, core, &vid);
-            let alive = w.alu_pred(m, &c, |x| x == PENDING);
-            if alive.none() {
-                return;
-            }
-            let d = w.ld(alive, deg, &vid);
-            let peel = w.alu_pred(alive, &d, |x| x <= k);
-            if peel.any() {
-                w.st(peel, core, &vid, &Lanes::splat(k));
-                w.st(peel, pending, &vid, &Lanes::splat(1u32));
-                w.st_uniform(peel, changed, 0, 1);
-            }
-        });
-    };
-    gpu.launch(
-        n.div_ceil(exec.block_threads).max(1),
-        exec.block_threads,
-        &kernel,
-    )
+    item_sweep(gpu, g.n, Method::Baseline, exec, |w, _, vid, m| {
+        let c = w.ld(m, core, vid);
+        let alive = w.alu_pred(m, &c, |x| x == PENDING);
+        if alive.none() {
+            return;
+        }
+        let d = w.ld(alive, deg, vid);
+        let peel = w.alu_pred(alive, &d, |x| x <= k);
+        if peel.any() {
+            w.st(peel, core, vid, &Lanes::splat(k));
+            w.st(peel, pending, vid, &Lanes::splat(1u32));
+            w.st_uniform(peel, changed, 0, 1);
+        }
+    })
 }
 
 /// Decrement alive neighbors of pending vertices; clears the pending
@@ -183,91 +167,31 @@ fn launch_decrement(
     st: &KcoreState,
     method: Method,
     exec: &ExecConfig,
-) -> Result<(maxwarp_simt::KernelStats, u32), LaunchError> {
-    let g = *g;
-    let n = g.n;
+) -> Result<(KernelStats, u32), LaunchError> {
     let (deg, core, pending) = (st.deg, st.core, st.pending);
     let counter = gpu.mem.alloc::<u32>(1);
-
-    // Per-edge action: decrement alive neighbors (wrapping add of -1 —
-    // exactly what atomicSub compiles to).
-    let body = move |w: &mut WarpCtx<'_>, act: Mask, i: &Lanes<u32>| {
-        let nbr = w.ld(act, g.col_indices, i);
-        let nc = w.ld(act, core, &nbr);
-        let m_alive = w.alu_pred(act, &nc, |x| x == PENDING);
-        if m_alive.any() {
-            let _ = w.atomic_add(m_alive, deg, &nbr, &Lanes::splat(u32::MAX));
+    let stats = item_sweep(gpu, g.n, method, exec, |w, sweep, vids, m| {
+        let p = w.ld(m, pending, vids);
+        let mp = w.alu_pred(m, &p, |x| x == 1);
+        if mp.none() {
+            return;
         }
-    };
-
-    let stats = match method {
-        Method::Baseline => {
-            let kernel = move |b: &mut BlockCtx<'_>| {
-                b.phase(|w| {
-                    let vid = w.global_thread_ids();
-                    let m = w.lt_scalar(Mask::FULL, &vid, n);
-                    if m.none() {
-                        return;
-                    }
-                    let p = w.ld(m, pending, &vid);
-                    let mp = w.alu_pred(m, &p, |x| x == 1);
-                    if mp.none() {
-                        return;
-                    }
-                    w.st(mp, pending, &vid, &Lanes::splat(0u32));
-                    // One count per peeled vertex (one vertex per lane).
-                    let _ = w.atomic_add(mp, counter, &Lanes::splat(0u32), &Lanes::splat(1u32));
-                    let (s, e) = load_row_range(w, &g, mp, &vid);
-                    scalar_neighbor_loop(w, mp, &s, &e, body);
-                });
-            };
-            gpu.launch(
-                n.div_ceil(exec.block_threads).max(1),
-                exec.block_threads,
-                &kernel,
-            )?
-        }
-        Method::WarpCentric(opts) => {
-            let layout = VwLayout::new(opts.vw);
-            let vpp = vertices_per_pass(&layout);
-            let chunk = exec.chunk_vertices.max(vpp);
-            let num_tasks = n.div_ceil(chunk);
-            let grid = exec.resident_grid(&gpu.cfg);
-            gpu.launch_warp_tasks(
-                grid,
-                exec.block_threads,
-                num_tasks,
-                opts.schedule(),
-                move |w, task| {
-                    let chunk_base = task * chunk;
-                    let chunk_end = (chunk_base + chunk).min(n);
-                    let mut base = chunk_base;
-                    while base < chunk_end {
-                        let vids = layout.task_ids(base);
-                        let m = w.lt_scalar(Mask::FULL, &vids, chunk_end);
-                        if m.none() {
-                            break;
-                        }
-                        let p = w.ld(m, pending, &vids);
-                        let mp = w.alu_pred(m, &p, |x| x == 1);
-                        if mp.any() {
-                            let leaders = mp & layout.leaders;
-                            w.st(leaders, pending, &vids, &Lanes::splat(0u32));
-                            let _ = w.atomic_add(
-                                leaders,
-                                counter,
-                                &Lanes::splat(0u32),
-                                &Lanes::splat(1u32),
-                            );
-                            let (s, e) = load_row_range(w, &g, mp, &vids);
-                            vw_neighbor_loop(w, &layout, mp, &s, &e, body);
-                        }
-                        base += vpp;
-                    }
-                },
-            )?
-        }
-    };
+        // Clear the flag and count the vertex, once per vertex.
+        let once = sweep.owners(mp);
+        w.st(once, pending, vids, &Lanes::splat(0u32));
+        let _ = w.atomic_add(once, counter, &Lanes::splat(0u32), &Lanes::splat(1u32));
+        let (s, e) = load_row_range(w, g, mp, vids);
+        sweep.neighbor_loop(w, mp, &s, &e, |w, act, i| {
+            // Decrement alive neighbors (wrapping add of -1 — exactly what
+            // atomicSub compiles to).
+            let nbr = w.ld(act, g.col_indices, i);
+            let nc = w.ld(act, core, &nbr);
+            let m_alive = w.alu_pred(act, &nc, |x| x == PENDING);
+            if m_alive.any() {
+                let _ = w.atomic_add(m_alive, deg, &nbr, &Lanes::splat(u32::MAX));
+            }
+        });
+    })?;
     let peeled = gpu.mem.read(counter, 0);
     Ok((stats, peeled))
 }

@@ -13,13 +13,10 @@
 //! independent reference BFS runs.
 
 use crate::device_graph::DeviceGraph;
-use crate::kernels::common::{
-    load_row_range, scalar_neighbor_loop, vertices_per_pass, vw_neighbor_loop,
-};
+use crate::kernels::common::{item_sweep, load_row_range};
 use crate::method::{ExecConfig, Method};
 use crate::runner::{check_iteration_bound, AlgoRun};
-use crate::vwarp::VwLayout;
-use maxwarp_simt::{BlockCtx, DevPtr, Gpu, Lanes, LaunchError, Mask, WarpCtx};
+use maxwarp_simt::{DevPtr, Gpu, Lanes, LaunchError, Mask, WarpCtx};
 
 /// Level of never-discovered (source, vertex) pairs.
 pub const INF: u32 = u32::MAX;
@@ -187,66 +184,16 @@ fn launch_level(
     let g = *g;
     let (seen, frontier, next, disc, changed) =
         (st.seen, st.frontier, st.next, st.disc, st.changed);
-    match method {
-        Method::Baseline => {
-            let kernel = move |b: &mut BlockCtx<'_>| {
-                b.phase(|w| {
-                    let vid = w.global_thread_ids();
-                    let m = w.lt_scalar(Mask::FULL, &vid, n);
-                    if m.none() {
-                        return;
-                    }
-                    let fm = w.ld(m, frontier, &vid);
-                    let mf = w.alu_pred(m, &fm, |x| x != 0);
-                    if mf.none() {
-                        return;
-                    }
-                    let (s, e) = load_row_range(w, &g, mf, &vid);
-                    let body = ms_edge_body(g, seen, next, disc, changed, n, next_level, fm);
-                    scalar_neighbor_loop(w, mf, &s, &e, body);
-                });
-            };
-            gpu.launch(
-                n.div_ceil(exec.block_threads).max(1),
-                exec.block_threads,
-                &kernel,
-            )
+    item_sweep(gpu, n, method, exec, |w, sweep, vids, m| {
+        let fm = w.ld(m, frontier, vids);
+        let mf = w.alu_pred(m, &fm, |x| x != 0);
+        if mf.none() {
+            return;
         }
-        Method::WarpCentric(opts) => {
-            let layout = VwLayout::new(opts.vw);
-            let vpp = vertices_per_pass(&layout);
-            let chunk = exec.chunk_vertices.max(vpp);
-            let num_tasks = n.div_ceil(chunk);
-            let grid = exec.resident_grid(&gpu.cfg);
-            gpu.launch_warp_tasks(
-                grid,
-                exec.block_threads,
-                num_tasks,
-                opts.schedule(),
-                move |w, task| {
-                    let chunk_base = task * chunk;
-                    let chunk_end = (chunk_base + chunk).min(n);
-                    let mut base = chunk_base;
-                    while base < chunk_end {
-                        let vids = layout.task_ids(base);
-                        let m = w.lt_scalar(Mask::FULL, &vids, chunk_end);
-                        if m.none() {
-                            break;
-                        }
-                        let fm = w.ld(m, frontier, &vids);
-                        let mf = w.alu_pred(m, &fm, |x| x != 0);
-                        if mf.any() {
-                            let (s, e) = load_row_range(w, &g, mf, &vids);
-                            let body =
-                                ms_edge_body(g, seen, next, disc, changed, n, next_level, fm);
-                            vw_neighbor_loop(w, &layout, mf, &s, &e, body);
-                        }
-                        base += vpp;
-                    }
-                },
-            )
-        }
-    }
+        let (s, e) = load_row_range(w, &g, mf, vids);
+        let body = ms_edge_body(g, seen, next, disc, changed, n, next_level, fm);
+        sweep.neighbor_loop(w, mf, &s, &e, body);
+    })
 }
 
 #[cfg(test)]

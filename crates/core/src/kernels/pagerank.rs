@@ -17,13 +17,10 @@
 //! rational PageRank far closer than the `f32` tolerance of the tests.
 
 use crate::device_graph::DeviceGraph;
-use crate::kernels::common::{
-    load_row_range, scalar_neighbor_loop, vertices_per_pass, vw_neighbor_loop,
-};
-use crate::method::{ExecConfig, Method, WarpCentricOpts};
+use crate::kernels::common::{item_sweep, load_row_range};
+use crate::method::{ExecConfig, Method};
 use crate::runner::AlgoRun;
-use crate::vwarp::VwLayout;
-use maxwarp_simt::{BlockCtx, DevPtr, Gpu, Lanes, LaunchError, Mask, WarpCtx};
+use maxwarp_simt::{DevPtr, Gpu, Lanes, LaunchError};
 
 /// Fixed-point scale: rank 1.0 == `PR_SCALE` units (Q2.30).
 pub const PR_SCALE: u32 = 1 << 30;
@@ -104,6 +101,7 @@ impl PagerankState {
 /// vertex in `0..rows` across its out-edges (`rows < len` lets a shard
 /// skip its edge-less ghost slots, which must neither push nor count as
 /// dangling). Stats are absorbed into `run` under a fresh iteration.
+/// Outlier deferral is not wired into the push and is rejected.
 #[allow(clippy::too_many_arguments)]
 pub fn pagerank_push_round(
     gpu: &mut Gpu,
@@ -115,6 +113,12 @@ pub fn pagerank_push_round(
     exec: &ExecConfig,
     run: &mut AlgoRun,
 ) -> Result<(), LaunchError> {
+    if let Method::WarpCentric(o) = method {
+        assert!(
+            o.defer_threshold.is_none(),
+            "outlier deferral is not wired into the PageRank kernels"
+        );
+    }
     run.begin_iteration();
     gpu.mem.fill(st.next, 0u32);
     gpu.mem.write(st.dangling, 0, 0u32);
@@ -122,20 +126,42 @@ pub fn pagerank_push_round(
     if gpu.profiling() {
         gpu.set_profile_label(&format!("pagerank iter {iter}"));
     }
-    let stats = match method {
-        Method::Baseline => {
-            launch_baseline_push(gpu, g, st.rank, st.next, st.dangling, rows, exec)?
+    let (rank, next, dangling) = (st.rank, st.next, st.dangling);
+    let stats = item_sweep(gpu, rows, method, exec, |w, sweep, vids, m| {
+        let (s, e) = load_row_range(w, g, m, vids);
+        let deg = w.alu2(m, &e, &s, |e, s| e.wrapping_sub(s));
+        let r = w.ld(m, rank, vids);
+        let m_dangling = w.alu_pred(m, &deg, |d| d == 0);
+        let m_push = m.andnot(m_dangling);
+        // The share is the round-to-nearest fixed-point quotient
+        // `rank / degree`.
+        let share = w.alu2(m_push, &r, &deg, |r, d| {
+            if d > 0 {
+                ((r as u64 + d as u64 / 2) / d as u64) as u32
+            } else {
+                0
+            }
+        });
+        // A dangling vertex adds its rank to the global cell once.
+        let m_dl = sweep.owners(m_dangling);
+        if m_dl.any() {
+            let r = w.ld(m_dl, rank, vids);
+            let _ = w.atomic_add(m_dl, dangling, &Lanes::splat(0), &r);
         }
-        Method::WarpCentric(opts) => {
-            launch_warp_push(gpu, g, st.rank, st.next, st.dangling, rows, opts, exec)?
+        if m_push.any() {
+            sweep.neighbor_loop(w, m_push, &s, &e, |w, act, i| {
+                let nbr = w.ld(act, g.col_indices, i);
+                let _ = w.atomic_add(act, next, &nbr, &share);
+            });
         }
-    };
+    })?;
     run.absorb(&stats);
     Ok(())
 }
 
-/// The damping/teleport map over `0..rows`: `next[v] = base_fp + d*next[v]`.
-/// Stats absorb into the current iteration; the caller swaps buffers after.
+/// The damping/teleport map over `0..rows`: `next[v] = base_fp + d*next[v]`
+/// (a uniform map kernel, identical for every method). Stats absorb into
+/// the current iteration; the caller swaps buffers after.
 pub fn pagerank_apply_round(
     gpu: &mut Gpu,
     st: &PagerankState,
@@ -145,22 +171,14 @@ pub fn pagerank_apply_round(
     exec: &ExecConfig,
     run: &mut AlgoRun,
 ) -> Result<(), LaunchError> {
-    let s = launch_apply(gpu, rows, st.next, base_fp, d_fp, exec)?;
+    let next = st.next;
+    let s = item_sweep(gpu, rows, Method::Baseline, exec, |w, _, vid, m| {
+        let v = w.ld(m, next, vid);
+        let r = w.alu1(m, &v, |x| base_fp + mul_fp(d_fp, x));
+        w.st(m, next, vid, &r);
+    })?;
     run.absorb(&s);
     Ok(())
-}
-
-/// Push each active vertex's `share` across the edges at indices `i`.
-fn push_rank(
-    w: &mut WarpCtx<'_>,
-    g: &DeviceGraph,
-    next: DevPtr<u32>,
-    share: &Lanes<u32>,
-    act: Mask,
-    i: &Lanes<u32>,
-) {
-    let nbr = w.ld(act, g.col_indices, i);
-    let _ = w.atomic_add(act, next, &nbr, share);
 }
 
 /// Run `iters` PageRank iterations with damping `d`.
@@ -181,8 +199,7 @@ pub fn run_pagerank(
     for it in 0..iters {
         pagerank_push_round(gpu, g, &st, n, it, method, exec, &mut run)?;
 
-        // Apply damping + teleport + dangling redistribution (a uniform map
-        // kernel, identical for every method).
+        // Apply damping + teleport + dangling redistribution.
         let dang = gpu.mem.read(st.dangling, 0);
         let base_fp = pagerank_base_fp(n, d_fp, dang);
         pagerank_apply_round(gpu, &st, n, base_fp, d_fp, exec, &mut run)?;
@@ -197,151 +214,14 @@ pub fn run_pagerank(
     Ok(PagerankOutput { ranks, run })
 }
 
-/// Compute per-lane shares and flag dangling vertices; shared by both push
-/// variants. Returns `(share, m_dangling, m_push)`. The share is the
-/// round-to-nearest fixed-point quotient `rank / degree`.
-fn shares(
-    w: &mut WarpCtx<'_>,
-    rank: DevPtr<u32>,
-    vids: &Lanes<u32>,
-    m: Mask,
-    s: &Lanes<u32>,
-    e: &Lanes<u32>,
-) -> (Lanes<u32>, Mask, Mask) {
-    let deg = w.alu2(m, e, s, |e, s| e.wrapping_sub(s));
-    let r = w.ld(m, rank, vids);
-    let m_dangling = w.alu_pred(m, &deg, |d| d == 0);
-    let m_push = m.andnot(m_dangling);
-    let share = w.alu2(m_push, &r, &deg, |r, d| {
-        if d > 0 {
-            ((r as u64 + d as u64 / 2) / d as u64) as u32
-        } else {
-            0
-        }
-    });
-    (share, m_dangling, m_push)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn launch_baseline_push(
-    gpu: &mut Gpu,
-    g: &DeviceGraph,
-    rank: DevPtr<u32>,
-    next: DevPtr<u32>,
-    dangling: DevPtr<u32>,
-    rows: u32,
-    exec: &ExecConfig,
-) -> Result<maxwarp_simt::KernelStats, LaunchError> {
-    let g = *g;
-    let kernel = move |b: &mut BlockCtx<'_>| {
-        b.phase(|w| {
-            let vid = w.global_thread_ids();
-            let m = w.lt_scalar(Mask::FULL, &vid, rows);
-            if m.none() {
-                return;
-            }
-            let (s, e) = load_row_range(w, &g, m, &vid);
-            let (share, m_dangling, m_push) = shares(w, rank, &vid, m, &s, &e);
-            if m_dangling.any() {
-                let r = w.ld(m_dangling, rank, &vid);
-                let _ = w.atomic_add(m_dangling, dangling, &Lanes::splat(0), &r);
-            }
-            if m_push.any() {
-                scalar_neighbor_loop(w, m_push, &s, &e, |w, act, i| {
-                    push_rank(w, &g, next, &share, act, i);
-                });
-            }
-        });
-    };
-    let grid = rows.div_ceil(exec.block_threads).max(1);
-    gpu.launch(grid, exec.block_threads, &kernel)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn launch_warp_push(
-    gpu: &mut Gpu,
-    g: &DeviceGraph,
-    rank: DevPtr<u32>,
-    next: DevPtr<u32>,
-    dangling: DevPtr<u32>,
-    rows: u32,
-    opts: WarpCentricOpts,
-    exec: &ExecConfig,
-) -> Result<maxwarp_simt::KernelStats, LaunchError> {
-    let g = *g;
-    let layout = VwLayout::new(opts.vw);
-    let vpp = vertices_per_pass(&layout);
-    let chunk = exec.chunk_vertices.max(vpp);
-    let num_tasks = rows.div_ceil(chunk).max(1);
-    let grid = exec.resident_grid(&gpu.cfg);
-
-    gpu.launch_warp_tasks(
-        grid,
-        exec.block_threads,
-        num_tasks,
-        opts.schedule(),
-        move |w, task| {
-            let chunk_base = task * chunk;
-            let chunk_end = (chunk_base + chunk).min(rows);
-            let mut base = chunk_base;
-            while base < chunk_end {
-                let vids = layout.task_ids(base);
-                let m = w.lt_scalar(Mask::FULL, &vids, chunk_end);
-                if m.none() {
-                    break;
-                }
-                let (s, e) = load_row_range(w, &g, m, &vids);
-                let (share, m_dangling, m_push) = shares(w, rank, &vids, m, &s, &e);
-                // Only virtual-warp leaders contribute the dangling rank
-                // (every lane of a vw holds the same vertex).
-                let m_dl = m_dangling & layout.leaders;
-                if m_dl.any() {
-                    let r = w.ld(m_dl, rank, &vids);
-                    let _ = w.atomic_add(m_dl, dangling, &Lanes::splat(0), &r);
-                }
-                if m_push.any() {
-                    vw_neighbor_loop(w, &layout, m_push, &s, &e, |w, act, i| {
-                        push_rank(w, &g, next, &share, act, i);
-                    });
-                }
-                base += vpp;
-            }
-        },
-    )
-}
-
-/// `next[v] = base_fp + d * next[v]` — the uniform apply kernel.
-fn launch_apply(
-    gpu: &mut Gpu,
-    rows: u32,
-    next: DevPtr<u32>,
-    base_fp: u32,
-    d_fp: u64,
-    exec: &ExecConfig,
-) -> Result<maxwarp_simt::KernelStats, LaunchError> {
-    let kernel = move |b: &mut BlockCtx<'_>| {
-        b.phase(|w| {
-            let vid = w.global_thread_ids();
-            let m = w.lt_scalar(Mask::FULL, &vid, rows);
-            if m.none() {
-                return;
-            }
-            let v = w.ld(m, next, &vid);
-            let r = w.alu1(m, &v, |x| base_fp + mul_fp(d_fp, x));
-            w.st(m, next, &vid, &r);
-        });
-    };
-    let grid = rows.div_ceil(exec.block_threads).max(1);
-    gpu.launch(grid, exec.block_threads, &kernel)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::method::WarpCentricOpts;
     use crate::vwarp::VirtualWarp;
     use maxwarp_cpu::pagerank::{pagerank_push, rank_linf};
     use maxwarp_graph::{Dataset, Scale};
-    use maxwarp_simt::{Gpu, GpuConfig};
+    use maxwarp_simt::{Gpu, GpuConfig, KernelStats};
 
     fn methods() -> Vec<Method> {
         vec![
@@ -438,6 +318,38 @@ mod tests {
             .collect();
         for r in &runs[1..] {
             assert_eq!(&runs[0], r, "fixed-point ranks must not depend on method");
+        }
+    }
+
+    #[test]
+    fn zero_row_push_visits_nothing() {
+        // An all-ghost shard pushes `rows == 0` of its `len` slots.
+        let g = Dataset::Rmat.build(Scale::Tiny);
+        for method in methods() {
+            let mut gpu = Gpu::new(GpuConfig::tiny_test());
+            let dg = DeviceGraph::upload(&mut gpu, &g);
+            let st = PagerankState::new(&mut gpu, dg.n, 7);
+            let mut run = AlgoRun::default();
+            let exec = ExecConfig::default();
+            pagerank_push_round(&mut gpu, &dg, &st, 0, 0, method, &exec, &mut run).unwrap();
+            let s = run.stats;
+            match method {
+                // One block; each of its warps fails the bounds check.
+                Method::Baseline => {
+                    let warps = (exec.block_threads / 32) as u64;
+                    assert_eq!((s.blocks, s.warps, s.instructions), (1, warps, warps));
+                    assert_eq!(s.mem_instructions + s.atomic_instructions, 0);
+                }
+                // No chunk, no task — and no queue fetch under `+dyn`.
+                Method::WarpCentric(_) => {
+                    let none = KernelStats {
+                        blocks: s.blocks,
+                        ..KernelStats::default()
+                    };
+                    assert_eq!(s, none, "{}", method.label());
+                }
+            }
+            assert_eq!(run.iterations, 1);
         }
     }
 

@@ -10,11 +10,10 @@
 //!   leader writes the result.
 
 use crate::device_graph::DeviceGraph;
-use crate::kernels::common::{load_row_range, vertices_per_pass};
+use crate::kernels::common::{item_sweep, load_row_range, Sweep};
 use crate::method::{ExecConfig, Method};
 use crate::runner::AlgoRun;
-use crate::vwarp::VwLayout;
-use maxwarp_simt::{BlockCtx, DevPtr, Gpu, Lanes, LaunchError, Mask};
+use maxwarp_simt::{Gpu, Lanes, LaunchError};
 
 /// Result of an SpMV run.
 #[derive(Clone, Debug)]
@@ -65,114 +64,30 @@ pub fn run_spmv(
 
     let mut run = AlgoRun::default();
     run.begin_iteration();
-    let stats = match method {
-        Method::Baseline => launch_scalar(gpu, g, d_vals, d_x, d_y, exec)?,
-        Method::WarpCentric(opts) => {
-            launch_vector(gpu, g, d_vals, d_x, d_y, VwLayout::new(opts.vw), exec)?
-        }
-    };
+    let stats = item_sweep(gpu, g.n, method, exec, |w, sweep, rows, m| {
+        let (s, e) = load_row_range(w, g, m, rows);
+        let mut acc = Lanes::splat(0.0f32);
+        sweep.neighbor_loop(w, m, &s, &e, |w, act, i| {
+            let c = w.ld(act, g.col_indices, i);
+            let a = w.ld(act, d_vals, i);
+            let xv = w.ld(act, d_x, &c);
+            let prod = w.alu2(act, &a, &xv, |p, q| p * q);
+            let acc2 = w.alu2(act, &acc, &prod, |p, q| p + q);
+            acc = acc2.select(act, &acc);
+        });
+        // Scalar CSR: the lane's sum is the row's dot product. Vector CSR:
+        // a segmented shuffle tree sums the K partials for the leader.
+        let total = match sweep {
+            Sweep::PerThread => acc,
+            Sweep::PerVirtualWarp(l) => w.seg_reduce_add_f32(m, &acc, l.vw.k() as usize),
+        };
+        w.st(sweep.owners(m), d_y, rows, &total);
+    })?;
     run.absorb(&stats);
     Ok(SpmvOutput {
         y: gpu.mem.download(d_y),
         run,
     })
-}
-
-/// Scalar CSR: thread per row.
-fn launch_scalar(
-    gpu: &mut Gpu,
-    g: &DeviceGraph,
-    vals: DevPtr<f32>,
-    x: DevPtr<f32>,
-    y: DevPtr<f32>,
-    exec: &ExecConfig,
-) -> Result<maxwarp_simt::KernelStats, LaunchError> {
-    let g = *g;
-    let n = g.n;
-    let kernel = move |b: &mut BlockCtx<'_>| {
-        b.phase(|w| {
-            let row = w.global_thread_ids();
-            let m = w.lt_scalar(Mask::FULL, &row, n);
-            if m.none() {
-                return;
-            }
-            let (s, e) = load_row_range(w, &g, m, &row);
-            let mut acc = Lanes::splat(0.0f32);
-            let mut i = s;
-            let mut act = w.lt(m, &i, &e);
-            while act.any() {
-                let c = w.ld(act, g.col_indices, &i);
-                let a = w.ld(act, vals, &i);
-                let xv = w.ld(act, x, &c);
-                let prod = w.alu2(act, &a, &xv, |p, q| p * q);
-                let acc2 = w.alu2(act, &acc, &prod, |p, q| p + q);
-                acc = acc2.select(act, &acc);
-                i = w.add_scalar(act, &i, 1);
-                act = act & w.lt(act, &i, &e);
-            }
-            w.st(m, y, &row, &acc);
-        });
-    };
-    gpu.launch(
-        n.div_ceil(exec.block_threads).max(1),
-        exec.block_threads,
-        &kernel,
-    )
-}
-
-/// Vector CSR: virtual warp per row, segmented reduction, leader store.
-fn launch_vector(
-    gpu: &mut Gpu,
-    g: &DeviceGraph,
-    vals: DevPtr<f32>,
-    x: DevPtr<f32>,
-    y: DevPtr<f32>,
-    layout: VwLayout,
-    exec: &ExecConfig,
-) -> Result<maxwarp_simt::KernelStats, LaunchError> {
-    let g = *g;
-    let n = g.n;
-    let vpp = vertices_per_pass(&layout);
-    let k = layout.vw.k();
-    let chunk = exec.chunk_vertices.max(vpp);
-    let num_tasks = n.div_ceil(chunk);
-    let grid = exec.resident_grid(&gpu.cfg);
-    gpu.launch_warp_tasks(
-        grid,
-        exec.block_threads,
-        num_tasks,
-        maxwarp_simt::TaskSchedule::StaticBlocked,
-        move |w, task| {
-            let chunk_base = task * chunk;
-            let chunk_end = (chunk_base + chunk).min(n);
-            let mut base = chunk_base;
-            while base < chunk_end {
-                let rows = layout.task_ids(base);
-                let m = w.lt_scalar(Mask::FULL, &rows, chunk_end);
-                if m.none() {
-                    break;
-                }
-                let (s, e) = load_row_range(w, &g, m, &rows);
-                let mut acc = Lanes::splat(0.0f32);
-                let mut i = w.add(m, &s, &layout.lane_in_vw);
-                let mut act = w.lt(m, &i, &e);
-                while act.any() {
-                    let c = w.ld(act, g.col_indices, &i);
-                    let a = w.ld(act, vals, &i);
-                    let xv = w.ld(act, x, &c);
-                    let prod = w.alu2(act, &a, &xv, |p, q| p * q);
-                    let acc2 = w.alu2(act, &acc, &prod, |p, q| p + q);
-                    acc = acc2.select(act, &acc);
-                    i = w.add_scalar(act, &i, k);
-                    act = act & w.lt(act, &i, &e);
-                }
-                let total = w.seg_reduce_add_f32(m, &acc, k as usize);
-                let leaders = m & layout.leaders;
-                w.st(leaders, y, &rows, &total);
-                base += vpp;
-            }
-        },
-    )
 }
 
 #[cfg(test)]

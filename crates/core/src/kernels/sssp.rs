@@ -6,13 +6,10 @@
 //! per-virtual-warp adjacency iteration.
 
 use crate::device_graph::DeviceGraph;
-use crate::kernels::common::{
-    defer_outliers, load_row_range, scalar_neighbor_loop, vertices_per_pass, vw_neighbor_loop,
-};
-use crate::method::{ExecConfig, Method, WarpCentricOpts};
+use crate::kernels::common::{item_sweep, load_row_range, outlier_sweep, OutlierQueue};
+use crate::method::{ExecConfig, Method};
 use crate::runner::{check_iteration_bound, AlgoRun};
-use crate::vwarp::VwLayout;
-use maxwarp_simt::{BlockCtx, DevPtr, Gpu, Lanes, LaunchError, Mask, WarpCtx, WARP_SIZE};
+use maxwarp_simt::{DevPtr, Gpu, Lanes, LaunchError, Mask, WarpCtx};
 
 /// Distance of unreached vertices.
 pub const INF: u32 = u32::MAX;
@@ -86,45 +83,43 @@ pub fn sssp_round(
     if gpu.profiling() {
         gpu.set_profile_label(&format!("sssp round {round}"));
     }
-    let stats = match method {
-        Method::Baseline => launch_baseline_round(gpu, g, weights, st, exec)?,
-        Method::WarpCentric(opts) => launch_warp_round(gpu, g, weights, st, opts, exec)?,
+    let (g, dist, changed) = (*g, st.dist, st.changed);
+    let outliers = OutlierQueue::new(method, st.queue, st.qcount);
+
+    // Per-edge action: relax the edges at indices `i` from source
+    // distances `du`.
+    let relax = move |w: &mut WarpCtx<'_>, du: &Lanes<u32>, act: Mask, i: &Lanes<u32>| {
+        let nbr = w.ld(act, g.col_indices, i);
+        let wt = w.ld(act, weights, i);
+        let nd = w.alu2(act, du, &wt, |d, x| d.saturating_add(x).min(INF - 1));
+        let old = w.atomic_min(act, dist, &nbr, &nd);
+        let improved = w.lt(act, &nd, &old);
+        if improved.any() {
+            w.st_uniform(improved, changed, 0, 1);
+        }
     };
+
+    let stats = item_sweep(gpu, g.n, method, exec, |w, sweep, vids, m| {
+        let du = w.ld(m, dist, vids);
+        let mf = w.alu_pred(m, &du, |d| d != INF);
+        if mf.none() {
+            return;
+        }
+        let (s, e) = load_row_range(w, &g, mf, vids);
+        let mwork = sweep.defer_outliers(w, &outliers, mf, vids, &s, &e);
+        if mwork.any() {
+            sweep.neighbor_loop(w, mwork, &s, &e, |w, act, i| relax(w, &du, act, i));
+        }
+    })?;
     run.absorb(&stats);
 
-    if let Method::WarpCentric(opts) = method {
-        if opts.defer_threshold.is_some() {
-            let qc = gpu.mem.read(st.qcount, 0);
-            if qc > 0 {
-                let s = launch_outlier_round(gpu, g, weights, st, qc, exec)?;
-                run.absorb(&s);
-            }
-        }
+    // Outlier pass: whole blocks relax the deferred high-degree vertices.
+    let source_dist = |w: &mut WarpCtx<'_>, v: u32| Lanes::splat(w.ld_uniform(Mask::FULL, dist, v));
+    if let Some(s) = outlier_sweep(gpu, &g, &outliers, exec, source_dist, relax)? {
+        run.absorb(&s);
     }
 
     Ok(gpu.mem.read(st.changed, 0) != 0)
-}
-
-/// Relax the edges at indices `i` from source distances `du`.
-#[allow(clippy::too_many_arguments)]
-fn relax_edges(
-    w: &mut WarpCtx<'_>,
-    g: &DeviceGraph,
-    weights: DevPtr<u32>,
-    dist: DevPtr<u32>,
-    changed: DevPtr<u32>,
-    du: &Lanes<u32>,
-    act: Mask,
-    i: &Lanes<u32>,
-) {
-    let nbr = w.ld(act, g.col_indices, i);
-    let wt = w.ld(act, weights, i);
-    let nd = w.alu2(act, du, &wt, |d, x| d.saturating_add(x).min(INF - 1));
-    let old = w.atomic_min(act, dist, &nbr, &nd);
-    let improved = w.lt(act, &nd, &old);
-    if improved.any() {
-        w.st_uniform(improved, changed, 0, 1);
-    }
 }
 
 /// Run SSSP from `src`. The device graph must carry weights
@@ -167,133 +162,10 @@ pub fn run_sssp(
     })
 }
 
-fn launch_baseline_round(
-    gpu: &mut Gpu,
-    g: &DeviceGraph,
-    weights: DevPtr<u32>,
-    st: &SsspState,
-    exec: &ExecConfig,
-) -> Result<maxwarp_simt::KernelStats, LaunchError> {
-    let (g, dist, changed) = (*g, st.dist, st.changed);
-    let n = g.n;
-    let kernel = move |b: &mut BlockCtx<'_>| {
-        b.phase(|w| {
-            let vid = w.global_thread_ids();
-            let m = w.lt_scalar(Mask::FULL, &vid, n);
-            if m.none() {
-                return;
-            }
-            let du = w.ld(m, dist, &vid);
-            let mf = w.alu_pred(m, &du, |d| d != INF);
-            if mf.none() {
-                return;
-            }
-            let (s, e) = load_row_range(w, &g, mf, &vid);
-            scalar_neighbor_loop(w, mf, &s, &e, |w, act, i| {
-                relax_edges(w, &g, weights, dist, changed, &du, act, i);
-            });
-        });
-    };
-    let grid = n.div_ceil(exec.block_threads).max(1);
-    gpu.launch(grid, exec.block_threads, &kernel)
-}
-
-fn launch_warp_round(
-    gpu: &mut Gpu,
-    g: &DeviceGraph,
-    weights: DevPtr<u32>,
-    st: &SsspState,
-    opts: WarpCentricOpts,
-    exec: &ExecConfig,
-) -> Result<maxwarp_simt::KernelStats, LaunchError> {
-    let (g, dist, changed, queue, qcount) = (*g, st.dist, st.changed, st.queue, st.qcount);
-    let layout = VwLayout::new(opts.vw);
-    let vpp = vertices_per_pass(&layout);
-    let n = g.n;
-    let chunk = exec.chunk_vertices.max(vpp);
-    let num_tasks = n.div_ceil(chunk);
-    let grid = exec.resident_grid(&gpu.cfg);
-
-    gpu.launch_warp_tasks(
-        grid,
-        exec.block_threads,
-        num_tasks,
-        opts.schedule(),
-        move |w, task| {
-            let chunk_base = task * chunk;
-            let chunk_end = (chunk_base + chunk).min(n);
-            let mut base = chunk_base;
-            while base < chunk_end {
-                let vids = layout.task_ids(base);
-                let m = w.lt_scalar(Mask::FULL, &vids, chunk_end);
-                if m.none() {
-                    break;
-                }
-                let du = w.ld(m, dist, &vids);
-                let mf = w.alu_pred(m, &du, |d| d != INF);
-                if mf.any() {
-                    let (s, e) = load_row_range(w, &g, mf, &vids);
-                    let mwork = match opts.defer_threshold {
-                        Some(t) => defer_outliers(w, &layout, mf, &vids, &s, &e, t, queue, qcount),
-                        None => mf,
-                    };
-                    if mwork.any() {
-                        vw_neighbor_loop(w, &layout, mwork, &s, &e, |w, act, i| {
-                            relax_edges(w, &g, weights, dist, changed, &du, act, i);
-                        });
-                    }
-                }
-                base += vpp;
-            }
-        },
-    )
-}
-
-/// Block-cooperative relaxation of deferred high-degree vertices. Unlike
-/// BFS, the edge body needs the source distance, so this does not reuse
-/// [`outlier_kernel`](crate::kernels::common::outlier_kernel) directly.
-fn launch_outlier_round(
-    gpu: &mut Gpu,
-    g: &DeviceGraph,
-    weights: DevPtr<u32>,
-    st: &SsspState,
-    qc: u32,
-    exec: &ExecConfig,
-) -> Result<maxwarp_simt::KernelStats, LaunchError> {
-    let (g, dist, changed, queue) = (*g, st.dist, st.changed, st.queue);
-    let kernel = move |b: &mut BlockCtx<'_>| {
-        let bid = b.block_id();
-        let stride = b.num_blocks();
-        let bthreads = b.threads_per_block();
-        let mut qi = bid;
-        while qi < qc {
-            b.phase(|w| {
-                let v = w.ld_uniform(Mask::FULL, queue, qi);
-                let duv = w.ld_uniform(Mask::FULL, dist, v);
-                let du = Lanes::splat(duv);
-                let s = w.ld_uniform(Mask::FULL, g.row_offsets, v);
-                let e = w.ld_uniform(Mask::FULL, g.row_offsets, v + 1);
-                let base = w.id().warp_in_block * WARP_SIZE as u32;
-                let offs = Lanes::from_fn(|l| base + l as u32);
-                let mut i = w.alu1(Mask::FULL, &offs, |o| s.wrapping_add(o));
-                let endv = Lanes::splat(e);
-                let mut act = w.lt(Mask::FULL, &i, &endv);
-                while act.any() {
-                    relax_edges(w, &g, weights, dist, changed, &du, act, &i);
-                    i = w.add_scalar(act, &i, bthreads);
-                    act = w.lt(act, &i, &endv);
-                }
-            });
-            qi += stride;
-        }
-    };
-    let grid = qc.min(exec.resident_grid(&gpu.cfg));
-    gpu.launch(grid, exec.block_threads, &kernel)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::method::WarpCentricOpts;
     use crate::vwarp::VirtualWarp;
     use maxwarp_graph::reference::sssp_dijkstra;
     use maxwarp_graph::{random_weights, Dataset, Scale};

@@ -17,12 +17,11 @@
 //!   coalesce.
 
 use crate::device_graph::DeviceGraph;
-use crate::kernels::common::load_row_range;
-use crate::method::{ExecConfig, Method, WarpCentricOpts};
+use crate::kernels::common::{item_fold, load_row_range, Sweep};
+use crate::method::{ExecConfig, Method};
 use crate::runner::AlgoRun;
-use crate::vwarp::VwLayout;
 use maxwarp_graph::{forward_graph, Csr, Orientation};
-use maxwarp_simt::{BlockCtx, DevPtr, Gpu, Lanes, LaunchError, Mask};
+use maxwarp_simt::{DevPtr, Gpu, Lanes, LaunchError, Mask, WarpCtx};
 
 /// Result of a triangle-count run.
 #[derive(Clone, Debug)]
@@ -87,159 +86,129 @@ pub fn run_triangles(
     let dev = upload_forward(gpu, &fwd);
     let mut run = AlgoRun::default();
     run.begin_iteration();
-    let stats = match method {
-        Method::Baseline => launch_baseline(gpu, &dev, exec)?,
-        Method::WarpCentric(opts) => launch_warp(gpu, &dev, opts, exec)?,
-    };
+    let (g, edge_src, counter) = (dev.g, dev.edge_src, dev.counter);
+
+    // The items are forward edges `(u, v)`. Each warp keeps per-lane match
+    // counts (plus the lanes it will reduce over) across the edges it
+    // visits and publishes them with one reduction and one atomic.
+    let stats = item_fold(
+        gpu,
+        g.m,
+        method,
+        exec,
+        || (Lanes::splat(0u32), Mask::NONE),
+        |w, sweep, eid, m, (cnt, counted)| {
+            let u = w.ld(m, edge_src, eid);
+            let v = w.ld(m, g.col_indices, eid);
+            let nu = load_row_range(w, &g, m, &u);
+            let nv = load_row_range(w, &g, m, &v);
+            match sweep {
+                Sweep::PerThread => {
+                    *counted = m;
+                    merge_count(w, &g, m, nu, nv, cnt);
+                }
+                Sweep::PerVirtualWarp(_) => {
+                    // Inactive lanes hold zero counts, so the task reduces
+                    // the full warp.
+                    *counted = Mask::FULL;
+                    sweep.neighbor_loop(w, m, &nv.0, &nv.1, |w, act, idx| {
+                        search_count(w, &g, act, idx, &nu, cnt);
+                    });
+                }
+            }
+        },
+        |w, (cnt, counted)| {
+            let total = w.reduce_add(counted, &cnt);
+            if total > 0 {
+                let _ = w.atomic_add_uniform(counted, counter, 0, total);
+            }
+        },
+    )?;
     run.absorb(&stats);
     let count = gpu.mem.read(dev.counter, 0) as u64;
     Ok(TriangleOutput { count, run })
 }
 
-/// Thread-per-edge two-pointer merge.
-fn launch_baseline(
-    gpu: &mut Gpu,
-    dev: &FwdDevice,
-    exec: &ExecConfig,
-) -> Result<maxwarp_simt::KernelStats, LaunchError> {
-    let (g, edge_src, counter) = (dev.g, dev.edge_src, dev.counter);
-    let m_edges = g.m;
-    let kernel = move |b: &mut BlockCtx<'_>| {
-        b.phase(|w| {
-            let eid = w.global_thread_ids();
-            let m = w.lt_scalar(Mask::FULL, &eid, m_edges);
-            if m.none() {
-                return;
-            }
-            let u = w.ld(m, edge_src, &eid);
-            let v = w.ld(m, g.col_indices, &eid);
-            let (su, eu) = load_row_range(w, &g, m, &u);
-            let (sv, ev) = load_row_range(w, &g, m, &v);
+/// Half-open edge-index ranges `(start, end)` of the active lanes' lists.
+type Ranges = (Lanes<u32>, Lanes<u32>);
 
-            let mut i = su;
-            let mut j = sv;
-            let mut cnt = Lanes::splat(0u32);
-            let li = w.lt(m, &i, &eu);
-            let lj = w.lt(m, &j, &ev);
-            let mut act = li & lj;
-            while act.any() {
-                let a = w.ld(act, g.col_indices, &i);
-                let bb = w.ld(act, g.col_indices, &j);
-                let a_lt = w.lt(act, &a, &bb);
-                let b_lt = w.lt(act, &bb, &a);
-                let eq = act.andnot(a_lt).andnot(b_lt);
-                if eq.any() {
-                    let c2 = w.alu1(eq, &cnt, |c| c + 1);
-                    cnt = c2.select(eq, &cnt);
-                }
-                // Advance i where a <= b, j where b <= a.
-                let adv_i = act.andnot(b_lt);
-                let adv_j = act.andnot(a_lt);
-                let i2 = w.add_scalar(adv_i, &i, 1);
-                i = i2.select(adv_i, &i);
-                let j2 = w.add_scalar(adv_j, &j, 1);
-                j = j2.select(adv_j, &j);
-                let li = w.lt(act, &i, &eu);
-                let lj = w.lt(act, &j, &ev);
-                act = li & lj;
-            }
-            // Warp-reduce the per-lane counts, one atomic per warp.
-            let total = w.reduce_add(m, &cnt);
-            if total > 0 {
-                let _ = w.atomic_add_uniform(m, counter, 0, total);
-            }
-        });
-    };
-    let grid = m_edges.div_ceil(exec.block_threads).max(1);
-    gpu.launch(grid, exec.block_threads, &kernel)
+/// Thread-per-edge: a two-pointer merge of `N+(u)` and `N+(v)`, counting
+/// common entries into `cnt`.
+fn merge_count(
+    w: &mut WarpCtx<'_>,
+    g: &DeviceGraph,
+    m: Mask,
+    (su, eu): Ranges,
+    (sv, ev): Ranges,
+    cnt: &mut Lanes<u32>,
+) {
+    let mut i = su;
+    let mut j = sv;
+    let li = w.lt(m, &i, &eu);
+    let lj = w.lt(m, &j, &ev);
+    let mut act = li & lj;
+    while act.any() {
+        let a = w.ld(act, g.col_indices, &i);
+        let bb = w.ld(act, g.col_indices, &j);
+        let a_lt = w.lt(act, &a, &bb);
+        let b_lt = w.lt(act, &bb, &a);
+        let eq = act.andnot(a_lt).andnot(b_lt);
+        if eq.any() {
+            let c2 = w.alu1(eq, cnt, |c| c + 1);
+            *cnt = c2.select(eq, cnt);
+        }
+        // Advance i where a <= b, j where b <= a.
+        let adv_i = act.andnot(b_lt);
+        let adv_j = act.andnot(a_lt);
+        let i2 = w.add_scalar(adv_i, &i, 1);
+        i = i2.select(adv_i, &i);
+        let j2 = w.add_scalar(adv_j, &j, 1);
+        j = j2.select(adv_j, &j);
+        let li = w.lt(act, &i, &eu);
+        let lj = w.lt(act, &j, &ev);
+        act = li & lj;
+    }
 }
 
-/// Virtual-warp-per-edge: lanes stride `N+(v)`, binary-searching `N+(u)`.
-fn launch_warp(
-    gpu: &mut Gpu,
-    dev: &FwdDevice,
-    opts: WarpCentricOpts,
-    exec: &ExecConfig,
-) -> Result<maxwarp_simt::KernelStats, LaunchError> {
-    let (g, edge_src, counter) = (dev.g, dev.edge_src, dev.counter);
-    let m_edges = g.m;
-    let layout = VwLayout::new(opts.vw);
-    let vpp = layout.vw.per_physical();
-    let k = layout.vw.k();
-    let chunk = exec.chunk_vertices.max(vpp);
-    let num_tasks = m_edges.div_ceil(chunk);
-    let grid = exec.resident_grid(&gpu.cfg);
-
-    gpu.launch_warp_tasks(
-        grid,
-        exec.block_threads,
-        num_tasks,
-        opts.schedule(),
-        move |w, task| {
-            let chunk_base = task * chunk;
-            let chunk_end = (chunk_base + chunk).min(m_edges);
-            let mut base = chunk_base;
-            let mut warp_cnt = Lanes::splat(0u32);
-            let mut any_work = Mask::NONE;
-            while base < chunk_end {
-                let eid = layout.task_ids(base);
-                let m = w.lt_scalar(Mask::FULL, &eid, chunk_end);
-                if m.none() {
-                    break;
-                }
-                any_work |= m;
-                let u = w.ld(m, edge_src, &eid);
-                let v = w.ld(m, g.col_indices, &eid);
-                let (su, eu) = load_row_range(w, &g, m, &u);
-                let (sv, ev) = load_row_range(w, &g, m, &v);
-
-                // SIMD phase: lanes stride N+(v).
-                let mut idx = w.add(m, &sv, &layout.lane_in_vw);
-                let mut act = w.lt(m, &idx, &ev);
-                while act.any() {
-                    let x = w.ld(act, g.col_indices, &idx);
-                    // Binary search x in N+(u) = cols[su..eu].
-                    let mut lo = su;
-                    let mut hi = eu;
-                    let mut found = Mask::NONE;
-                    let mut searching = act & w.lt(act, &lo, &hi);
-                    while searching.any() {
-                        let mid = w.alu2(searching, &lo, &hi, |l, h| l + (h - l) / 2);
-                        let a = w.ld(searching, g.col_indices, &mid);
-                        let a_lt = w.lt(searching, &a, &x);
-                        let x_lt = w.lt(searching, &x, &a);
-                        let eq = searching.andnot(a_lt).andnot(x_lt);
-                        found |= eq;
-                        // lo = mid+1 where a < x; hi = mid where x < a;
-                        // matched lanes leave the loop.
-                        let lo2 = w.add_scalar(a_lt, &mid, 1);
-                        lo = lo2.select(a_lt, &lo);
-                        hi = mid.select(x_lt, &hi);
-                        searching = searching.andnot(eq) & w.lt(searching, &lo, &hi);
-                    }
-                    if found.any() {
-                        let c2 = w.alu1(found, &warp_cnt, |c| c + 1);
-                        warp_cnt = c2.select(found, &warp_cnt);
-                    }
-                    idx = w.add_scalar(act, &idx, k);
-                    act = act & w.lt(act, &idx, &ev);
-                }
-                base += vpp;
-            }
-            if any_work.any() {
-                // Inactive lanes hold zero counts, so reduce the full warp.
-                let total = w.reduce_add(Mask::FULL, &warp_cnt);
-                if total > 0 {
-                    let _ = w.atomic_add_uniform(Mask::FULL, counter, 0, total);
-                }
-            }
-        },
-    )
+/// Virtual-warp-per-edge, one stride of `N+(v)`: each active lane holds
+/// the entry at `idx` and binary-searches it in `N+(u) = cols[su..eu]`.
+fn search_count(
+    w: &mut WarpCtx<'_>,
+    g: &DeviceGraph,
+    act: Mask,
+    idx: &Lanes<u32>,
+    (su, eu): &Ranges,
+    cnt: &mut Lanes<u32>,
+) {
+    let x = w.ld(act, g.col_indices, idx);
+    let mut lo = *su;
+    let mut hi = *eu;
+    let mut found = Mask::NONE;
+    let mut searching = act & w.lt(act, &lo, &hi);
+    while searching.any() {
+        let mid = w.alu2(searching, &lo, &hi, |l, h| l + (h - l) / 2);
+        let a = w.ld(searching, g.col_indices, &mid);
+        let a_lt = w.lt(searching, &a, &x);
+        let x_lt = w.lt(searching, &x, &a);
+        let eq = searching.andnot(a_lt).andnot(x_lt);
+        found |= eq;
+        // lo = mid+1 where a < x; hi = mid where x < a; matched lanes
+        // leave the loop.
+        let lo2 = w.add_scalar(a_lt, &mid, 1);
+        lo = lo2.select(a_lt, &lo);
+        hi = mid.select(x_lt, &hi);
+        searching = searching.andnot(eq) & w.lt(searching, &lo, &hi);
+    }
+    if found.any() {
+        let c2 = w.alu1(found, cnt, |c| c + 1);
+        *cnt = c2.select(found, cnt);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::method::WarpCentricOpts;
     use crate::vwarp::VirtualWarp;
     use maxwarp_graph::{count_triangles, erdos_renyi, small_world, Dataset, Scale};
     use maxwarp_simt::GpuConfig;

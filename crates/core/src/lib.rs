@@ -44,6 +44,7 @@
 //! | [`vwarp`] | [`VirtualWarp`] sizes and the per-lane [`VwLayout`] registers |
 //! | [`method`] | [`Method`] / [`WarpCentricOpts`] / [`ExecConfig`] |
 //! | [`device_graph`] | [`DeviceGraph`] — CSR arrays on the device |
+//! | `kernels::common` | the traversal operator every kernel below is written against: `item_sweep` (thread-per-item or virtual-warp-per-item launch geometry), `Sweep` (neighbor loop, item owners, outlier deferral), `outlier_sweep` |
 //! | [`kernels::bfs`] | BFS (the paper's primary workload) |
 //! | [`kernels::bfs_queue`] | frontier-queue BFS (ablation A2) |
 //! | [`kernels::bfs_hybrid`] | direction-optimizing (top-down/bottom-up) BFS |

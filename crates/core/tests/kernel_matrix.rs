@@ -1,0 +1,139 @@
+//! Cross-commit oracle for the kernel layer: every kernel × method cell of
+//! the sweep matrix must reproduce, digit for digit, the iteration count,
+//! cycles, instruction / transaction / replay / active-lane totals, the
+//! per-warp instruction histogram and the answer recorded in
+//! `golden/kernel_matrix.txt`. A refactor of `crates/core/src/kernels/`
+//! that changes the emitted op sequence of any cell fails here.
+//!
+//! The golden file is written by this test when it does not exist; to move
+//! the oracle on purpose, delete the file, run the test at the commit whose
+//! behaviour is the reference, and commit the result.
+
+mod common;
+
+use common::{try_run, Inputs, KERNELS};
+use maxwarp::{method_table, ExecConfig, Method, VirtualWarp, WarpCentricOpts};
+use maxwarp_graph::{Dataset, Fnv64};
+use maxwarp_simt::{Gpu, GpuConfig};
+use std::fmt::Write as _;
+use std::path::PathBuf;
+
+/// Low enough that deferral fires on both Tiny graphs.
+const DEFER_THRESHOLD: u32 = 16;
+
+fn methods(kernel: &str) -> Vec<Method> {
+    let opts = |k| WarpCentricOpts::plain(VirtualWarp::new(k));
+    let mut v = method_table::k_sweep();
+    v.push(Method::WarpCentric(opts(8).with_dynamic()));
+    v.push(Method::WarpCentric(opts(32).with_dynamic()));
+    if matches!(kernel, "bfs" | "sssp" | "cc") {
+        v.push(Method::WarpCentric(opts(8).with_defer(DEFER_THRESHOLD)));
+        v.push(Method::WarpCentric(
+            opts(32).with_dynamic().with_defer(DEFER_THRESHOLD),
+        ));
+    }
+    v
+}
+
+/// The default geometry, plus the three `ExecConfig` knobs one at a time
+/// for the kernels that honor `cached_graph_loads`.
+fn exec_variants(kernel: &str) -> Vec<(&'static str, ExecConfig)> {
+    let d = ExecConfig::default();
+    let mut v = vec![("default", d)];
+    if matches!(kernel, "bfs" | "bfs_hybrid") {
+        v.push((
+            "cached",
+            ExecConfig {
+                cached_graph_loads: true,
+                ..d
+            },
+        ));
+        v.push((
+            "block64",
+            ExecConfig {
+                block_threads: 64,
+                ..d
+            },
+        ));
+        v.push((
+            "chunk64",
+            ExecConfig {
+                chunk_vertices: 64,
+                ..d
+            },
+        ));
+    }
+    v
+}
+
+fn fnv(words: &[u32]) -> u64 {
+    let mut h = Fnv64::new();
+    for &x in words {
+        h.u32(x);
+    }
+    h.finish()
+}
+
+/// One line per cell of `dataset`'s slice of the matrix.
+fn cells(dataset: Dataset) -> String {
+    let inputs = Inputs::new(dataset);
+    let mut out = String::new();
+    for (name, kernel) in KERNELS {
+        for (tag, exec) in exec_variants(name) {
+            for m in methods(name) {
+                let _ = write!(out, "{} {name} {} {tag}:", dataset.name(), m.spec());
+                let mut gpu = Gpu::new(GpuConfig::fermi_c2050());
+                match try_run(kernel, &inputs, &mut gpu, m, &exec) {
+                    Ok((run, payload)) => {
+                        let s = &run.stats;
+                        let _ = writeln!(
+                            out,
+                            " iters={} cycles={} instr={} memtx={} replays={} lanes={} pwi={:016x} payload={:016x}",
+                            run.iterations,
+                            s.cycles,
+                            s.instructions,
+                            s.mem_transactions,
+                            s.atomic_replays,
+                            s.active_lane_sum,
+                            fnv(&s.per_warp_instructions),
+                            fnv(&payload),
+                        );
+                    }
+                    Err(_) => out.push_str(" rejected\n"),
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn every_cell_matches_the_golden_file() {
+    let (rmat, hub) = std::thread::scope(|s| {
+        let hub = s.spawn(|| cells(Dataset::WikiTalkLike));
+        (cells(Dataset::Rmat), hub.join().unwrap())
+    });
+    let got = rmat + &hub;
+
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/kernel_matrix.txt");
+    let Ok(want) = std::fs::read_to_string(&path) else {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &got).unwrap();
+        panic!("{} did not exist; wrote it — commit it", path.display());
+    };
+    let diffs: Vec<String> = want
+        .lines()
+        .zip(got.lines())
+        .filter(|(w, g)| w != g)
+        .map(|(w, g)| format!("  golden: {w}\n  now:    {g}"))
+        .collect();
+    assert!(
+        diffs.is_empty() && want.lines().count() == got.lines().count(),
+        "{} of {} cells differ from {} ({} lines now):\n{}",
+        diffs.len(),
+        want.lines().count(),
+        path.display(),
+        got.lines().count(),
+        diffs[..diffs.len().min(12)].join("\n")
+    );
+}

@@ -5,13 +5,11 @@
 //! observers only consume the events the functional executor emits — they
 //! never add, reorder, or re-time work.
 
-use maxwarp::AlgoRun;
-use maxwarp::{
-    run_betweenness, run_bfs, run_bfs_hybrid, run_bfs_queue, run_cc, run_coloring, run_kcore,
-    run_msbfs, run_pagerank, run_spmv, run_sssp, run_triangles, DeviceGraph, ExecConfig,
-    GpuHybridConfig, Method,
-};
-use maxwarp_graph::{random_weights, Csr, Dataset, Orientation, Scale};
+mod common;
+
+use common::{Inputs, KERNELS};
+use maxwarp::{AlgoRun, ExecConfig, Method};
+use maxwarp_graph::Dataset;
 use maxwarp_simt::{Gpu, GpuConfig, Lanes, Mask, TaskSchedule};
 use std::fmt::Debug;
 
@@ -55,12 +53,18 @@ fn assert_identical<P: PartialEq + Debug>(label: &str, f: impl Fn(&mut Gpu) -> (
             g.last_timing().map(|t| t.cycles),
             "{label} {on:?}: last-launch cycles changed"
         );
-        // And each observer that is on actually observed the run.
+        // And each observer observed the run exactly when it is on — by
+        // its flag here, or forced by its `MAXWARP_*` variable the way
+        // `Gpu::new` reads it (CI's sanitize job sets `MAXWARP_SANITIZE=1`).
+        let forced = |var| std::env::var(var).is_ok_and(|v| v == "1");
         let [sanitize, analyze, profile] = on;
-        assert_eq!(g.sanitizer().is_some(), sanitize);
+        assert_eq!(
+            g.sanitizer().is_some(),
+            sanitize || forced("MAXWARP_SANITIZE")
+        );
         assert_eq!(
             g.analyzer().is_some_and(|a| !a.site_summaries().is_empty()),
-            analyze,
+            analyze || forced("MAXWARP_ANALYZE"),
             "{label} {on:?}: analyzer saw no memory sites"
         );
         if let Some(report) = g.profile_report() {
@@ -70,89 +74,22 @@ fn assert_identical<P: PartialEq + Debug>(label: &str, f: impl Fn(&mut Gpu) -> (
                 "{label}: profile cycle total disagrees with the run"
             );
         }
-        assert_eq!(g.profile_report().is_some(), profile);
+        assert_eq!(
+            g.profile_report().is_some(),
+            profile || forced("MAXWARP_PROFILE")
+        );
     }
 }
 
 /// All 12 kernels under `m`, each across the whole observer matrix.
 fn sweep(m: Method) {
-    let g = Dataset::Rmat.build(Scale::Tiny);
-    let src = (0..g.num_vertices())
-        .max_by_key(|&v| g.degree(v))
-        .unwrap_or(0);
-    let sym = g.symmetrize();
-    let rev = g.reverse();
-    let weights = random_weights(&g, 15, 11);
-    let values: Vec<f32> = weights.iter().map(|&w| w as f32).collect();
-    let x = vec![1.0f32; g.num_vertices() as usize];
-    let bc_sources: Vec<u32> = (0..4).collect();
-    let ms_sources: Vec<u32> = (0..32).collect();
+    let inputs = Inputs::new(Dataset::Rmat);
     let exec = ExecConfig::default();
-
-    let tag = |k: &str| format!("{k}/rmat [{}]", m.label());
-    let up = |gpu: &mut Gpu, g: &Csr| DeviceGraph::upload(gpu, g);
-
-    assert_identical(&tag("bfs"), |gpu| {
-        let dg = up(gpu, &g);
-        let out = run_bfs(gpu, &dg, src, m, &exec).unwrap();
-        (out.run, out.levels)
-    });
-    assert_identical(&tag("bfs_queue"), |gpu| {
-        let dg = up(gpu, &g);
-        let out = run_bfs_queue(gpu, &dg, src, m, &exec).unwrap();
-        (out.run, out.levels)
-    });
-    assert_identical(&tag("bfs_hybrid"), |gpu| {
-        let dg = up(gpu, &g);
-        let drev = up(gpu, &rev);
-        let cfg = GpuHybridConfig::default();
-        let out = run_bfs_hybrid(gpu, &dg, &drev, src, m, &exec, &cfg).unwrap();
-        (out.bfs.run, (out.bfs.levels, out.directions))
-    });
-    assert_identical(&tag("sssp"), |gpu| {
-        let dg = DeviceGraph::upload_weighted(gpu, &g, &weights);
-        let out = run_sssp(gpu, &dg, src, m, &exec).unwrap();
-        (out.run, out.dist)
-    });
-    assert_identical(&tag("cc"), |gpu| {
-        let dg = up(gpu, &sym);
-        let out = run_cc(gpu, &dg, m, &exec).unwrap();
-        (out.run, out.labels)
-    });
-    assert_identical(&tag("pagerank"), |gpu| {
-        let dg = up(gpu, &g);
-        let out = run_pagerank(gpu, &dg, 3, 0.85, m, &exec).unwrap();
-        (out.run, out.ranks)
-    });
-    assert_identical(&tag("betweenness"), |gpu| {
-        let dg = up(gpu, &g);
-        let out = run_betweenness(gpu, &dg, &bc_sources, m, &exec).unwrap();
-        (out.run, out.bc)
-    });
-    assert_identical(&tag("triangles"), |gpu| {
-        let out = run_triangles(gpu, &sym, m, &exec, Orientation::ByDegree).unwrap();
-        (out.run, out.count)
-    });
-    assert_identical(&tag("coloring"), |gpu| {
-        let dg = up(gpu, &sym);
-        let out = run_coloring(gpu, &dg, m, &exec).unwrap();
-        (out.run, out.colors)
-    });
-    assert_identical(&tag("kcore"), |gpu| {
-        let dg = up(gpu, &sym);
-        let out = run_kcore(gpu, &dg, m, &exec).unwrap();
-        (out.run, out.core)
-    });
-    assert_identical(&tag("msbfs"), |gpu| {
-        let dg = up(gpu, &g);
-        let out = run_msbfs(gpu, &dg, &ms_sources, m, &exec).unwrap();
-        (out.run, out.levels)
-    });
-    assert_identical(&tag("spmv"), |gpu| {
-        let dg = up(gpu, &g);
-        let out = run_spmv(gpu, &dg, &values, &x, m, &exec).unwrap();
-        (out.run, out.y)
-    });
+    for (name, kernel) in KERNELS {
+        assert_identical(&format!("{name}/rmat [{}]", m.label()), |gpu| {
+            kernel(&inputs, gpu, m, &exec)
+        });
+    }
 }
 
 // One test per method so the two sweeps run on separate test threads.

@@ -68,7 +68,7 @@ impl Algo {
     /// Whether this algorithm's kernels implement outlier deferral. The
     /// drivers of the remaining kernels assert it away.
     pub fn supports_defer(&self) -> bool {
-        matches!(self, Algo::Bfs | Algo::Sssp | Algo::Cc | Algo::Pagerank)
+        matches!(self, Algo::Bfs | Algo::Sssp | Algo::Cc)
     }
 
     /// Whether the dynamic workload distributor applies (every kernel
@@ -493,6 +493,8 @@ mod tests {
         let dynq = Method::parse("vw32+dyn").unwrap();
         assert!(Algo::Bfs.supports(defer));
         assert!(!Algo::Triangles.supports(defer));
+        // PageRank's push never read the threshold: the method ran as vw8.
+        assert!(!Algo::Pagerank.supports(defer));
         assert!(!Algo::Spmv.supports(dynq));
         assert!(Algo::Kcore.supports(dynq));
         for a in Algo::ALL {
