@@ -40,6 +40,38 @@ pub fn cc_label_propagation(g: &Csr) -> Vec<u32> {
     }
 }
 
+/// The fixpoint the device CC kernels reach on any graph, directed or not:
+/// every vertex takes the smallest id among the vertices that reach it
+/// along out-edges, itself included. The kernels push labels along
+/// out-edges only, so on a directed graph this differs from
+/// [`cc_label_propagation`], which propagates both ways; on a symmetric
+/// graph both are the component minima.
+///
+/// Linear time: sources are searched in increasing id order, and a search
+/// stops at vertices a smaller source already claimed — everything such a
+/// vertex reaches, that source reached too.
+pub fn min_reaching_label(g: &Csr) -> Vec<u32> {
+    let n = g.num_vertices();
+    let mut label = vec![u32::MAX; n as usize];
+    let mut stack = Vec::new();
+    for s in 0..n {
+        if label[s as usize] != u32::MAX {
+            continue;
+        }
+        label[s as usize] = s;
+        stack.push(s);
+        while let Some(u) = stack.pop() {
+            for &v in g.neighbors(u) {
+                if label[v as usize] == u32::MAX {
+                    label[v as usize] = s;
+                    stack.push(v);
+                }
+            }
+        }
+    }
+    label
+}
+
 /// Parallel label propagation with atomic min updates.
 pub fn cc_parallel(g: &Csr, threads: usize) -> Vec<u32> {
     let threads = threads.max(1);
@@ -130,6 +162,36 @@ mod tests {
         let cc = cc_label_propagation(&g);
         assert!(cc.iter().all(|&c| c == 0));
         assert_eq!(count_distinct(&cc_parallel_default(&g)), 1);
+    }
+
+    #[test]
+    fn min_reaching_label_matches_brute_force() {
+        let g = erdos_renyi(60, 90, 9);
+        let n = g.num_vertices() as usize;
+        // reach[u][v]: v reachable from u (transitive closure by DFS).
+        let reach: Vec<Vec<bool>> = (0..n as u32)
+            .map(|u| {
+                let mut seen = vec![false; n];
+                let mut stack = vec![u];
+                seen[u as usize] = true;
+                while let Some(x) = stack.pop() {
+                    for &y in g.neighbors(x) {
+                        if !seen[y as usize] {
+                            seen[y as usize] = true;
+                            stack.push(y);
+                        }
+                    }
+                }
+                seen
+            })
+            .collect();
+        let want: Vec<u32> = (0..n)
+            .map(|v| (0..n).find(|&u| reach[u][v]).unwrap() as u32)
+            .collect();
+        assert_eq!(min_reaching_label(&g), want);
+        // Symmetric input: the component minima.
+        let sym = g.symmetrize();
+        assert_eq!(min_reaching_label(&sym), connected_components(&sym));
     }
 
     #[test]

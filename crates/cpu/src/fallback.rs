@@ -50,8 +50,9 @@ pub fn supported(algo: &str) -> bool {
 ///
 /// Correctness contract: for the deterministic u32-valued algorithms
 /// (BFS levels, Bellman-Ford distances, min-label components) the output
-/// equals the device kernel's fixpoint exactly; PageRank matches within
-/// float tolerance (the device accumulates in a different order).
+/// equals the device kernel's fixpoint exactly, on directed graphs too;
+/// PageRank matches within float tolerance (the device accumulates in a
+/// different order).
 pub fn run(algo: &str, g: &Csr, weights: &[u32], params: FallbackParams) -> Option<FallbackData> {
     match algo {
         // All three BFS variants answer the same question — levels from
@@ -62,7 +63,7 @@ pub fn run(algo: &str, g: &Csr, weights: &[u32], params: FallbackParams) -> Opti
         "sssp" => Some(FallbackData::U32s(sssp::sssp_bellman_ford(
             g, weights, params.src,
         ))),
-        "cc" => Some(FallbackData::U32s(cc::cc_label_propagation(g))),
+        "cc" => Some(FallbackData::U32s(cc::min_reaching_label(g))),
         "pagerank" => Some(FallbackData::F32s(pagerank::pagerank_push(
             g,
             params.iters,
@@ -120,7 +121,8 @@ mod tests {
 
     #[test]
     fn cc_labels_are_min_label_fixpoint() {
-        let g = hub_graph(120, 2, 30, 2, 5);
+        // Symmetric input, where the fixpoint is the component partition.
+        let g = hub_graph(120, 2, 30, 2, 5).symmetrize();
         let Some(FallbackData::U32s(labels)) = run("cc", &g, &[], FallbackParams::default()) else {
             panic!("cc fallback missing");
         };
@@ -135,5 +137,18 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn cc_fallback_follows_edge_direction() {
+        // 1 -> 0 -> 2 <- 3. The device kernels push labels along out-edges
+        // only: nothing reaches 1 or 3, so they keep their own ids, and 2
+        // takes the 0 that flowed into it. Propagating both ways would put
+        // every vertex in component 0.
+        let g = Csr::from_edges(4, &[(1, 0), (0, 2), (3, 2)]);
+        let Some(FallbackData::U32s(labels)) = run("cc", &g, &[], FallbackParams::default()) else {
+            panic!("cc fallback missing");
+        };
+        assert_eq!(labels, vec![0, 1, 0, 3]);
     }
 }

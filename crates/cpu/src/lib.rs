@@ -26,7 +26,7 @@ pub mod sssp;
 
 pub use bfs::{bfs_parallel, bfs_parallel_default, bfs_sequential};
 pub use bfs_hybrid::{bfs_hybrid, bfs_hybrid_symmetric, HybridConfig, HybridStats};
-pub use cc::{cc_label_propagation, cc_parallel, cc_parallel_default};
+pub use cc::{cc_label_propagation, cc_parallel, cc_parallel_default, min_reaching_label};
 pub use fallback::{
     run as fallback_run, supported as fallback_supported, FallbackData, FallbackParams,
 };

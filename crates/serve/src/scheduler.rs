@@ -741,7 +741,11 @@ impl Server {
 
     /// Unpause a server started with `paused: true`.
     pub fn resume(&self) {
-        self.inner.paused.store(false, Ordering::SeqCst);
+        // Under the queue lock, like `shutdown_impl`: see there.
+        {
+            let _q = lock(&self.inner.queue);
+            self.inner.paused.store(false, Ordering::SeqCst);
+        }
         self.inner.cv.notify_all();
     }
 
@@ -905,7 +909,14 @@ impl Server {
     }
 
     fn shutdown_impl(&mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        // A worker reads the flag under the queue lock and then waits on
+        // `cv`. Setting it under that lock too keeps the notify below from
+        // landing between a worker's read and its wait, where it would be
+        // lost and `join` would hang.
+        {
+            let _q = lock(&self.inner.queue);
+            self.inner.shutdown.store(true, Ordering::SeqCst);
+        }
         self.inner.cv.notify_all();
         self.inner.hedge_cv.notify_all();
         for w in self.workers.drain(..) {

@@ -14,11 +14,14 @@
 /// A set-associative read-only cache over 128-byte segments.
 #[derive(Clone, Debug)]
 pub struct CacheModel {
-    /// `sets[s][w]` = tag of way `w` (`u64::MAX` = invalid).
-    sets: Vec<Vec<u64>>,
-    /// LRU stamps parallel to `sets`.
-    stamps: Vec<Vec<u64>>,
+    /// `tags[s * ways + w]` = tag of way `w` of set `s` (`u64::MAX` =
+    /// invalid). One flat allocation: a launch builds a cold cache, so
+    /// construction is on every launch's path.
+    tags: Vec<u64>,
+    /// LRU stamps parallel to `tags`.
+    stamps: Vec<u64>,
     clock: u64,
+    n_sets: usize,
     ways: usize,
     /// Segment-granularity shift (log2 of segment bytes).
     seg_shift: u32,
@@ -38,9 +41,10 @@ impl CacheModel {
             ((lines as usize / ways).max(1)).next_power_of_two()
         };
         CacheModel {
-            sets: vec![vec![u64::MAX; ways]; n_sets],
-            stamps: vec![vec![0; ways]; n_sets],
+            tags: vec![u64::MAX; n_sets * ways],
+            stamps: vec![0; n_sets * ways],
             clock: 0,
+            n_sets,
             ways,
             seg_shift: segment_bytes.trailing_zeros(),
             hits: 0,
@@ -50,21 +54,22 @@ impl CacheModel {
 
     /// True if the cache holds no lines (always misses).
     pub fn is_disabled(&self) -> bool {
-        self.sets.is_empty()
+        self.n_sets == 0
     }
 
     /// Probe the segment containing `byte_addr`; inserts on miss. Returns
     /// true on hit.
     pub fn access(&mut self, byte_addr: u64) -> bool {
-        if self.sets.is_empty() {
+        if self.n_sets == 0 {
             self.misses += 1;
             return false;
         }
         let seg = byte_addr >> self.seg_shift;
-        let set = (seg as usize) & (self.sets.len() - 1);
+        let set = (seg as usize) & (self.n_sets - 1);
         self.clock += 1;
-        let tags = &mut self.sets[set];
-        let stamps = &mut self.stamps[set];
+        let ways = set * self.ways..(set + 1) * self.ways;
+        let tags = &mut self.tags[ways.clone()];
+        let stamps = &mut self.stamps[ways];
         for w in 0..self.ways {
             if tags[w] == seg {
                 stamps[w] = self.clock;
@@ -130,7 +135,7 @@ mod tests {
     fn lru_evicts_oldest() {
         // 1 set x 2 ways: segments A, B fill it; C evicts A.
         let mut c = CacheModel::new(2, 2, 128);
-        assert_eq!(c.sets.len(), 1);
+        assert_eq!(c.n_sets, 1);
         assert!(!c.access(0)); // A
         assert!(!c.access(128)); // B
         assert!(c.access(0)); // A hit (refreshes A)

@@ -50,7 +50,7 @@ pub struct GpuConfig {
     /// Latency of a read-only-cache hit, in cycles.
     pub l2_hit_latency: u64,
     /// Instructions the SM can issue per cycle. The model issues from one
-    /// warp per slot (round-robin among ready warps).
+    /// warp per slot, taking ready warps lowest warp index first.
     pub issue_width: u32,
     /// Enable the warp-hazard sanitizer (racecheck/memcheck shadow state).
     /// Also switched on by `MAXWARP_SANITIZE=1` in the environment. Purely

@@ -10,6 +10,7 @@ use crate::fault::{
 use crate::kernel::{BlockCtx, Kernel};
 use crate::lanes::WARP_SIZE;
 use crate::mem::DeviceMem;
+use crate::obs::{launch_phase, LaunchPhase};
 use crate::profile::{ProfileReport, Profiler};
 use crate::sanitize::Sanitizer;
 use crate::shared::SharedMem;
@@ -17,6 +18,7 @@ use crate::stats::KernelStats;
 use crate::timing::{self, TimingError, TimingInput, TimingReport, WarpSpan};
 use crate::trace::{KernelTrace, Op, WarpTrace};
 use crate::warp::{WarpCtx, WarpId};
+use std::time::Instant;
 
 /// Launch-time errors (the simulator's `cudaGetLastError`).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -264,6 +266,22 @@ impl Gpu {
         self.last_timing.as_ref()
     }
 
+    /// The timing phase of a launch. Warp spans are built only when the
+    /// profiler is there to read them.
+    fn replay(
+        &self,
+        input: &TimingInput<'_>,
+    ) -> Result<(TimingReport, Vec<WarpSpan>), TimingError> {
+        let start = Instant::now();
+        let out = if self.prof.is_some() {
+            timing::simulate_spans(input, &self.cfg)?
+        } else {
+            (timing::simulate_report(input, &self.cfg)?, Vec::new())
+        };
+        launch_phase(LaunchPhase::Timing, start);
+        Ok(out)
+    }
+
     /// Fold one launch's timing into the device totals and, when profiling,
     /// into the per-launch timeline.
     fn record_timing(&mut self, report: TimingReport, spans: Vec<WarpSpan>) {
@@ -353,6 +371,7 @@ impl Gpu {
     ) -> Result<KernelStats, LaunchError> {
         self.validate_block(block_threads)?;
         let warps_per_block = block_threads / WARP_SIZE as u32;
+        let functional = Instant::now();
 
         let mut trace = KernelTrace {
             blocks: Vec::with_capacity(grid_blocks as usize),
@@ -393,10 +412,13 @@ impl Gpu {
         }
         Observers::finish_launch(obs);
         self.finish_functional(faults)?;
+        launch_phase(LaunchPhase::Functional, functional);
 
+        let stats_start = Instant::now();
         let mut stats = KernelStats::from_trace(&trace);
+        launch_phase(LaunchPhase::Stats, stats_start);
         self.chaos_perturb_schedule(&mut trace);
-        let (report, spans) = timing::time_kernel_trace_spans(&trace, &self.cfg)?;
+        let (report, spans) = self.replay(&timing::kernel_input(&trace))?;
         stats.cycles = report.cycles;
         self.record_timing(report, spans);
         self.check_cycle_budget()?;
@@ -426,6 +448,7 @@ impl Gpu {
         self.validate_block(block_threads)?;
         let warps_per_block = block_threads / WARP_SIZE as u32;
         let resident_warps = (grid_blocks * warps_per_block).max(1);
+        let functional = Instant::now();
 
         // Functional phase: one trace per task. Shared memory is per-task
         // scratch (warp-private), sized by the per-SM budget.
@@ -481,6 +504,7 @@ impl Gpu {
         }
         Observers::finish_launch(obs);
         self.finish_functional(faults)?;
+        launch_phase(LaunchPhase::Functional, functional);
 
         // Scheduling perturbation rotates the task→warp assignment (static)
         // or the fetch order (dynamic); functional work already ran above.
@@ -525,33 +549,25 @@ impl Gpu {
             }
         }
 
-        let (report, spans) = timing::simulate_spans(
-            &TimingInput {
-                blocks,
-                block_threads,
-                shared_words_per_block: 0,
-                queue,
-            },
-            &self.cfg,
-        )?;
+        let (report, spans) = self.replay(&TimingInput {
+            blocks,
+            block_threads,
+            shared_words_per_block: 0,
+            queue,
+        })?;
 
-        // Statistics: per-task instruction counts are the imbalance
-        // histogram of interest.
-        let mut stats = KernelStats::default();
-        for wt in &tasks {
-            stats.warps += 1;
-            stats.per_warp_instructions.push(wt.len() as u32);
-        }
+        // Statistics: one "warp" per task, so the per-warp instruction
+        // counts are the per-task imbalance histogram of interest.
+        let stats_start = Instant::now();
         let kt = KernelTrace {
             blocks: vec![crate::trace::BlockTrace { warps: tasks }],
             block_threads,
             shared_words_per_block: 0,
         };
         let mut agg = KernelStats::from_trace(&kt);
-        agg.per_warp_instructions = stats.per_warp_instructions;
-        agg.warps = stats.warps;
         agg.blocks = grid_blocks as u64;
         agg.cycles = report.cycles;
+        launch_phase(LaunchPhase::Stats, stats_start);
         self.record_timing(report, spans);
         self.check_cycle_budget()?;
         Ok(agg)

@@ -13,10 +13,10 @@
 //! * **Instruction traces** — every operation records its active lane
 //!   count, coalesced transaction count ([`coalesce`]), shared-memory bank
 //!   conflicts ([`shared`]), and atomic replays.
-//! * **A cycle-level timing engine** ([`timing`]) — SMs issue round-robin
-//!   among resident warps (latency hiding), a device-wide DRAM channel
-//!   bounds transaction bandwidth, barriers rendezvous blocks, and blocks
-//!   queue for occupancy-limited SM slots.
+//! * **A cycle-level timing engine** ([`timing`]) — SMs issue from their
+//!   ready resident warps, lowest index first (latency hiding), a
+//!   device-wide DRAM channel bounds transaction bandwidth, barriers
+//!   rendezvous blocks, and blocks queue for occupancy-limited SM slots.
 //! * **Dynamic work queues** — warp-sized tasks can be scheduled statically
 //!   or pulled from an atomic work counter ([`TaskSchedule`]), the
 //!   mechanism behind the paper's dynamic workload distribution.

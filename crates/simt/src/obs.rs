@@ -15,8 +15,37 @@
 
 use crate::fault::SimtError;
 use crate::sanitize::Severity;
-use maxwarp_obs::Counter;
+use maxwarp_obs::{Counter, HistogramHandle};
 use std::sync::OnceLock;
+use std::time::Instant;
+
+/// The host-time phases of one launch.
+#[derive(Clone, Copy)]
+pub(crate) enum LaunchPhase {
+    /// Running the kernel functionally and recording its traces.
+    Functional,
+    /// Folding the traces into `KernelStats`.
+    Stats,
+    /// Replaying the traces through the timing engine.
+    Timing,
+}
+
+/// Record the host nanoseconds one launch phase took since `start`:
+/// `simt_launch_phase_ns{phase}` with `phase` one of `functional`, `stats`,
+/// `timing`. Every successful launch adds one sample to each.
+pub(crate) fn launch_phase(phase: LaunchPhase, start: Instant) {
+    static CELLS: [OnceLock<HistogramHandle>; 3] = [const { OnceLock::new() }; 3];
+    let label = match phase {
+        LaunchPhase::Functional => "functional",
+        LaunchPhase::Stats => "stats",
+        LaunchPhase::Timing => "timing",
+    };
+    CELLS[phase as usize]
+        .get_or_init(|| {
+            maxwarp_obs::global().histogram_with("simt_launch_phase_ns", &[("phase", label)])
+        })
+        .record(start.elapsed().as_nanos() as u64);
+}
 
 /// Record a fault at the moment it converts into a `LaunchError`:
 /// `simt_faults_total{kind}` always, plus `simt_watchdog_trips_total{kind}`

@@ -3,10 +3,10 @@
 //! Replays instruction traces through a machine model:
 //!
 //! * blocks are dispatched to SMs as occupancy slots free up;
-//! * each SM issues `issue_width` instructions per cycle, round-robin among
-//!   its ready warps (ready = previous instruction's latency has elapsed) —
-//!   this is the latency-hiding mechanism that makes resident-warp count
-//!   matter;
+//! * each SM issues up to `issue_width` instructions per cycle from its
+//!   ready warps, lowest warp index first (ready = previous instruction's
+//!   latency has elapsed) — this is the latency-hiding mechanism that makes
+//!   resident-warp count matter;
 //! * global-memory transactions are serviced by a device-wide DRAM channel
 //!   at `dram_cycles_per_transaction` each (the bandwidth limit), then incur
 //!   `mem_latency` before the warp may continue;
@@ -20,6 +20,12 @@
 //! resident warps drain as they go idle, modeling `atomicAdd`-based chunk
 //! fetching. Static chunk schedules are expressed as fixed per-warp streams
 //! of the same task traces.
+//!
+//! Events are processed in global `(cycle, warp index)` order, which is
+//! also the DRAM channel's FIFO order. A warp refused by its SM's issue
+//! port waits in that SM's wait set; one *port token* per SM stands in the
+//! event queue for the whole set, so a waiting warp costs no queue work per
+//! cycle it waits.
 
 use crate::config::GpuConfig;
 use crate::trace::{KernelTrace, Op, WarpTrace};
@@ -48,6 +54,11 @@ pub enum TimingError {
         parked_warps: Vec<u32>,
         retired_warps: u32,
     },
+    /// An event fell past the cycle range of the engine's packed event key.
+    /// A key holds the warp index in its low `bits(warps)` bits and the
+    /// cycle in the rest, so a launch of `W` warps can run to cycle
+    /// `2^(64 - bits(W)) - 1` (over 10^13 for a million warps).
+    CycleRange { cycle: u64, limit: u64 },
 }
 
 impl std::fmt::Display for TimingError {
@@ -71,6 +82,11 @@ impl std::fmt::Display for TimingError {
                 f,
                 "barrier deadlock in block {block}: warps {parked_warps:?} parked at a barrier \
                  {retired_warps} other warp(s) retired without reaching"
+            ),
+            TimingError::CycleRange { cycle, limit } => write!(
+                f,
+                "event at cycle {cycle} is past the timing engine's range of {limit} cycles \
+                 for this launch's warp count"
             ),
         }
     }
@@ -241,7 +257,9 @@ pub fn simulate_report(
     input: &TimingInput<'_>,
     cfg: &GpuConfig,
 ) -> Result<TimingReport, TimingError> {
-    Ok(simulate_spans(input, cfg)?.0)
+    let mut eng = Engine::new(input, cfg)?;
+    eng.replay()?;
+    Ok(eng.report())
 }
 
 /// Simulate the workload and return the report plus one [`WarpSpan`] per
@@ -250,38 +268,33 @@ pub fn simulate_spans(
     input: &TimingInput<'_>,
     cfg: &GpuConfig,
 ) -> Result<(TimingReport, Vec<WarpSpan>), TimingError> {
-    Engine::new(input, cfg)?.run()
+    let mut eng = Engine::new(input, cfg)?;
+    eng.replay()?;
+    Ok((eng.report(), eng.spans()))
+}
+
+/// The timing workload of an ordinary kernel launch: one single-trace
+/// stream per warp, no dynamic queue.
+pub fn kernel_input(trace: &KernelTrace) -> TimingInput<'_> {
+    TimingInput {
+        blocks: trace
+            .blocks
+            .iter()
+            .map(|b| b.warps.iter().map(|w| vec![w]).collect())
+            .collect(),
+        block_threads: trace.block_threads,
+        shared_words_per_block: trace.shared_words_per_block,
+        queue: Vec::new(),
+    }
 }
 
 /// Convenience wrapper: time an ordinary kernel launch trace.
 pub fn time_kernel_trace(trace: &KernelTrace, cfg: &GpuConfig) -> Result<u64, TimingError> {
-    Ok(time_kernel_trace_spans(trace, cfg)?.0.cycles)
+    simulate(&kernel_input(trace), cfg)
 }
 
-/// Time an ordinary kernel launch trace, returning the detailed report and
-/// per-warp timeline spans.
-pub fn time_kernel_trace_spans(
-    trace: &KernelTrace,
-    cfg: &GpuConfig,
-) -> Result<(TimingReport, Vec<WarpSpan>), TimingError> {
-    let blocks = trace
-        .blocks
-        .iter()
-        .map(|b| b.warps.iter().map(|w| vec![w]).collect())
-        .collect();
-    simulate_spans(
-        &TimingInput {
-            blocks,
-            block_threads: trace.block_threads,
-            shared_words_per_block: trace.shared_words_per_block,
-            queue: Vec::new(),
-        },
-        cfg,
-    )
-}
-
-/// What a warp that is not ready to issue is waiting on. Set when the warp
-/// is pushed onto the ready heap; read when it next issues, to attribute
+/// What a warp that is not ready to issue is waiting on. Set when the
+/// warp's next event is scheduled; read when it next issues, to attribute
 /// the preceding no-issue gap on its SM to a stall bucket.
 #[derive(Clone, Copy, Debug)]
 enum Wait {
@@ -317,6 +330,8 @@ struct WarpRt<'a> {
     cur_trace: usize,
     cur_op: usize,
     block: u32,
+    /// SM the warp's block was dispatched to.
+    sm: u32,
     finished: bool,
     /// Why the warp is not ready (attribution for the gap its next issue ends).
     wait: Wait,
@@ -359,35 +374,123 @@ impl<'a> WarpRt<'a> {
 }
 
 struct BlockRt {
-    warps: Vec<u32>,
+    /// The block's warps are `first_warp..first_warp + num_warps`.
+    first_warp: u32,
+    num_warps: u32,
     sm: u32,
     live: u32,
     barrier_arrived: u32,
     barrier_waiting: Vec<u32>,
 }
 
+/// One SM: its issue port, its wait set, and its books.
+struct SmRt {
+    /// Cycle of the most recent issue, if any — the port's current cycle
+    /// and the gap-attribution anchor.
+    last_issue: Option<u64>,
+    /// Instructions issued in cycle `last_issue`.
+    issued_in_cycle: u32,
+    free_slots: u32,
+    instructions: u64,
+    breakdown: StallBreakdown,
+    /// Ready warps the port refused, smallest warp index on top.
+    waiting: BinaryHeap<Reverse<u32>>,
+    /// Sequence number of the SM's live port token. Queued tokens that
+    /// carry an older number were superseded and are dropped on pop.
+    token: u64,
+}
+
+impl SmRt {
+    /// The earliest cycle from `t` on at which the port accepts an issue.
+    /// Events arrive in cycle order, so `t` is never before `last_issue`.
+    fn next_slot(&self, t: u64, issue_width: u32) -> u64 {
+        if self.last_issue == Some(t) && self.issued_in_cycle >= issue_width {
+            t + 1
+        } else {
+            t
+        }
+    }
+}
+
+/// Event tag of a warp's own issue attempt; port tokens carry their SM's
+/// sequence number instead, which starts at 1.
+const WARP_EVENT: u64 = 0;
+
+#[derive(Clone, Copy)]
+struct Event {
+    /// `cycle << warp_bits | warp index`, so integer order is
+    /// `(cycle, warp index)` order.
+    key: u64,
+    tag: u64,
+}
+
+/// Min-queue of events for keys that never decrease: every key pushed is
+/// at least the last key popped, because completions, barrier releases,
+/// dispatches and port retries all land at or after the event being
+/// processed. That permits a radix heap: bucket `i > 0` holds the keys
+/// whose highest bit differing from `last` is bit `i - 1`, bucket 0 the
+/// keys equal to `last`. A pop that finds bucket 0 empty takes the lowest
+/// non-empty bucket, makes its minimum the new `last` and spreads the rest
+/// into strictly lower buckets, so each event moves at most 64 times and
+/// every comparison is one integer `xor`.
+struct RadixQueue {
+    last: u64,
+    buckets: [Vec<Event>; 65],
+}
+
+impl RadixQueue {
+    fn new() -> Self {
+        RadixQueue {
+            last: 0,
+            buckets: std::array::from_fn(|_| Vec::new()),
+        }
+    }
+
+    fn bucket(&self, key: u64) -> usize {
+        (u64::BITS - (key ^ self.last).leading_zeros()) as usize
+    }
+
+    fn push(&mut self, e: Event) {
+        debug_assert!(e.key >= self.last, "event keys must not decrease");
+        let b = self.bucket(e.key);
+        self.buckets[b].push(e);
+    }
+
+    fn pop(&mut self) -> Option<Event> {
+        if self.buckets[0].is_empty() {
+            let i = self.buckets.iter().position(|b| !b.is_empty())?;
+            let mut spill = std::mem::take(&mut self.buckets[i]);
+            self.last = spill.iter().map(|e| e.key).min()?;
+            for e in spill.drain(..) {
+                let b = self.bucket(e.key);
+                self.buckets[b].push(e);
+            }
+            // Hand the emptied allocation back for reuse.
+            self.buckets[i] = spill;
+        }
+        self.buckets[0].pop()
+    }
+}
+
 struct Engine<'a> {
     cfg: &'a GpuConfig,
     warps: Vec<WarpRt<'a>>,
     blocks: Vec<BlockRt>,
+    sms: Vec<SmRt>,
     queue: VecDeque<&'a WarpTrace>,
-    /// Min-heap of (ready-to-issue time, warp index).
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
-    sm_cycle: Vec<u64>,
-    sm_issued_in_cycle: Vec<u32>,
-    sm_free_slots: Vec<u32>,
+    events: RadixQueue,
+    /// Low bits of an event key that hold the warp index.
+    warp_bits: u32,
     pending_blocks: VecDeque<u32>,
     dram_free: u64,
     dram_busy: u64,
     end_time: u64,
-    sm_instructions: Vec<u64>,
-    /// Per-SM cycle of the most recent issue, if any — the gap-attribution
-    /// anchor.
-    sm_last_issue: Vec<Option<u64>>,
-    sm_breakdown: Vec<StallBreakdown>,
-    /// First barrier deadlock observed, if any. The engine releases the
-    /// stuck barrier so the event loop can drain, then `run` reports this.
-    deadlock: Option<TimingError>,
+    /// Events popped, superseded port tokens included.
+    pops: u64,
+    /// First error raised mid-replay (a barrier deadlock or a cycle past
+    /// the key range). The replay stops after the event that raised it:
+    /// nothing later can change the error.
+    fault: Option<TimingError>,
 }
 
 impl<'a> Engine<'a> {
@@ -406,16 +509,24 @@ impl<'a> Engine<'a> {
         }
 
         let mut warps = Vec::new();
-        let mut blocks = Vec::new();
+        let mut blocks = Vec::with_capacity(input.blocks.len());
         for (b, warp_streams) in input.blocks.iter().enumerate() {
-            let mut ids = Vec::with_capacity(warp_streams.len());
+            let num_warps = warp_streams.len() as u32;
+            blocks.push(BlockRt {
+                first_warp: warps.len() as u32,
+                num_warps,
+                sm: u32::MAX,
+                live: num_warps,
+                barrier_arrived: 0,
+                barrier_waiting: Vec::new(),
+            });
             for stream in warp_streams {
-                ids.push(warps.len() as u32);
                 warps.push(WarpRt {
                     stream: stream.clone(),
                     cur_trace: 0,
                     cur_op: 0,
                     block: b as u32,
+                    sm: u32::MAX,
                     finished: false,
                     wait: Wait::Dispatch,
                     first_issue: None,
@@ -423,39 +534,39 @@ impl<'a> Engine<'a> {
                     instructions: 0,
                 });
             }
-            blocks.push(BlockRt {
-                live: ids.len() as u32,
-                warps: ids,
-                sm: u32::MAX,
-                barrier_arrived: 0,
-                barrier_waiting: Vec::new(),
-            });
         }
 
         let mut eng = Engine {
             cfg,
+            warp_bits: usize::BITS - warps.len().leading_zeros(),
             warps,
             blocks,
+            sms: (0..cfg.num_sms)
+                .map(|_| SmRt {
+                    last_issue: None,
+                    issued_in_cycle: 0,
+                    free_slots: slots,
+                    instructions: 0,
+                    breakdown: StallBreakdown::default(),
+                    waiting: BinaryHeap::new(),
+                    token: 0,
+                })
+                .collect(),
             queue: input.queue.iter().copied().collect(),
-            heap: BinaryHeap::new(),
-            sm_cycle: vec![0; cfg.num_sms as usize],
-            sm_issued_in_cycle: vec![0; cfg.num_sms as usize],
-            sm_free_slots: vec![slots; cfg.num_sms as usize],
+            events: RadixQueue::new(),
             pending_blocks: (0..input.blocks.len() as u32).collect(),
             dram_free: 0,
             dram_busy: 0,
             end_time: 0,
-            sm_instructions: vec![0; cfg.num_sms as usize],
-            sm_last_issue: vec![None; cfg.num_sms as usize],
-            sm_breakdown: vec![StallBreakdown::default(); cfg.num_sms as usize],
-            deadlock: None,
+            pops: 0,
+            fault: None,
         };
 
         // Initial dispatch: fill SMs round-robin at t = 0.
         let mut sm = 0u32;
         let mut scanned_full_round = 0;
         while !eng.pending_blocks.is_empty() && scanned_full_round < cfg.num_sms {
-            if eng.sm_free_slots[sm as usize] > 0 {
+            if eng.sms[sm as usize].free_slots > 0 {
                 let Some(b) = eng.pending_blocks.pop_front() else {
                     break;
                 };
@@ -470,12 +581,43 @@ impl<'a> Engine<'a> {
     }
 
     fn dispatch_block(&mut self, b: u32, sm: u32, t: u64) {
-        self.sm_free_slots[sm as usize] -= 1;
-        self.blocks[b as usize].sm = sm;
-        let warp_ids = self.blocks[b as usize].warps.clone();
-        for wi in warp_ids {
+        self.sms[sm as usize].free_slots -= 1;
+        let block = &mut self.blocks[b as usize];
+        block.sm = sm;
+        let warps = block.first_warp..block.first_warp + block.num_warps;
+        for wi in warps {
+            self.warps[wi as usize].sm = sm;
             self.start_or_finish_warp(wi, t);
         }
+    }
+
+    /// Queue an event for warp `wi` at cycle `t`: its own issue attempt
+    /// (`tag == WARP_EVENT`) or its SM's port token. A cycle past the key
+    /// range is a fault rather than a wrapped key.
+    fn schedule(&mut self, t: u64, wi: u32, tag: u64) {
+        let limit = u64::MAX >> self.warp_bits;
+        if t > limit {
+            self.fault
+                .get_or_insert(TimingError::CycleRange { cycle: t, limit });
+            return;
+        }
+        self.events.push(Event {
+            key: t << self.warp_bits | wi as u64,
+            tag,
+        });
+    }
+
+    /// Point SM `sm`'s port token at its smallest waiting warp, at the
+    /// port's next legal slot from cycle `t`. A token already queued for
+    /// the SM becomes stale.
+    fn arm_token(&mut self, sm: usize, t: u64) {
+        let s = &mut self.sms[sm];
+        let Some(&Reverse(wi)) = s.waiting.peek() else {
+            return;
+        };
+        s.token += 1;
+        let (slot, tag) = (s.next_slot(t, self.cfg.issue_width), s.token);
+        self.schedule(slot, wi, tag);
     }
 
     /// Give warp `wi` something to run at time `t`, pulling from the dynamic
@@ -505,12 +647,12 @@ impl<'a> Engine<'a> {
             }
         };
         match next {
-            Next::Resume => self.heap.push(Reverse((t, wi))),
+            Next::Resume => self.schedule(t, wi, WARP_EVENT),
             Next::Pulled => {
                 // The task fetch is a global-memory round trip.
                 self.warps[wi as usize].wait = Wait::Mem;
                 let ready = self.dram_service(t, 1) + self.cfg.mem_latency;
-                self.heap.push(Reverse((ready, wi)));
+                self.schedule(ready, wi, WARP_EVENT);
             }
             Next::Done => self.finish_warp(wi, t),
         }
@@ -528,25 +670,21 @@ impl<'a> Engine<'a> {
         if block.live == 0 {
             // Block retires; its SM slot frees and a pending block launches.
             let sm = block.sm;
-            self.sm_free_slots[sm as usize] += 1;
+            self.sms[sm as usize].free_slots += 1;
             if let Some(nb) = self.pending_blocks.pop_front() {
                 self.dispatch_block(nb, sm, t);
             }
         } else if block.barrier_arrived == block.live && block.barrier_arrived > 0 {
             // The finished warp was the last one others were waiting on:
-            // the parked warps would wait forever. Record the deadlock,
-            // then release the barrier so the event loop can drain.
-            if self.deadlock.is_none() {
-                let first = block.warps[0];
-                let parked_warps = block.barrier_waiting.iter().map(|&wi| wi - first).collect();
-                let retired_warps = block.warps.len() as u32 - block.live;
-                self.deadlock = Some(TimingError::BarrierDeadlock {
-                    block: b as u32,
-                    parked_warps,
-                    retired_warps,
-                });
-            }
-            self.release_barrier(b, t);
+            // the parked warps would wait forever.
+            let first = block.first_warp;
+            let parked_warps = block.barrier_waiting.iter().map(|&wi| wi - first).collect();
+            let retired_warps = block.num_warps - block.live;
+            self.fault.get_or_insert(TimingError::BarrierDeadlock {
+                block: b as u32,
+                parked_warps,
+                retired_warps,
+            });
         }
     }
 
@@ -557,111 +695,54 @@ impl<'a> Engine<'a> {
             self.warps[wi as usize].wait = Wait::Barrier;
             let has_more = self.warps[wi as usize].advance();
             if has_more {
-                self.heap.push(Reverse((t, wi)));
+                self.schedule(t, wi, WARP_EVENT);
             } else {
                 self.start_or_finish_warp(wi, t);
             }
         }
     }
 
-    fn run(mut self) -> Result<(TimingReport, Vec<WarpSpan>), TimingError> {
-        while let Some(Reverse((t, wi))) = self.heap.pop() {
-            let sm = self.blocks[self.warps[wi as usize].block as usize].sm as usize;
-            // Enforce the SM issue port: `issue_width` issues per cycle.
-            let mut t_iss = t.max(self.sm_cycle[sm]);
-            if t_iss == self.sm_cycle[sm] && self.sm_issued_in_cycle[sm] >= self.cfg.issue_width {
-                t_iss += 1;
-            }
-            if t_iss > t {
-                // Not our turn yet; retry at the earliest legal slot.
-                self.heap.push(Reverse((t_iss, wi)));
-                continue;
-            }
-            // A warp in the heap always has a current op; a depleted warp
-            // would have been retired instead of re-pushed. Drop it if the
-            // invariant is ever violated rather than poisoning the engine.
-            let Some(op) = self.warps[wi as usize].current_op() else {
-                debug_assert!(false, "warp in heap must have a current op");
-                continue;
-            };
-            // Cycle attribution: the first issue of an SM cycle closes the
-            // preceding no-issue gap. During that gap every resident warp
-            // was waiting out some latency (had one been ready, it would
-            // have issued — the port was free), so charge the whole gap to
-            // what the gap-ending warp was waiting on. One refinement: if
-            // the gap ends with a straggler arriving at a barrier that
-            // already has warps parked, the gap is barrier imbalance — the
-            // early arrivers were done and waiting; the straggler's exposed
-            // latency is the rendezvous cost (the paper's inter-warp
-            // imbalance at synchronization points).
-            let first_in_cycle = t_iss > self.sm_cycle[sm] || self.sm_issued_in_cycle[sm] == 0;
-            if first_in_cycle {
-                let gap = match self.sm_last_issue[sm] {
-                    Some(prev) => t_iss - prev - 1,
-                    None => t_iss,
-                };
-                if gap > 0 {
-                    let straggler_bar = matches!(op, Op::Bar)
-                        && self.blocks[self.warps[wi as usize].block as usize].barrier_arrived > 0;
-                    let bucket = &mut self.sm_breakdown[sm];
-                    if straggler_bar {
-                        bucket.barrier_stall += gap;
-                    } else {
-                        match self.warps[wi as usize].wait {
-                            Wait::Dispatch => bucket.idle += gap,
-                            Wait::Compute => bucket.issue += gap,
-                            Wait::Mem => bucket.mem_stall += gap,
-                            Wait::Atomic => bucket.atomic_stall += gap,
-                            Wait::Shared => bucket.bank_stall += gap,
-                            Wait::Barrier => bucket.barrier_stall += gap,
-                        }
-                    }
+    /// Process events in `(cycle, warp index)` order until none are left.
+    ///
+    /// The issue port: at each cycle an SM issues up to `issue_width` of
+    /// its ready warps, lowest index first. A warp event that finds the
+    /// port full parks the warp in the SM's wait set instead of retrying
+    /// every cycle; the SM's single port token, keyed by the port's next
+    /// legal slot and the smallest waiting index, pops exactly where that
+    /// warp's retry would have, and either issues it or moves to the next
+    /// slot. Each issued instruction so costs a bounded number of queue
+    /// operations however many warps wait.
+    fn replay(&mut self) -> Result<(), TimingError> {
+        let width = self.cfg.issue_width;
+        while let Some(Event { key, tag }) = self.events.pop() {
+            self.pops += 1;
+            let t = key >> self.warp_bits;
+            let wi = (key & !(u64::MAX << self.warp_bits)) as u32;
+            let sm = self.warps[wi as usize].sm as usize;
+            let full = self.sms[sm].next_slot(t, width) > t;
+            if tag != WARP_EVENT {
+                if tag != self.sms[sm].token {
+                    continue; // superseded by a token for a smaller warp
                 }
-                self.sm_breakdown[sm].issue += 1;
-                self.sm_last_issue[sm] = Some(t_iss);
-            }
-            if t_iss > self.sm_cycle[sm] {
-                self.sm_cycle[sm] = t_iss;
-                self.sm_issued_in_cycle[sm] = 0;
-            }
-            self.sm_issued_in_cycle[sm] += 1;
-            self.sm_instructions[sm] += 1;
-
-            {
-                let w = &mut self.warps[wi as usize];
-                if w.first_issue.is_none() {
-                    w.first_issue = Some(t_iss);
+                if !full {
+                    let parked = self.sms[sm].waiting.pop();
+                    debug_assert_eq!(parked, Some(Reverse(wi)), "token names the smallest");
+                    self.issue(sm, wi, t);
                 }
-                w.instructions += 1;
-                w.wait = Wait::of_op(op);
-            }
-
-            match op {
-                Op::Bar => {
-                    let b = self.warps[wi as usize].block as usize;
-                    self.blocks[b].barrier_arrived += 1;
-                    self.blocks[b].barrier_waiting.push(wi);
-                    self.end_time = self.end_time.max(t_iss + 1);
-                    self.warps[wi as usize].last_time = t_iss + 1;
-                    if self.blocks[b].barrier_arrived == self.blocks[b].live {
-                        self.release_barrier(b, t_iss + 1);
-                    }
+                self.arm_token(sm, t);
+            } else if full {
+                let s = &mut self.sms[sm];
+                let smallest = s.waiting.peek().is_none_or(|&Reverse(m)| wi < m);
+                s.waiting.push(Reverse(wi));
+                if smallest {
+                    self.arm_token(sm, t);
                 }
-                _ => {
-                    let done = self.completion_time(t_iss, op);
-                    self.end_time = self.end_time.max(done);
-                    self.warps[wi as usize].last_time = done;
-                    let has_more = self.warps[wi as usize].advance();
-                    if has_more {
-                        self.heap.push(Reverse((done, wi)));
-                    } else {
-                        self.start_or_finish_warp(wi, done);
-                    }
-                }
+            } else {
+                self.issue(sm, wi, t);
             }
-        }
-        if let Some(e) = self.deadlock.take() {
-            return Err(e);
+            if let Some(e) = self.fault.take() {
+                return Err(e);
+            }
         }
         debug_assert!(
             self.pending_blocks.is_empty(),
@@ -671,41 +752,129 @@ impl<'a> Engine<'a> {
             self.warps.iter().all(|w| w.finished),
             "all warps must retire"
         );
-        // Close each SM's books: everything after its last issue (or the
-        // whole launch, if it never issued) is drain/imbalance idle time.
-        for sm in 0..self.sm_breakdown.len() {
-            let tail = match self.sm_last_issue[sm] {
-                Some(prev) => self.end_time.saturating_sub(prev + 1),
-                None => self.end_time,
+        Ok(())
+    }
+
+    /// Issue warp `wi`'s current instruction on SM `sm` at cycle `t` (the
+    /// port has room) and schedule what follows it.
+    fn issue(&mut self, sm: usize, wi: u32, t: u64) {
+        // A scheduled warp always has a current op; a depleted warp would
+        // have been retired instead. Drop it if the invariant is ever
+        // violated rather than poisoning the engine.
+        let Some(op) = self.warps[wi as usize].current_op() else {
+            debug_assert!(false, "scheduled warp must have a current op");
+            return;
+        };
+        let b = self.warps[wi as usize].block as usize;
+        let s = &mut self.sms[sm];
+        // Cycle attribution: the first issue of an SM cycle closes the
+        // preceding no-issue gap. During that gap every resident warp was
+        // waiting out some latency (had one been ready, it would have
+        // issued — the port was free), so charge the whole gap to what the
+        // gap-ending warp was waiting on. One refinement: if the gap ends
+        // with a straggler arriving at a barrier that already has warps
+        // parked, the gap is barrier imbalance — the early arrivers were
+        // done and waiting; the straggler's exposed latency is the
+        // rendezvous cost (the paper's inter-warp imbalance at
+        // synchronization points).
+        if s.last_issue != Some(t) {
+            let gap = match s.last_issue {
+                Some(prev) => t - prev - 1,
+                None => t,
             };
-            self.sm_breakdown[sm].idle += tail;
+            if gap > 0 {
+                let straggler_bar = matches!(op, Op::Bar) && self.blocks[b].barrier_arrived > 0;
+                let bucket = &mut s.breakdown;
+                if straggler_bar {
+                    bucket.barrier_stall += gap;
+                } else {
+                    match self.warps[wi as usize].wait {
+                        Wait::Dispatch => bucket.idle += gap,
+                        Wait::Compute => bucket.issue += gap,
+                        Wait::Mem => bucket.mem_stall += gap,
+                        Wait::Atomic => bucket.atomic_stall += gap,
+                        Wait::Shared => bucket.bank_stall += gap,
+                        Wait::Barrier => bucket.barrier_stall += gap,
+                    }
+                }
+            }
+            s.breakdown.issue += 1;
+            s.last_issue = Some(t);
+            s.issued_in_cycle = 0;
         }
-        let spans = self
-            .warps
+        s.issued_in_cycle += 1;
+        s.instructions += 1;
+
+        let w = &mut self.warps[wi as usize];
+        w.first_issue.get_or_insert(t);
+        w.instructions += 1;
+        w.wait = Wait::of_op(op);
+
+        match op {
+            Op::Bar => {
+                let block = &mut self.blocks[b];
+                block.barrier_arrived += 1;
+                block.barrier_waiting.push(wi);
+                let release = block.barrier_arrived == block.live;
+                self.end_time = self.end_time.max(t + 1);
+                self.warps[wi as usize].last_time = t + 1;
+                if release {
+                    self.release_barrier(b, t + 1);
+                }
+            }
+            _ => {
+                let done = self.completion_time(t, op);
+                self.end_time = self.end_time.max(done);
+                self.warps[wi as usize].last_time = done;
+                if self.warps[wi as usize].advance() {
+                    self.schedule(done, wi, WARP_EVENT);
+                } else {
+                    self.start_or_finish_warp(wi, done);
+                }
+            }
+        }
+    }
+
+    /// The report of a finished replay. Every SM's books close here:
+    /// everything after its last issue (or the whole launch, if it never
+    /// issued) is drain/imbalance idle time.
+    fn report(&self) -> TimingReport {
+        TimingReport {
+            cycles: self.end_time,
+            sm_instructions: self.sms.iter().map(|s| s.instructions).collect(),
+            dram_busy_cycles: self.dram_busy,
+            sm_breakdown: self
+                .sms
+                .iter()
+                .map(|s| StallBreakdown {
+                    idle: s.breakdown.idle
+                        + match s.last_issue {
+                            Some(prev) => self.end_time.saturating_sub(prev + 1),
+                            None => self.end_time,
+                        },
+                    ..s.breakdown
+                })
+                .collect(),
+        }
+    }
+
+    /// One span per warp that issued at least one instruction.
+    fn spans(&self) -> Vec<WarpSpan> {
+        self.warps
             .iter()
             .enumerate()
             .filter_map(|(wi, w)| {
                 let start = w.first_issue?;
-                let block = &self.blocks[w.block as usize];
                 Some(WarpSpan {
-                    sm: block.sm,
+                    sm: w.sm,
                     block: w.block,
-                    warp_in_block: wi as u32 - block.warps[0],
+                    warp_in_block: wi as u32 - self.blocks[w.block as usize].first_warp,
                     start,
                     end: w.last_time.max(start + 1),
                     instructions: w.instructions,
                 })
             })
-            .collect();
-        Ok((
-            TimingReport {
-                cycles: self.end_time,
-                sm_instructions: self.sm_instructions,
-                dram_busy_cycles: self.dram_busy,
-                sm_breakdown: self.sm_breakdown,
-            },
-            spans,
-        ))
+            .collect()
     }
 
     fn completion_time(&mut self, t_iss: u64, op: Op) -> u64 {
@@ -1265,6 +1434,78 @@ mod tests {
         for b in &acc.sm_breakdown {
             assert_eq!(b.total(), acc.cycles);
         }
+    }
+
+    #[test]
+    fn waiting_warps_cost_no_queue_work_per_cycle() {
+        // 48 all-ALU warps on one single-issue SM: most of them are ready
+        // and refused by the port every cycle. An issued instruction may
+        // cost its own event, a token pop and a superseded token — never
+        // one pop per waiting warp per cycle (about W/2 per instruction).
+        let mut cfg = GpuConfig::fermi_c2050();
+        cfg.num_sms = 1;
+        let t = alu_trace(200);
+        let input = TimingInput {
+            blocks: (0..6).map(|_| vec![vec![&t]; 8]).collect(),
+            block_threads: 256,
+            shared_words_per_block: 0,
+            queue: Vec::new(),
+        };
+        let mut eng = Engine::new(&input, &cfg).unwrap();
+        eng.replay().unwrap();
+        let issued = eng.report().sm_instructions[0];
+        assert_eq!(issued, 48 * 200);
+        assert!(
+            eng.pops <= 3 * issued,
+            "{} queue pops for {issued} instructions",
+            eng.pops
+        );
+    }
+
+    #[test]
+    fn radix_queue_pops_in_key_order() {
+        let mut q = RadixQueue::new();
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut reference = BinaryHeap::new();
+        for _ in 0..2000 {
+            // Pushes never go below the last pop, as in the engine.
+            if next() % 3 != 0 || reference.is_empty() {
+                let key = q.last + next() % 5000;
+                q.push(Event { key, tag: 0 });
+                reference.push(Reverse(key));
+            } else {
+                let Reverse(want) = reference.pop().unwrap();
+                assert_eq!(q.pop().map(|e| e.key), Some(want));
+            }
+        }
+        while let Some(Reverse(want)) = reference.pop() {
+            assert_eq!(q.pop().map(|e| e.key), Some(want));
+        }
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn cycles_past_the_key_range_are_an_error() {
+        // Two warps leave 62 bits of cycle count; a latency that long
+        // must surface as an error, not a wrapped key or a panic.
+        let mut far = cfg();
+        far.alu_latency = 1 << 62;
+        let warps = [alu_trace(2), alu_trace(2)];
+        let err = simulate(&one_block_input(&warps, 64), &far).unwrap_err();
+        assert_eq!(
+            err,
+            TimingError::CycleRange {
+                cycle: 1 << 62,
+                limit: (1 << 62) - 1,
+            }
+        );
+        assert!(err.to_string().contains("range"));
     }
 
     #[test]
