@@ -15,7 +15,7 @@ use crate::device_graph::DeviceGraph;
 use crate::kernels::common::{item_sweep, load_row_range, Sweep};
 use crate::method::{ExecConfig, Method};
 use crate::runner::{check_iteration_bound, AlgoRun};
-use maxwarp_simt::{DevPtr, Gpu, KernelStats, Lanes, LaunchError};
+use maxwarp_simt::{DevPtr, Gpu, Lanes, LaunchError, Submitted};
 
 /// Level value of undiscovered vertices.
 pub const INF: u32 = u32::MAX;
@@ -100,6 +100,7 @@ pub fn run_betweenness(
         run.absorb(&stats);
     }
 
+    run.settle(gpu)?;
     Ok(BcOutput {
         bc: gpu.mem.download(st.bc),
         run,
@@ -115,7 +116,7 @@ fn launch_forward(
     cur: u32,
     method: Method,
     exec: &ExecConfig,
-) -> Result<KernelStats, LaunchError> {
+) -> Result<Submitted, LaunchError> {
     let (level, sigma, changed) = (st.level, st.sigma, st.changed);
     item_sweep(gpu, g.n, method, exec, |w, sweep, vids, m| {
         let lv = w.ld(m, level, vids);
@@ -151,7 +152,7 @@ fn launch_backward(
     d: u32,
     method: Method,
     exec: &ExecConfig,
-) -> Result<KernelStats, LaunchError> {
+) -> Result<Submitted, LaunchError> {
     let (level, sigma, delta) = (st.level, st.sigma, st.delta);
     item_sweep(gpu, g.n, method, exec, |w, sweep, vids, m| {
         let lv = w.ld(m, level, vids);
@@ -199,7 +200,7 @@ fn launch_accumulate(
     st: &BcState,
     src: u32,
     exec: &ExecConfig,
-) -> Result<KernelStats, LaunchError> {
+) -> Result<Submitted, LaunchError> {
     let (level, delta, bc) = (st.level, st.delta, st.bc);
     item_sweep(gpu, g.n, Method::Baseline, exec, |w, _, vid, m| {
         let lv = w.ld(m, level, vid);

@@ -71,10 +71,26 @@ impl BfsState {
 
 /// One level-synchronous BFS round: reset the flags, expand every vertex at
 /// level `cur` (plus the deferred-outlier pass when the method requests
-/// it), absorb the launch stats into `run`, and report whether any vertex
-/// was claimed. [`run_bfs`] is exactly a loop over this function, so a
-/// caller stepping rounds itself produces byte-identical levels and stats.
+/// it), absorb the launch stats into `run`, settle it, and report whether
+/// any vertex was claimed. [`run_bfs`] is the same loop over the round
+/// body, settled once at the end, so a caller stepping rounds itself
+/// produces byte-identical levels and stats.
 pub fn bfs_round(
+    gpu: &mut Gpu,
+    g: &DeviceGraph,
+    st: &BfsState,
+    cur: u32,
+    method: Method,
+    exec: &ExecConfig,
+    run: &mut AlgoRun,
+) -> Result<bool, LaunchError> {
+    let changed = bfs_step(gpu, g, st, cur, method, exec, run)?;
+    run.settle(gpu)?;
+    Ok(changed)
+}
+
+/// [`bfs_round`] without the settle: its launches may still be in flight.
+fn bfs_step(
     gpu: &mut Gpu,
     g: &DeviceGraph,
     st: &BfsState,
@@ -145,12 +161,13 @@ pub fn run_bfs(
     let mut run = AlgoRun::default();
     let mut cur = 0u32;
     loop {
-        if !bfs_round(gpu, g, &st, cur, method, exec, &mut run)? {
+        if !bfs_step(gpu, g, &st, cur, method, exec, &mut run)? {
             break;
         }
         cur += 1;
         check_iteration_bound(gpu, "bfs", cur, g.n)?;
     }
+    run.settle(gpu)?;
     Ok(BfsOutput {
         levels: gpu.mem.download(st.levels),
         run,

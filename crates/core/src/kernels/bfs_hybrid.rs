@@ -18,7 +18,7 @@ use crate::kernels::bfs::{BfsOutput, INF};
 use crate::kernels::common::{item_sweep, ld_cols_opt, load_row_range_opt, Sweep};
 use crate::method::{ExecConfig, Method};
 use crate::runner::{check_iteration_bound, AlgoRun};
-use maxwarp_simt::{DevPtr, Gpu, KernelStats, Lanes, LaunchError, Mask};
+use maxwarp_simt::{DevPtr, Gpu, Lanes, LaunchError, Mask, Submitted};
 
 /// Which way a level was executed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -129,6 +129,7 @@ pub fn run_bfs_hybrid(
         check_iteration_bound(gpu, "bfs-hybrid", cur, n)?;
     }
 
+    run.settle(gpu)?;
     Ok(HybridBfsOutput {
         bfs: BfsOutput {
             levels: gpu.mem.download(st.levels),
@@ -146,7 +147,7 @@ fn launch_top_down(
     cur: u32,
     method: Method,
     exec: &ExecConfig,
-) -> Result<KernelStats, LaunchError> {
+) -> Result<Submitted, LaunchError> {
     let (levels, nf) = (st.levels, st.nf);
     let cached = exec.cached_graph_loads;
     item_sweep(gpu, g.n, method, exec, |w, sweep, vids, m| {
@@ -180,7 +181,7 @@ fn launch_bottom_up(
     cur: u32,
     method: Method,
     exec: &ExecConfig,
-) -> Result<KernelStats, LaunchError> {
+) -> Result<Submitted, LaunchError> {
     let (levels, nf) = (st.levels, st.nf);
     let cached = exec.cached_graph_loads;
     item_sweep(gpu, rev.n, method, exec, |w, sweep, vids, m| {

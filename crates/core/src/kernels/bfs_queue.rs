@@ -111,6 +111,7 @@ pub fn run_bfs_queue(
         cur += 1;
         check_iteration_bound(gpu, "bfs-queue", cur, g.n)?;
     }
+    run.settle(gpu)?;
     Ok(BfsOutput {
         levels: gpu.mem.download(st.levels),
         run,

@@ -60,9 +60,24 @@ impl CcState {
 
 /// One min-label propagation round: reset the flags, push every vertex's
 /// label across its edges (plus the deferred-outlier pass when requested),
-/// absorb the launch stats into `run`, and report whether any label
-/// improved. [`run_cc`] is exactly a loop over this function.
+/// absorb the launch stats into `run`, settle it, and report whether any
+/// label improved. [`run_cc`] is the same loop over the round body,
+/// settled once at the end.
 pub fn cc_round(
+    gpu: &mut Gpu,
+    g: &DeviceGraph,
+    st: &CcState,
+    method: Method,
+    exec: &ExecConfig,
+    run: &mut AlgoRun,
+) -> Result<bool, LaunchError> {
+    let changed = cc_step(gpu, g, st, method, exec, run)?;
+    run.settle(gpu)?;
+    Ok(changed)
+}
+
+/// [`cc_round`] without the settle: its launches may still be in flight.
+fn cc_step(
     gpu: &mut Gpu,
     g: &DeviceGraph,
     st: &CcState,
@@ -119,12 +134,13 @@ pub fn run_cc(
     let mut run = AlgoRun::default();
     let mut round = 0u32;
     loop {
-        if !cc_round(gpu, g, &st, method, exec, &mut run)? {
+        if !cc_step(gpu, g, &st, method, exec, &mut run)? {
             break;
         }
         round += 1;
         check_iteration_bound(gpu, "cc", round, g.n)?;
     }
+    run.settle(gpu)?;
     Ok(CcOutput {
         labels: gpu.mem.download(st.labels),
         run,

@@ -15,7 +15,7 @@ use crate::device_graph::DeviceGraph;
 use crate::kernels::common::{item_sweep, load_row_range, Sweep};
 use crate::method::{ExecConfig, Method};
 use crate::runner::{check_iteration_bound, AlgoRun};
-use maxwarp_simt::{DevPtr, Gpu, KernelStats, Lanes, LaunchError, Mask};
+use maxwarp_simt::{DevPtr, Gpu, Lanes, LaunchError, Mask, Submitted};
 
 /// Color of uncolored vertices.
 pub const UNCOLORED: u32 = u32::MAX;
@@ -93,6 +93,7 @@ pub fn run_coloring(
         .filter(|&&c| c != UNCOLORED)
         .max()
         .map_or(0, |&c| c + 1);
+    run.settle(gpu)?;
     Ok(ColoringOutput {
         colors: host,
         num_colors,
@@ -110,7 +111,7 @@ fn launch_select(
     remaining: DevPtr<u32>,
     method: Method,
     exec: &ExecConfig,
-) -> Result<KernelStats, LaunchError> {
+) -> Result<Submitted, LaunchError> {
     item_sweep(gpu, g.n, method, exec, |w, sweep, vids, m| {
         let col = w.ld(m, colors, vids);
         let mu = w.alu_pred(m, &col, |c| c == UNCOLORED);
@@ -152,7 +153,7 @@ fn launch_commit(
     candidate: DevPtr<u32>,
     round: u32,
     exec: &ExecConfig,
-) -> Result<KernelStats, LaunchError> {
+) -> Result<Submitted, LaunchError> {
     item_sweep(gpu, g.n, Method::Baseline, exec, |w, _, vid, m| {
         let cand = w.ld(m, candidate, vid);
         let mc = w.alu_pred(m, &cand, |c| c == 1);

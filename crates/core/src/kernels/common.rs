@@ -7,8 +7,8 @@
 //! template, written once:
 //!
 //! * [`item_sweep`] visits `n` items (vertices, frontier-queue entries,
-//!   edges) under a [`Method`]: one thread per item through `Gpu::launch`,
-//!   or one virtual warp per item through `Gpu::launch_warp_tasks` over
+//!   edges) under a [`Method`]: one thread per item through `Gpu::submit`,
+//!   or one virtual warp per item through `Gpu::submit_warp_tasks` over
 //!   chunks of `ExecConfig::chunk_vertices` items, statically partitioned
 //!   or fetched dynamically. The algorithm supplies one `visit` closure —
 //!   its filter and its per-edge body — and never sees a grid size, a
@@ -21,13 +21,17 @@
 //!   whether high-degree items are set aside ([`Sweep::defer_outliers`]).
 //! * [`outlier_sweep`] drains the deferred queue with whole blocks.
 //!
+//! Every sweep is submitted asynchronously: it returns once its functional
+//! pass has run, with its cycles pending until the driver settles its
+//! [`AlgoRun`](crate::AlgoRun).
+//!
 //! An algorithm file holds a filter, an edge body and its driver loop.
 
 use crate::device_graph::DeviceGraph;
 use crate::method::{ExecConfig, Method};
 use crate::vwarp::VwLayout;
 use maxwarp_simt::{
-    BlockCtx, DevPtr, Gpu, KernelStats, Lanes, LaunchError, Mask, WarpCtx, WARP_SIZE,
+    BlockCtx, DevPtr, Gpu, Lanes, LaunchError, Mask, Submitted, WarpCtx, WARP_SIZE,
 };
 
 /// Load `(start, end)` adjacency offsets for the active vertices.
@@ -179,7 +183,7 @@ pub(crate) fn item_sweep(
     method: Method,
     exec: &ExecConfig,
     visit: impl Fn(&mut WarpCtx<'_>, Sweep<'_>, &Lanes<u32>, Mask),
-) -> Result<KernelStats, LaunchError> {
+) -> Result<Submitted, LaunchError> {
     item_fold(
         gpu,
         n,
@@ -204,7 +208,7 @@ pub(crate) fn item_fold<A>(
     init: impl Fn() -> A,
     visit: impl Fn(&mut WarpCtx<'_>, Sweep<'_>, &Lanes<u32>, Mask, &mut A),
     finish: impl Fn(&mut WarpCtx<'_>, A),
-) -> Result<KernelStats, LaunchError> {
+) -> Result<Submitted, LaunchError> {
     match method {
         Method::Baseline => {
             let kernel = |b: &mut BlockCtx<'_>| {
@@ -221,13 +225,13 @@ pub(crate) fn item_fold<A>(
             };
             // A CUDA grid cannot be empty: zero items still cost one block.
             let grid = n.div_ceil(exec.block_threads).max(1);
-            gpu.launch(grid, exec.block_threads, &kernel)
+            gpu.submit(grid, exec.block_threads, &kernel)
         }
         Method::WarpCentric(opts) => {
             let layout = VwLayout::new(opts.vw);
             let per_pass = opts.vw.per_physical();
             let chunk = exec.chunk_vertices.max(per_pass);
-            gpu.launch_warp_tasks(
+            gpu.submit_warp_tasks(
                 exec.resident_grid(&gpu.cfg),
                 exec.block_threads,
                 n.div_ceil(chunk),
@@ -304,7 +308,7 @@ pub(crate) fn outlier_sweep<T>(
     exec: &ExecConfig,
     per_vertex: impl Fn(&mut WarpCtx<'_>, u32) -> T,
     edge: impl Fn(&mut WarpCtx<'_>, &T, Mask, &Lanes<u32>),
-) -> Result<Option<KernelStats>, LaunchError> {
+) -> Result<Option<Submitted>, LaunchError> {
     let pending = q.pending(gpu);
     if pending == 0 {
         return Ok(None);
@@ -336,7 +340,7 @@ pub(crate) fn outlier_sweep<T>(
         }
     };
     let grid = pending.min(exec.resident_grid(&gpu.cfg));
-    gpu.launch(grid, exec.block_threads, &kernel).map(Some)
+    gpu.submit(grid, exec.block_threads, &kernel).map(Some)
 }
 
 #[cfg(test)]
@@ -428,7 +432,8 @@ mod tests {
                 let (s, e) = load_row_range(w, &dg, m, vids);
                 sweep.neighbor_loop(w, m, &s, &e, |w, act, _| w.alu_nop(act));
             })
-            .unwrap();
+            .unwrap()
+            .stats;
             assert!(stats.instructions > 0);
             stats.lane_utilization()
         };

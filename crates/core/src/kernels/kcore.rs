@@ -16,7 +16,7 @@ use crate::device_graph::DeviceGraph;
 use crate::kernels::common::{item_sweep, load_row_range};
 use crate::method::{ExecConfig, Method};
 use crate::runner::{check_iteration_bound, AlgoRun};
-use maxwarp_simt::{DevPtr, Gpu, KernelStats, Lanes, LaunchError};
+use maxwarp_simt::{DevPtr, Gpu, Lanes, LaunchError, Submitted};
 
 /// Core number of not-yet-peeled vertices during the run.
 const PENDING: u32 = u32::MAX;
@@ -125,6 +125,7 @@ pub fn run_kcore(
 
     let core = gpu.mem.download(st.core);
     let degeneracy = core.iter().copied().max().unwrap_or(0);
+    run.settle(gpu)?;
     Ok(KcoreOutput {
         core,
         degeneracy,
@@ -140,7 +141,7 @@ fn launch_mark(
     st: &KcoreState,
     k: u32,
     exec: &ExecConfig,
-) -> Result<KernelStats, LaunchError> {
+) -> Result<Submitted, LaunchError> {
     let (deg, core, pending, changed) = (st.deg, st.core, st.pending, st.changed);
     item_sweep(gpu, g.n, Method::Baseline, exec, |w, _, vid, m| {
         let c = w.ld(m, core, vid);
@@ -167,7 +168,7 @@ fn launch_decrement(
     st: &KcoreState,
     method: Method,
     exec: &ExecConfig,
-) -> Result<(KernelStats, u32), LaunchError> {
+) -> Result<(Submitted, u32), LaunchError> {
     let (deg, core, pending) = (st.deg, st.core, st.pending);
     let counter = gpu.mem.alloc::<u32>(1);
     let stats = item_sweep(gpu, g.n, method, exec, |w, sweep, vids, m| {

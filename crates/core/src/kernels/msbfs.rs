@@ -169,6 +169,7 @@ pub fn run_msbfs(
     let levels = (0..sources.len())
         .map(|s| disc[s * n as usize..(s + 1) * n as usize].to_vec())
         .collect();
+    run.settle(gpu)?;
     Ok(MsBfsOutput { levels, run })
 }
 
@@ -180,7 +181,7 @@ fn launch_level(
     next_level: u32,
     method: Method,
     exec: &ExecConfig,
-) -> Result<maxwarp_simt::KernelStats, LaunchError> {
+) -> Result<maxwarp_simt::Submitted, LaunchError> {
     let g = *g;
     let (seen, frontier, next, disc, changed) =
         (st.seen, st.frontier, st.next, st.disc, st.changed);

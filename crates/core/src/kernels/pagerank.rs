@@ -100,10 +100,28 @@ impl PagerankState {
 /// One push pass: zero `next` and the dangling cell, then push every
 /// vertex in `0..rows` across its out-edges (`rows < len` lets a shard
 /// skip its edge-less ghost slots, which must neither push nor count as
-/// dangling). Stats are absorbed into `run` under a fresh iteration.
-/// Outlier deferral is not wired into the push and is rejected.
+/// dangling). Stats are absorbed into `run` under a fresh iteration and
+/// settled. Outlier deferral is not wired into the push and is rejected.
+/// [`run_pagerank`] loops over the same push and apply bodies, settled
+/// once at the end.
 #[allow(clippy::too_many_arguments)]
 pub fn pagerank_push_round(
+    gpu: &mut Gpu,
+    g: &DeviceGraph,
+    st: &PagerankState,
+    rows: u32,
+    iter: u32,
+    method: Method,
+    exec: &ExecConfig,
+    run: &mut AlgoRun,
+) -> Result<(), LaunchError> {
+    pagerank_push_step(gpu, g, st, rows, iter, method, exec, run)?;
+    run.settle(gpu)
+}
+
+/// [`pagerank_push_round`] without the settle.
+#[allow(clippy::too_many_arguments)]
+fn pagerank_push_step(
     gpu: &mut Gpu,
     g: &DeviceGraph,
     st: &PagerankState,
@@ -161,8 +179,22 @@ pub fn pagerank_push_round(
 
 /// The damping/teleport map over `0..rows`: `next[v] = base_fp + d*next[v]`
 /// (a uniform map kernel, identical for every method). Stats absorb into
-/// the current iteration; the caller swaps buffers after.
+/// the current iteration and are settled; the caller swaps buffers after.
 pub fn pagerank_apply_round(
+    gpu: &mut Gpu,
+    st: &PagerankState,
+    rows: u32,
+    base_fp: u32,
+    d_fp: u64,
+    exec: &ExecConfig,
+    run: &mut AlgoRun,
+) -> Result<(), LaunchError> {
+    pagerank_apply_step(gpu, st, rows, base_fp, d_fp, exec, run)?;
+    run.settle(gpu)
+}
+
+/// [`pagerank_apply_round`] without the settle.
+fn pagerank_apply_step(
     gpu: &mut Gpu,
     st: &PagerankState,
     rows: u32,
@@ -197,14 +229,15 @@ pub fn run_pagerank(
 
     let mut run = AlgoRun::default();
     for it in 0..iters {
-        pagerank_push_round(gpu, g, &st, n, it, method, exec, &mut run)?;
+        pagerank_push_step(gpu, g, &st, n, it, method, exec, &mut run)?;
 
         // Apply damping + teleport + dangling redistribution.
         let dang = gpu.mem.read(st.dangling, 0);
         let base_fp = pagerank_base_fp(n, d_fp, dang);
-        pagerank_apply_round(gpu, &st, n, base_fp, d_fp, exec, &mut run)?;
+        pagerank_apply_step(gpu, &st, n, base_fp, d_fp, exec, &mut run)?;
         st.swap();
     }
+    run.settle(gpu)?;
     let ranks = gpu
         .mem
         .download(st.rank)

@@ -84,6 +84,7 @@ pub fn run_spmv(
         w.st(sweep.owners(m), d_y, rows, &total);
     })?;
     run.absorb(&stats);
+    run.settle(gpu)?;
     Ok(SpmvOutput {
         y: gpu.mem.download(d_y),
         run,

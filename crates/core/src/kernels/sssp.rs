@@ -63,10 +63,28 @@ impl SsspState {
 
 /// One Bellman-Ford relaxation round: reset the flags, relax the out-edges
 /// of every reached vertex (plus the deferred-outlier pass when
-/// requested), absorb the launch stats into `run`, and report whether any
-/// distance improved. [`run_sssp`] is exactly a loop over this function.
+/// requested), absorb the launch stats into `run`, settle it, and report
+/// whether any distance improved. [`run_sssp`] is the same loop over the
+/// round body, settled once at the end.
 #[allow(clippy::too_many_arguments)]
 pub fn sssp_round(
+    gpu: &mut Gpu,
+    g: &DeviceGraph,
+    weights: DevPtr<u32>,
+    st: &SsspState,
+    round: u32,
+    method: Method,
+    exec: &ExecConfig,
+    run: &mut AlgoRun,
+) -> Result<bool, LaunchError> {
+    let changed = sssp_step(gpu, g, weights, st, round, method, exec, run)?;
+    run.settle(gpu)?;
+    Ok(changed)
+}
+
+/// [`sssp_round`] without the settle: its launches may still be in flight.
+#[allow(clippy::too_many_arguments)]
+fn sssp_step(
     gpu: &mut Gpu,
     g: &DeviceGraph,
     weights: DevPtr<u32>,
@@ -150,12 +168,13 @@ pub fn run_sssp(
     let mut run = AlgoRun::default();
     let mut round = 0u32;
     loop {
-        if !sssp_round(gpu, g, weights, &st, round, method, exec, &mut run)? {
+        if !sssp_step(gpu, g, weights, &st, round, method, exec, &mut run)? {
             break;
         }
         round += 1;
         check_iteration_bound(gpu, "sssp", round, g.n)?;
     }
+    run.settle(gpu)?;
     Ok(SsspOutput {
         dist: gpu.mem.download(st.dist),
         run,

@@ -126,6 +126,7 @@ pub fn run_triangles(
     )?;
     run.absorb(&stats);
     let count = gpu.mem.read(dev.counter, 0) as u64;
+    run.settle(gpu)?;
     Ok(TriangleOutput { count, run })
 }
 

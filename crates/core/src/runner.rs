@@ -1,6 +1,6 @@
 //! Shared driver machinery: the level-synchronous loop and run results.
 
-use maxwarp_simt::{Gpu, KernelStats, LaunchError, SimtError, WatchdogKind};
+use maxwarp_simt::{Gpu, KernelStats, LaunchError, SimtError, Submitted, Ticket, WatchdogKind};
 use std::panic::Location;
 
 /// Result of running one algorithm end-to-end on the simulated GPU.
@@ -12,23 +12,68 @@ pub struct AlgoRun {
     pub iterations: u32,
     /// Per-iteration cycle counts (useful for level-profile plots).
     pub cycles_per_iteration: Vec<u64>,
+    /// Absorbed launches whose cycles have not settled: each one's ticket
+    /// and iteration index.
+    pub(crate) pending: Vec<(Ticket, usize)>,
+}
+
+/// A launch [`AlgoRun::absorb`] folds in: stats whose cycles are final
+/// (a synchronous [`Gpu::launch`]), or a [`Submitted`] launch whose cycles
+/// arrive at [`AlgoRun::settle`].
+pub trait Absorb {
+    /// The launch's statistics and, while its cycles are pending, its
+    /// ticket.
+    fn parts(&self) -> (&KernelStats, Option<Ticket>);
+}
+
+impl Absorb for KernelStats {
+    fn parts(&self) -> (&KernelStats, Option<Ticket>) {
+        (self, None)
+    }
+}
+
+impl Absorb for Submitted {
+    fn parts(&self) -> (&KernelStats, Option<Ticket>) {
+        (&self.stats, Some(self.ticket))
+    }
 }
 
 impl AlgoRun {
     /// Fold one launch's stats into the run, attributing its cycles to the
-    /// current iteration. A launch absorbed before any [`begin_iteration`]
-    /// (setup kernels, single-shot algorithms) implicitly opens iteration 0
-    /// rather than dropping its cycles from the per-iteration profile.
+    /// current iteration (at [`settle`] for a submitted launch). A launch
+    /// absorbed before any [`begin_iteration`] (setup kernels, single-shot
+    /// algorithms) implicitly opens iteration 0 rather than dropping its
+    /// cycles from the per-iteration profile.
     ///
     /// [`begin_iteration`]: AlgoRun::begin_iteration
-    pub fn absorb(&mut self, launch: &KernelStats) {
+    /// [`settle`]: AlgoRun::settle
+    pub fn absorb(&mut self, launch: &impl Absorb) {
         if self.cycles_per_iteration.is_empty() {
             self.begin_iteration();
         }
-        if let Some(cur) = self.cycles_per_iteration.last_mut() {
-            *cur += launch.cycles;
+        let (stats, ticket) = launch.parts();
+        let cur = self.cycles_per_iteration.len() - 1;
+        match ticket {
+            Some(ticket) => self.pending.push((ticket, cur)),
+            None => self.cycles_per_iteration[cur] += stats.cycles,
         }
-        self.stats.accumulate(launch);
+        self.stats.accumulate(stats);
+    }
+
+    /// Synchronize `gpu` and credit every absorbed launch's cycles to its
+    /// iteration and to `stats.cycles`. Every driver settles its run before
+    /// returning it; until then the cycle fields read only launches that
+    /// have settled. Launches of this run that an earlier error discarded
+    /// credit nothing.
+    pub fn settle(&mut self, gpu: &mut Gpu) -> Result<(), LaunchError> {
+        let settled = gpu.synchronize()?;
+        for (ticket, iteration) in self.pending.drain(..) {
+            if let Ok(i) = settled.binary_search_by_key(&ticket, |&(t, _)| t) {
+                self.cycles_per_iteration[iteration] += settled[i].1;
+                self.stats.cycles += settled[i].1;
+            }
+        }
+        Ok(())
     }
 
     /// Fold another run into this one: stats accumulate, iteration profiles
@@ -67,9 +112,13 @@ impl AlgoRun {
 /// or the device's `watchdog.max_iterations` budget, whichever is tighter.
 /// Public so out-of-crate drivers (the sharded BSP executor) share the
 /// exact same budget semantics as the single-device loops.
+///
+/// A trip synchronizes `gpu` first, so no launch stays in flight behind
+/// the error; a replay error of that launch, which a serial run would have
+/// reported before this check, wins.
 #[track_caller]
 pub fn check_iteration_bound(
-    gpu: &Gpu,
+    gpu: &mut Gpu,
     algo: &str,
     iterations: u32,
     bound: u32,
@@ -80,6 +129,7 @@ pub fn check_iteration_bound(
         None => bound.saturating_add(2),
     };
     if iterations > effective {
+        gpu.synchronize()?;
         return Err(LaunchError::Fault(SimtError::Watchdog(
             WatchdogKind::IterationBudget {
                 algo: algo.to_string(),
@@ -169,9 +219,9 @@ mod tests {
 
     #[test]
     fn iteration_bound_errors() {
-        let gpu = Gpu::new(maxwarp_simt::GpuConfig::tiny_test());
-        assert!(check_iteration_bound(&gpu, "bfs", 10, 10).is_ok());
-        let err = check_iteration_bound(&gpu, "bfs", 100, 10).unwrap_err();
+        let mut gpu = Gpu::new(maxwarp_simt::GpuConfig::tiny_test());
+        assert!(check_iteration_bound(&mut gpu, "bfs", 10, 10).is_ok());
+        let err = check_iteration_bound(&mut gpu, "bfs", 100, 10).unwrap_err();
         assert!(err.to_string().contains("not converging"), "{err}");
         assert!(matches!(
             err,
@@ -186,9 +236,9 @@ mod tests {
     fn iteration_bound_respects_watchdog_cap() {
         let mut cfg = maxwarp_simt::GpuConfig::tiny_test();
         cfg.watchdog.max_iterations = Some(0);
-        let gpu = Gpu::new(cfg);
+        let mut gpu = Gpu::new(cfg);
         // An iteration cap of 0 trips on the very first iteration.
-        let err = check_iteration_bound(&gpu, "bfs", 1, 1000).unwrap_err();
+        let err = check_iteration_bound(&mut gpu, "bfs", 1, 1000).unwrap_err();
         assert!(matches!(
             err,
             LaunchError::Fault(SimtError::Watchdog(WatchdogKind::IterationBudget {

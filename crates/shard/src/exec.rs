@@ -279,7 +279,7 @@ fn run_min_bsp<St: Sync>(
             break;
         }
         round += 1;
-        check_iteration_bound(&md.devices[0].gpu, name, round, md.part.n)?;
+        check_iteration_bound(&mut md.devices[0].gpu, name, round, md.part.n)?;
     }
     let sr = ShardedRun {
         run: merge_runs(&per_shard, &rounds),

@@ -10,14 +10,17 @@ use crate::fault::{
 use crate::kernel::{BlockCtx, Kernel};
 use crate::lanes::WARP_SIZE;
 use crate::mem::DeviceMem;
-use crate::obs::{launch_phase, LaunchPhase};
+use crate::obs::{launch_phase, launch_phase_ns, LaunchPhase};
 use crate::profile::{ProfileReport, Profiler};
 use crate::sanitize::Sanitizer;
 use crate::shared::SharedMem;
 use crate::stats::KernelStats;
 use crate::timing::{self, TimingError, TimingInput, TimingReport, WarpSpan};
-use crate::trace::{KernelTrace, Op, WarpTrace};
+use crate::trace::{BlockTrace, KernelTrace, Op, WarpTrace};
 use crate::warp::{WarpCtx, WarpId};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Launch-time errors (the simulator's `cudaGetLastError`).
@@ -97,7 +100,28 @@ pub enum TaskSchedule {
     Dynamic,
 }
 
+/// A launch's place in its device's launch order. Its cycles are known once
+/// the launch settles; [`Gpu::synchronize`] hands them out by ticket.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Ticket(u64);
+
+/// A submitted launch (see [`Gpu::submit`]): its functional statistics,
+/// whose `cycles` read 0 until the launch settles, and its ticket.
+#[derive(Clone, Debug)]
+pub struct Submitted {
+    /// Everything but the cycles, final once `submit` returns.
+    pub stats: KernelStats,
+    /// Where the launch's cycles appear in [`Gpu::synchronize`]'s output.
+    pub ticket: Ticket,
+}
+
 /// The simulated GPU: configuration plus device memory.
+///
+/// Launches are asynchronous, like CUDA's. [`Gpu::submit`] runs a kernel's
+/// functional pass — its memory effects are visible when it returns — and
+/// leaves its timing replay in flight beside the caller's next functional
+/// pass; the replay settles at the next submit or at
+/// [`Gpu::synchronize`]. [`Gpu::launch`] is the synchronous form.
 ///
 /// ```
 /// use maxwarp_simt::{Gpu, GpuConfig, Mask, Lanes};
@@ -140,6 +164,12 @@ pub struct Gpu {
     /// Deterministic fault-injection state, present when `cfg.faults` (or
     /// `MAXWARP_FAULTS=seed`) turned chaos mode on at construction.
     chaos: Option<ChaosState>,
+    /// Launches submitted so far: the next launch's ticket.
+    submitted: u64,
+    /// The one launch whose replay has not settled yet.
+    in_flight: Option<InFlight>,
+    /// Cycles of settled launches not yet handed out by `synchronize`.
+    settled: Vec<(Ticket, u64)>,
 }
 
 impl Gpu {
@@ -188,6 +218,9 @@ impl Gpu {
             timing_total: TimingReport::default(),
             last_timing: None,
             chaos,
+            submitted: 0,
+            in_flight: None,
+            settled: Vec::new(),
         }
     }
 
@@ -241,8 +274,8 @@ impl Gpu {
         }
     }
 
-    /// Label the next launch in the profile timeline (e.g. `bfs level 3`).
-    /// No-op when the profiler is off.
+    /// Label the next submitted launch in the profile timeline (e.g. `bfs
+    /// level 3`). No-op when the profiler is off.
     pub fn set_profile_label(&mut self, label: &str) {
         if let Some(prof) = &mut self.prof {
             prof.set_launch_label(label);
@@ -254,43 +287,116 @@ impl Gpu {
         self.prof.as_deref().map(Profiler::report)
     }
 
-    /// Timing detail accumulated across every launch on this device
-    /// (per-SM stall buckets sum to the total of all launch cycles).
+    /// Timing detail accumulated across every settled launch on this
+    /// device (per-SM stall buckets sum to the total of all launch cycles).
     /// Available regardless of profiling.
     pub fn timing_total(&self) -> &TimingReport {
         &self.timing_total
     }
 
-    /// Timing detail of the most recent launch, if any launch has run.
+    /// Timing detail of the most recent settled launch, if any.
     pub fn last_timing(&self) -> Option<&TimingReport> {
         self.last_timing.as_ref()
     }
 
-    /// The timing phase of a launch. Warp spans are built only when the
-    /// profiler is there to read them.
-    fn replay(
-        &self,
-        input: &TimingInput<'_>,
-    ) -> Result<(TimingReport, Vec<WarpSpan>), TimingError> {
-        let start = Instant::now();
-        let out = if self.prof.is_some() {
-            timing::simulate_spans(input, &self.cfg)?
-        } else {
-            (timing::simulate_report(input, &self.cfg)?, Vec::new())
-        };
-        launch_phase(LaunchPhase::Timing, start);
-        Ok(out)
-    }
-
     /// Fold one launch's timing into the device totals and, when profiling,
     /// into the per-launch timeline.
-    fn record_timing(&mut self, report: TimingReport, spans: Vec<WarpSpan>) {
+    fn record_timing(&mut self, label: Option<String>, report: TimingReport, spans: Vec<WarpSpan>) {
         self.timing_total.accumulate(&report);
         if let Some(prof) = &mut self.prof {
             self.last_timing = Some(report.clone());
-            prof.finish_launch(report, spans);
+            prof.finish_launch(label, report, spans);
         } else {
             self.last_timing = Some(report);
+        }
+    }
+
+    /// Join the launch in flight, if any, and fold it in as a synchronous
+    /// launch would have right after its functional pass: its cycles into
+    /// the settled list, its timing into the totals and the profile, then
+    /// the cycle budget check. An error drops the undelivered cycles, so
+    /// nothing of a failed run is left for a later one to collect.
+    fn settle(&mut self) -> Result<(), LaunchError> {
+        let Some(launch) = self.in_flight.take() else {
+            return Ok(());
+        };
+        let folded = launch
+            .replay
+            .join()
+            .map_err(LaunchError::from)
+            .and_then(|(report, spans)| {
+                self.settled.push((launch.ticket, report.cycles));
+                self.record_timing(launch.label, report, spans);
+                self.check_cycle_budget()
+            });
+        if folded.is_err() {
+            self.settled.clear();
+        }
+        folded
+    }
+
+    /// Settle the launch in flight and hand out the cycles of every launch
+    /// settled since the last call, in launch order; each launch's cycles
+    /// are handed out once. A replay error (a barrier deadlock, a tripped
+    /// cycle budget) of a submitted launch surfaces here or from the next
+    /// submit — one launch late, as CUDA's asynchronous errors are — with
+    /// the value a synchronous launch would have returned.
+    pub fn synchronize(&mut self) -> Result<Vec<(Ticket, u64)>, LaunchError> {
+        self.settle()?;
+        Ok(std::mem::take(&mut self.settled))
+    }
+
+    /// Start the queued replay of the launch in flight on a helper thread,
+    /// to run beside the functional pass the caller is about to begin.
+    fn start_replay(&mut self) {
+        if let Some(mut launch) = self.in_flight.take() {
+            launch.replay = launch.replay.start();
+            self.in_flight = Some(launch);
+        }
+    }
+
+    /// The rest of a submit after its functional pass: settle the previous
+    /// launch, then put this one in flight with its replay queued. The
+    /// previous launch settles first because a serial run would have
+    /// reported its replay error before anything of this launch; an `Err`
+    /// leaves nothing in flight.
+    fn enqueue(
+        &mut self,
+        traced: Result<(KernelStats, ReplayJob), LaunchError>,
+    ) -> Result<Submitted, LaunchError> {
+        self.settle()?;
+        let (stats, job) = traced.inspect_err(|_| self.settled.clear())?;
+        let ticket = Ticket(self.submitted);
+        self.submitted += 1;
+        self.in_flight = Some(InFlight {
+            ticket,
+            label: self.prof.as_mut().and_then(|p| p.take_launch_label()),
+            replay: Replay::Queued(Box::new(job)),
+            _driver: Simulating::enter(),
+        });
+        Ok(Submitted { stats, ticket })
+    }
+
+    /// Settle `launch`, just submitted, and return its complete
+    /// statistics.
+    fn resolve(&mut self, launch: Submitted) -> Result<KernelStats, LaunchError> {
+        self.settle()?;
+        // It settled last, so its cycles are the last entry.
+        let settled = self.settled.pop();
+        debug_assert_eq!(settled.map(|(ticket, _)| ticket), Some(launch.ticket));
+        Ok(KernelStats {
+            cycles: settled.map_or(0, |(_, cycles)| cycles),
+            ..launch.stats
+        })
+    }
+
+    /// The replay of a launch traced on this device.
+    fn replay_job(&self, trace: KernelTrace, tasks: Option<TaskStreams>) -> ReplayJob {
+        ReplayJob {
+            cfg: self.cfg.clone(),
+            spans: self.prof.is_some(),
+            trace,
+            tasks,
         }
     }
 
@@ -361,14 +467,46 @@ impl Gpu {
     }
 
     /// Launch `kernel` on a grid of `grid_blocks` blocks of `block_threads`
-    /// threads. Runs the functional phase (actual memory effects + traces),
-    /// then the timing phase; returns combined statistics.
+    /// threads and wait for it: [`submit`](Self::submit), then settle (the
+    /// replay runs inline). Returns combined statistics.
     pub fn launch<K: Kernel + ?Sized>(
         &mut self,
         grid_blocks: u32,
         block_threads: u32,
         kernel: &K,
     ) -> Result<KernelStats, LaunchError> {
+        let launch = self.submit(grid_blocks, block_threads, kernel)?;
+        self.resolve(launch)
+    }
+
+    /// Submit `kernel` on a grid of `grid_blocks` blocks of `block_threads`
+    /// threads. Runs the functional phase (actual memory effects + traces)
+    /// on the caller's thread, settles the previously submitted launch, and
+    /// leaves this launch's timing replay in flight. The previous launch's
+    /// replay runs beside this functional pass on a helper thread when a
+    /// core is free; otherwise the caller runs it when it settles, as it
+    /// does at [`synchronize`](Self::synchronize). Either way the result
+    /// and the point an error surfaces are the same.
+    pub fn submit<K: Kernel + ?Sized>(
+        &mut self,
+        grid_blocks: u32,
+        block_threads: u32,
+        kernel: &K,
+    ) -> Result<Submitted, LaunchError> {
+        if core_free() {
+            self.start_replay();
+        }
+        let traced = self.trace_kernel(grid_blocks, block_threads, kernel);
+        self.enqueue(traced)
+    }
+
+    /// The functional pass of a kernel launch.
+    fn trace_kernel<K: Kernel + ?Sized>(
+        &mut self,
+        grid_blocks: u32,
+        block_threads: u32,
+        kernel: &K,
+    ) -> Result<(KernelStats, ReplayJob), LaunchError> {
         self.validate_block(block_threads)?;
         let warps_per_block = block_threads / WARP_SIZE as u32;
         let functional = Instant::now();
@@ -415,24 +553,15 @@ impl Gpu {
         launch_phase(LaunchPhase::Functional, functional);
 
         let stats_start = Instant::now();
-        let mut stats = KernelStats::from_trace(&trace);
+        let stats = KernelStats::from_trace(&trace);
         launch_phase(LaunchPhase::Stats, stats_start);
         self.chaos_perturb_schedule(&mut trace);
-        let (report, spans) = self.replay(&timing::kernel_input(&trace))?;
-        stats.cycles = report.cycles;
-        self.record_timing(report, spans);
-        self.check_cycle_budget()?;
-        Ok(stats)
+        Ok((stats, self.replay_job(trace, None)))
     }
 
-    /// Launch warp-granular tasks: `f(warp, task_id)` runs once per task in
-    /// `0..num_tasks`, each execution tracing one warp's work. The
-    /// `schedule` decides how tasks map onto the `grid_blocks ×
-    /// block_threads` resident warps at timing time.
-    ///
-    /// This is the vehicle for the paper's *dynamic workload distribution*
-    /// study: the same functional work, scheduled statically or via an
-    /// atomic work counter.
+    /// Launch warp-granular tasks and wait for them:
+    /// [`submit_warp_tasks`](Self::submit_warp_tasks), then settle (the
+    /// replay runs inline).
     #[track_caller]
     pub fn launch_warp_tasks(
         &mut self,
@@ -440,8 +569,47 @@ impl Gpu {
         block_threads: u32,
         num_tasks: u32,
         schedule: TaskSchedule,
-        mut f: impl FnMut(&mut WarpCtx<'_>, u32),
+        f: impl FnMut(&mut WarpCtx<'_>, u32),
     ) -> Result<KernelStats, LaunchError> {
+        let launch = self.submit_warp_tasks(grid_blocks, block_threads, num_tasks, schedule, f)?;
+        self.resolve(launch)
+    }
+
+    /// Submit warp-granular tasks: `f(warp, task_id)` runs once per task in
+    /// `0..num_tasks`, each execution tracing one warp's work. The
+    /// `schedule` decides how tasks map onto the `grid_blocks ×
+    /// block_threads` resident warps at timing time. Asynchronous like
+    /// [`submit`](Self::submit).
+    ///
+    /// This is the vehicle for the paper's *dynamic workload distribution*
+    /// study: the same functional work, scheduled statically or via an
+    /// atomic work counter.
+    #[track_caller]
+    pub fn submit_warp_tasks(
+        &mut self,
+        grid_blocks: u32,
+        block_threads: u32,
+        num_tasks: u32,
+        schedule: TaskSchedule,
+        f: impl FnMut(&mut WarpCtx<'_>, u32),
+    ) -> Result<Submitted, LaunchError> {
+        if core_free() {
+            self.start_replay();
+        }
+        let traced = self.trace_tasks(grid_blocks, block_threads, num_tasks, schedule, f);
+        self.enqueue(traced)
+    }
+
+    /// The functional pass of a warp-task launch.
+    #[track_caller]
+    fn trace_tasks(
+        &mut self,
+        grid_blocks: u32,
+        block_threads: u32,
+        num_tasks: u32,
+        schedule: TaskSchedule,
+        mut f: impl FnMut(&mut WarpCtx<'_>, u32),
+    ) -> Result<(KernelStats, ReplayJob), LaunchError> {
         // Attribute the dynamic queue-fetch atomics to whoever launched the
         // task loop — kernel drivers, not this file.
         let launch_site = OpSite::caller("queue_fetch");
@@ -520,57 +688,52 @@ impl Gpu {
             _ => 0,
         };
 
-        // Timing phase: build per-warp streams (static) or a queue (dynamic).
+        // Timing streams, as task indices: per-warp streams (static) or a
+        // queue (dynamic).
         let n_blocks = grid_blocks.max(1);
-        let mut blocks: Vec<Vec<Vec<&WarpTrace>>> = (0..n_blocks)
-            .map(|_| (0..warps_per_block).map(|_| Vec::new()).collect())
-            .collect();
-        let mut queue: Vec<&WarpTrace> = Vec::new();
+        let mut streams = TaskStreams {
+            blocks: (0..n_blocks)
+                .map(|_| (0..warps_per_block).map(|_| Vec::new()).collect())
+                .collect(),
+            queue: Vec::new(),
+        };
+        let mut place = |w: u32, t: u32| {
+            streams.blocks[(w / warps_per_block) as usize][(w % warps_per_block) as usize].push(t)
+        };
         match schedule {
             TaskSchedule::StaticBlocked => {
                 let per = (num_tasks as usize).div_ceil(resident_warps as usize);
-                for (t, wt) in tasks.iter().enumerate() {
-                    let w = ((t / per) as u32 + sched_off) % resident_warps;
-                    blocks[(w / warps_per_block) as usize][(w % warps_per_block) as usize].push(wt);
+                for t in 0..num_tasks {
+                    place(((t as usize / per) as u32 + sched_off) % resident_warps, t);
                 }
             }
             TaskSchedule::StaticCyclic => {
-                for (t, wt) in tasks.iter().enumerate() {
-                    let w = ((t as u32) + sched_off) % resident_warps;
-                    blocks[(w / warps_per_block) as usize][(w % warps_per_block) as usize].push(wt);
+                for t in 0..num_tasks {
+                    place((t + sched_off) % resident_warps, t);
                 }
             }
             TaskSchedule::Dynamic => {
-                queue = tasks.iter().collect();
-                if !queue.is_empty() {
-                    let r = sched_off as usize % queue.len();
-                    queue.rotate_left(r);
+                streams.queue = (0..num_tasks).collect();
+                if num_tasks > 0 {
+                    streams
+                        .queue
+                        .rotate_left(sched_off as usize % num_tasks as usize);
                 }
             }
         }
 
-        let (report, spans) = self.replay(&TimingInput {
-            blocks,
-            block_threads,
-            shared_words_per_block: 0,
-            queue,
-        })?;
-
         // Statistics: one "warp" per task, so the per-warp instruction
         // counts are the per-task imbalance histogram of interest.
         let stats_start = Instant::now();
-        let kt = KernelTrace {
-            blocks: vec![crate::trace::BlockTrace { warps: tasks }],
+        let trace = KernelTrace {
+            blocks: vec![BlockTrace { warps: tasks }],
             block_threads,
             shared_words_per_block: 0,
         };
-        let mut agg = KernelStats::from_trace(&kt);
-        agg.blocks = grid_blocks as u64;
-        agg.cycles = report.cycles;
+        let mut stats = KernelStats::from_trace(&trace);
+        stats.blocks = grid_blocks as u64;
         launch_phase(LaunchPhase::Stats, stats_start);
-        self.record_timing(report, spans);
-        self.check_cycle_budget()?;
-        Ok(agg)
+        Ok((stats, self.replay_job(trace, Some(streams))))
     }
 
     fn validate_block(&self, block_threads: u32) -> Result<(), LaunchError> {
@@ -585,6 +748,171 @@ impl Gpu {
         }
         Ok(())
     }
+}
+
+/// How a warp-task launch's tasks — the warps of its trace's one block —
+/// map onto resident warps: `blocks[b][w]` lists the tasks warp `w` of
+/// block `b` runs in order, `queue` the dynamic queue's fetch order.
+struct TaskStreams {
+    blocks: Vec<Vec<Vec<u32>>>,
+    queue: Vec<u32>,
+}
+
+/// One launch's timing replay, owning everything it reads so that it can
+/// run on another thread. Timing is a pure function of the finished trace:
+/// it never reads device memory.
+struct ReplayJob {
+    cfg: GpuConfig,
+    /// Whether to build warp spans (only the profiler reads them).
+    spans: bool,
+    trace: KernelTrace,
+    /// `None` for a kernel launch, whose warps each run their own trace.
+    tasks: Option<TaskStreams>,
+}
+
+type ReplayOut = Result<(TimingReport, Vec<WarpSpan>), TimingError>;
+
+impl ReplayJob {
+    fn input(&self) -> TimingInput<'_> {
+        let Some(streams) = &self.tasks else {
+            return timing::kernel_input(&self.trace);
+        };
+        let tasks = &self.trace.blocks[0].warps;
+        let pick = |ids: &[u32]| ids.iter().map(|&t| &tasks[t as usize]).collect();
+        TimingInput {
+            blocks: streams
+                .blocks
+                .iter()
+                .map(|b| b.iter().map(|w| pick(w)).collect())
+                .collect(),
+            block_threads: self.trace.block_threads,
+            shared_words_per_block: 0,
+            queue: pick(&streams.queue),
+        }
+    }
+
+    fn run(&self) -> ReplayOut {
+        let start = Instant::now();
+        let input = self.input();
+        let out = if self.spans {
+            timing::simulate_spans(&input, &self.cfg)?
+        } else {
+            (timing::simulate_report(&input, &self.cfg)?, Vec::new())
+        };
+        launch_phase(LaunchPhase::Timing, start);
+        Ok(out)
+    }
+}
+
+/// Threads simulating right now, process-wide: drivers with a launch in
+/// flight plus helper threads replaying one.
+static SIMULATING: AtomicUsize = AtomicUsize::new(0);
+
+/// One thread's share of [`SIMULATING`], held while it simulates.
+struct Simulating;
+
+impl Simulating {
+    fn enter() -> Simulating {
+        SIMULATING.fetch_add(1, Ordering::Relaxed);
+        Simulating
+    }
+}
+
+impl Drop for Simulating {
+    fn drop(&mut self) {
+        SIMULATING.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Whether a helper replay would have a core to itself.
+fn core_free() -> bool {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    SIMULATING.load(Ordering::Relaxed) < cores
+}
+
+/// A replay handed to a helper thread. Whichever of the helper and the
+/// joining caller claims it first runs it, so a helper thread that has not
+/// started by the join costs the caller nothing.
+struct Shared {
+    claimed: AtomicBool,
+    job: ReplayJob,
+}
+
+impl Shared {
+    fn claim(&self) -> bool {
+        !self.claimed.swap(true, Ordering::AcqRel)
+    }
+}
+
+/// A launch's replay. It is joined at the same point wherever it ran, so
+/// results and the moment an error surfaces never depend on where.
+enum Replay {
+    /// Not started: the submitting thread runs it when it settles the
+    /// launch, unless the next submit hands it to a helper first.
+    Queued(Box<ReplayJob>),
+    /// Handed to a helper thread, which returns `None` if the caller
+    /// claimed the replay first.
+    Helper(Arc<Shared>, JoinHandle<Option<ReplayOut>>),
+}
+
+impl Replay {
+    fn start(self) -> Replay {
+        let Replay::Queued(job) = self else {
+            return self;
+        };
+        let shared = Arc::new(Shared {
+            claimed: AtomicBool::new(false),
+            job: *job,
+        });
+        let theirs = Arc::clone(&shared);
+        let slot = Simulating::enter();
+        Replay::Helper(
+            shared,
+            std::thread::spawn(move || {
+                let _slot = slot;
+                theirs.claim().then(|| theirs.job.run())
+            }),
+        )
+    }
+
+    /// The replay's result; a panic inside it re-raises here.
+    fn join(self) -> ReplayOut {
+        let (shared, handle) = match self {
+            Replay::Queued(job) => {
+                launch_phase_ns(LaunchPhase::Wait, 0);
+                return job.run();
+            }
+            Replay::Helper(shared, handle) => (shared, handle),
+        };
+        if shared.claim() {
+            launch_phase_ns(LaunchPhase::Wait, 0);
+            return shared.job.run();
+        }
+        let start = Instant::now();
+        let finished = handle.is_finished();
+        let out = handle
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        let waited = if finished {
+            0
+        } else {
+            start.elapsed().as_nanos() as u64
+        };
+        launch_phase_ns(LaunchPhase::Wait, waited);
+        // The helper claimed the replay, so it ran it.
+        out.unwrap_or_else(|| shared.job.run())
+    }
+}
+
+/// The launch a device has in flight. Dropping it (with its `Gpu`) detaches
+/// a helper replay, which finishes on its own.
+struct InFlight {
+    ticket: Ticket,
+    /// The profile label taken when the launch was submitted.
+    label: Option<String>,
+    replay: Replay,
+    _driver: Simulating,
 }
 
 #[cfg(test)]
@@ -1019,6 +1347,211 @@ mod tests {
             mapped,
             LaunchError::Fault(SimtError::Watchdog(WatchdogKind::BarrierDeadlock { .. }))
         ));
+    }
+
+    /// Two warps of one block: task 0 parks at a barrier task 1 never
+    /// reaches, so the replay deadlocks.
+    fn submit_deadlock(g: &mut Gpu) -> Submitted {
+        let traced = g.trace_tasks(1, 64, 2, TaskSchedule::StaticBlocked, |w, task| {
+            if task == 0 {
+                w.push_op(Op::Bar);
+            } else {
+                w.alu_nop(Mask::FULL);
+            }
+        });
+        g.enqueue(traced).unwrap()
+    }
+
+    /// Where the replay in flight runs: forced onto a helper thread, left
+    /// for the caller to run at the join, or as `submit` decides.
+    type Placement = fn(&mut Gpu);
+    const PLACEMENTS: [(&str, Placement); 3] = [
+        ("helper", on_helper),
+        ("inline", |_| {}),
+        ("free core", |g| {
+            if core_free() {
+                g.start_replay();
+            }
+        }),
+    ];
+
+    /// Start the replay in flight on a helper thread and let it finish
+    /// there, so the join takes the helper's result.
+    fn on_helper(g: &mut Gpu) {
+        g.start_replay();
+        if let Some(InFlight {
+            replay: Replay::Helper(_, handle),
+            ..
+        }) = &g.in_flight
+        {
+            while !handle.is_finished() {
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    /// [`Gpu::submit`] with the previous launch's replay placed by `place`.
+    fn submit_placed(
+        g: &mut Gpu,
+        kernel: &dyn Kernel,
+        place: Placement,
+    ) -> Result<Submitted, LaunchError> {
+        place(g);
+        let traced = g.trace_kernel(2, 32, kernel);
+        g.enqueue(traced)
+    }
+
+    fn is_barrier_deadlock(r: Result<impl std::fmt::Debug, LaunchError>) -> bool {
+        matches!(
+            r,
+            Err(LaunchError::Fault(SimtError::Watchdog(
+                WatchdogKind::BarrierDeadlock { block: 0, .. }
+            )))
+        )
+    }
+
+    #[test]
+    fn placement_never_changes_results() {
+        let run = |place: Placement| {
+            let mut g = profiled_gpu();
+            let out = g.mem.alloc::<u32>(64);
+            let mut submitted = Vec::new();
+            for (i, schedule) in [TaskSchedule::StaticBlocked, TaskSchedule::Dynamic]
+                .into_iter()
+                .enumerate()
+            {
+                g.set_profile_label(&format!("kernel {i}"));
+                let s = submit_placed(&mut g, &imbalanced_kernel, place).unwrap();
+                submitted.push(s.stats);
+                place(&mut g);
+                let traced = g.trace_tasks(2, 64, 64, schedule, |w, task| {
+                    for _ in 0..task % 5 {
+                        w.alu_nop(Mask::FULL);
+                    }
+                    w.st_uniform(Mask::FULL, out, task, task);
+                });
+                submitted.push(g.enqueue(traced).unwrap().stats);
+            }
+            place(&mut g);
+            let cycles = g.synchronize().unwrap();
+            (
+                submitted,
+                cycles,
+                g.timing_total().clone(),
+                g.profile_report().unwrap(),
+                g.mem.download(out),
+            )
+        };
+        let reference = run(PLACEMENTS[0].1);
+        assert_eq!(reference.1.len(), 4);
+        assert!(reference.1.iter().all(|&(_, c)| c > 0));
+        assert_eq!(
+            reference.2.cycles,
+            reference.1.iter().map(|&(_, c)| c).sum()
+        );
+        assert_eq!(reference.3.launches[2].label, "kernel 1");
+        assert_eq!(reference.3.launches[3].label, "launch 3");
+        for (name, place) in PLACEMENTS {
+            assert!(run(place) == reference, "{name}");
+        }
+    }
+
+    #[test]
+    fn submitted_stats_match_launch_but_for_cycles() {
+        let mut a = gpu();
+        let mut b = gpu();
+        let launched = a.launch(2, 32, &imbalanced_kernel).unwrap();
+        let submitted = b.submit(2, 32, &imbalanced_kernel).unwrap();
+        assert_eq!(
+            submitted.stats.cycles, 0,
+            "cycles are pending until settled"
+        );
+        let settled = b.synchronize().unwrap();
+        assert_eq!(settled, vec![(submitted.ticket, launched.cycles)]);
+        assert_eq!(
+            KernelStats {
+                cycles: launched.cycles,
+                ..submitted.stats
+            },
+            launched
+        );
+        assert!(
+            b.synchronize().unwrap().is_empty(),
+            "cycles are handed out once"
+        );
+    }
+
+    #[test]
+    fn replay_errors_surface_one_launch_late() {
+        for (name, place) in PLACEMENTS {
+            // At synchronize.
+            let mut g = gpu();
+            submit_deadlock(&mut g);
+            place(&mut g);
+            assert!(is_barrier_deadlock(g.synchronize()), "{name}");
+            assert!(g.synchronize().unwrap().is_empty(), "{name}");
+
+            // At the next submit, which also drops the new launch.
+            let mut g = gpu();
+            submit_deadlock(&mut g);
+            let next = submit_placed(&mut g, &imbalanced_kernel, place);
+            assert!(is_barrier_deadlock(next), "{name}");
+            assert!(g.synchronize().unwrap().is_empty(), "{name}");
+            assert_eq!(g.timing_total().cycles, 0, "{name}");
+
+            // Ahead of the next launch's own functional fault: serial order.
+            let mut g = gpu();
+            let buf = g.mem.alloc::<u32>(4);
+            submit_deadlock(&mut g);
+            let oob = |b: &mut BlockCtx<'_>| {
+                b.phase(|w| {
+                    let idx = w.lane_ids();
+                    w.st(Mask::FULL, buf, &idx, &idx);
+                })
+            };
+            let next = submit_placed(&mut g, &oob, place);
+            assert!(is_barrier_deadlock(next), "{name}");
+        }
+    }
+
+    #[test]
+    fn dropping_a_gpu_with_a_replay_in_flight_returns() {
+        let mut g = gpu();
+        let k = |b: &mut BlockCtx<'_>| {
+            b.phase(|w| {
+                for _ in 0..2000 {
+                    w.alu_nop(Mask::FULL);
+                }
+            })
+        };
+        g.submit(64, 64, &k).unwrap();
+        g.start_replay();
+        drop(g);
+    }
+
+    #[test]
+    fn a_panicking_replay_reraises_on_the_caller() {
+        for (name, place) in PLACEMENTS {
+            let mut g = gpu();
+            // A task stream naming a task that does not exist.
+            let job = g.replay_job(
+                KernelTrace {
+                    blocks: vec![BlockTrace { warps: Vec::new() }],
+                    block_threads: 32,
+                    shared_words_per_block: 0,
+                },
+                Some(TaskStreams {
+                    blocks: vec![vec![vec![7]]],
+                    queue: Vec::new(),
+                }),
+            );
+            g.enqueue(Ok((KernelStats::default(), job))).unwrap();
+            place(&mut g);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| g.synchronize()));
+            assert!(caught.is_err(), "{name}");
+            // The device is usable again.
+            assert!(g.launch(1, 32, &imbalanced_kernel).is_ok(), "{name}");
+        }
     }
 
     #[test]

@@ -20,6 +20,10 @@
 //! * **Dynamic work queues** — warp-sized tasks can be scheduled statically
 //!   or pulled from an atomic work counter ([`TaskSchedule`]), the
 //!   mechanism behind the paper's dynamic workload distribution.
+//! * **Asynchronous launches** — [`Gpu::submit`] returns once the functional
+//!   pass has run; the timing replay settles beside the next launch's
+//!   functional pass, and [`Gpu::synchronize`] hands out the cycles.
+//!   [`Gpu::launch`] is the synchronous form.
 //!
 //! ## Quick start
 //!
@@ -73,7 +77,7 @@ pub mod warp;
 pub use analyze::{Analyzer, FindKind, Finding};
 pub use cache::CacheModel;
 pub use config::GpuConfig;
-pub use device::{Gpu, LaunchError, TaskSchedule};
+pub use device::{Gpu, LaunchError, Submitted, TaskSchedule, Ticket};
 pub use fault::{
     AddressSpace, ChaosState, FaultConfig, SimtError, WatchdogConfig, WatchdogKind, XorShift64,
 };

@@ -26,25 +26,36 @@ pub(crate) enum LaunchPhase {
     Functional,
     /// Folding the traces into `KernelStats`.
     Stats,
-    /// Replaying the traces through the timing engine.
+    /// Replaying the traces through the timing engine, on a helper thread
+    /// or inline on the submitting thread.
     Timing,
+    /// The submitting thread blocked on a helper thread's replay: the part
+    /// of the replay the next functional pass did not hide. 0 when the
+    /// replay had already finished or ran inline.
+    Wait,
 }
 
-/// Record the host nanoseconds one launch phase took since `start`:
-/// `simt_launch_phase_ns{phase}` with `phase` one of `functional`, `stats`,
-/// `timing`. Every successful launch adds one sample to each.
+/// Record the host nanoseconds one launch phase took since `start`.
 pub(crate) fn launch_phase(phase: LaunchPhase, start: Instant) {
-    static CELLS: [OnceLock<HistogramHandle>; 3] = [const { OnceLock::new() }; 3];
+    launch_phase_ns(phase, start.elapsed().as_nanos() as u64);
+}
+
+/// Record `ns` host nanoseconds of one launch phase:
+/// `simt_launch_phase_ns{phase}` with `phase` one of `functional`, `stats`,
+/// `timing`, `wait`. Every successful launch adds one sample to each.
+pub(crate) fn launch_phase_ns(phase: LaunchPhase, ns: u64) {
+    static CELLS: [OnceLock<HistogramHandle>; 4] = [const { OnceLock::new() }; 4];
     let label = match phase {
         LaunchPhase::Functional => "functional",
         LaunchPhase::Stats => "stats",
         LaunchPhase::Timing => "timing",
+        LaunchPhase::Wait => "wait",
     };
     CELLS[phase as usize]
         .get_or_init(|| {
             maxwarp_obs::global().histogram_with("simt_launch_phase_ns", &[("phase", label)])
         })
-        .record(start.elapsed().as_nanos() as u64);
+        .record(ns);
 }
 
 /// Record a fault at the moment it converts into a `LaunchError`:

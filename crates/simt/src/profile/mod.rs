@@ -200,9 +200,17 @@ impl Profiler {
         self.context = name.to_string();
     }
 
-    /// Label the *next* launch (e.g. `bfs level 3`); consumed by the launch.
+    /// Label the *next* launch (e.g. `bfs level 3`); consumed when that
+    /// launch is submitted.
     pub fn set_launch_label(&mut self, label: &str) {
         self.next_label = Some(label.to_string());
+    }
+
+    /// Take the label set for the launch being submitted; it travels with
+    /// the launch until [`finish_launch`](Self::finish_launch), so labels
+    /// set for later launches in the meantime cannot steal its place.
+    pub(crate) fn take_launch_label(&mut self) -> Option<String> {
+        self.next_label.take()
     }
 
     /// Attribute one issued instruction to the kernel call site it came
@@ -238,13 +246,16 @@ impl Profiler {
     }
 
     /// Close out one launch: fold its timing into the running totals and
-    /// record its per-launch profile (label, spans, breakdown).
-    pub(crate) fn finish_launch(&mut self, timing: TimingReport, spans: Vec<WarpSpan>) {
+    /// record its per-launch profile (label, spans, breakdown). Launches
+    /// finish in submission order; an unlabelled one is `launch <index>`.
+    pub(crate) fn finish_launch(
+        &mut self,
+        label: Option<String>,
+        timing: TimingReport,
+        spans: Vec<WarpSpan>,
+    ) {
         let index = self.launches.len() as u32;
-        let label = self
-            .next_label
-            .take()
-            .unwrap_or_else(|| format!("launch {index}"));
+        let label = label.unwrap_or_else(|| format!("launch {index}"));
         self.timing.accumulate(&timing);
         let instructions = timing.sm_instructions.iter().sum();
         self.launches.push(LaunchProfile {
@@ -417,8 +428,9 @@ mod tests {
             ],
         };
         p.set_launch_label("level 0");
-        p.finish_launch(mk(100), Vec::new());
-        p.finish_launch(mk(50), Vec::new());
+        let label = p.take_launch_label();
+        p.finish_launch(label, mk(100), Vec::new());
+        p.finish_launch(None, mk(50), Vec::new());
         let r = p.report();
         assert_eq!(r.total_cycles, 150);
         assert_eq!(r.launches.len(), 2);

@@ -108,6 +108,14 @@ impl<'a> WarpCtx<'a> {
         Self::new_instrumented(mem, shared, trace, cache, cfg, id, None, None)
     }
 
+    /// Append a raw op to the trace, bypassing the functional model — how
+    /// tests hand-build traces the API cannot produce (a barrier inside a
+    /// warp task).
+    #[cfg(test)]
+    pub(crate) fn push_op(&mut self, op: Op) {
+        self.trace.ops.push(op);
+    }
+
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new_instrumented(
         mem: &'a mut DeviceMem,

@@ -1,5 +1,8 @@
-//! Every launch splits its host time into functional, stats and timing
-//! phases in the process-wide `simt_launch_phase_ns{phase}` histogram.
+//! Every launch splits its host time into functional, stats, timing and
+//! wait phases in the process-wide `simt_launch_phase_ns{phase}` histogram:
+//! `wait` is the time the submitting thread blocked on the replay, so it
+//! adds a sample (0 when nothing was left to wait for) whether the replay
+//! ran on a helper thread or inline.
 
 use maxwarp_simt::{BlockCtx, Gpu, GpuConfig, Mask, TaskSchedule};
 
@@ -11,8 +14,8 @@ fn samples(phase: &str) -> u64 {
         .map_or(0, |(_, h)| h.count)
 }
 
-fn counts() -> [u64; 3] {
-    ["functional", "stats", "timing"].map(samples)
+fn counts() -> [u64; 4] {
+    ["functional", "stats", "timing", "wait"].map(samples)
 }
 
 #[test]
@@ -40,4 +43,15 @@ fn each_launch_adds_one_sample_per_phase() {
         .unwrap();
         assert_eq!(counts(), before.map(|c| c + 1), "{schedule:?}");
     }
+
+    // Asynchronous launches add theirs when they settle.
+    let before = counts();
+    for schedule in [TaskSchedule::StaticBlocked, TaskSchedule::Dynamic] {
+        g.submit_warp_tasks(1, 64, 8, schedule, |w, task| {
+            w.st_uniform(Mask::FULL, out, task, task);
+        })
+        .unwrap();
+    }
+    g.synchronize().unwrap();
+    assert_eq!(counts(), before.map(|c| c + 2), "submit");
 }
