@@ -85,5 +85,5 @@ pub use kernels::sssp::{run_sssp, sssp_round, SsspOutput, SsspState, INF as SSSP
 pub use kernels::triangles::{run_triangles, TriangleOutput};
 pub use method::{table as method_table, ExecConfig, Method, WarpCentricOpts};
 pub use metrics::{geomean, rows_to_json, RunRow};
-pub use runner::{check_iteration_bound, Absorb, AlgoRun};
+pub use runner::{check_iteration_bound, AlgoRun};
 pub use vwarp::{VirtualWarp, VwLayout};

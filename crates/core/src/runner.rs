@@ -17,47 +17,22 @@ pub struct AlgoRun {
     pub(crate) pending: Vec<(Ticket, usize)>,
 }
 
-/// A launch [`AlgoRun::absorb`] folds in: stats whose cycles are final
-/// (a synchronous [`Gpu::launch`]), or a [`Submitted`] launch whose cycles
-/// arrive at [`AlgoRun::settle`].
-pub trait Absorb {
-    /// The launch's statistics and, while its cycles are pending, its
-    /// ticket.
-    fn parts(&self) -> (&KernelStats, Option<Ticket>);
-}
-
-impl Absorb for KernelStats {
-    fn parts(&self) -> (&KernelStats, Option<Ticket>) {
-        (self, None)
-    }
-}
-
-impl Absorb for Submitted {
-    fn parts(&self) -> (&KernelStats, Option<Ticket>) {
-        (&self.stats, Some(self.ticket))
-    }
-}
-
 impl AlgoRun {
-    /// Fold one launch's stats into the run, attributing its cycles to the
-    /// current iteration (at [`settle`] for a submitted launch). A launch
-    /// absorbed before any [`begin_iteration`] (setup kernels, single-shot
+    /// Fold one submitted launch's stats into the run; its cycles are
+    /// credited to the current iteration at [`settle`]. A launch absorbed
+    /// before any [`begin_iteration`] (setup kernels, single-shot
     /// algorithms) implicitly opens iteration 0 rather than dropping its
     /// cycles from the per-iteration profile.
     ///
     /// [`begin_iteration`]: AlgoRun::begin_iteration
     /// [`settle`]: AlgoRun::settle
-    pub fn absorb(&mut self, launch: &impl Absorb) {
+    pub fn absorb(&mut self, launch: &Submitted) {
         if self.cycles_per_iteration.is_empty() {
             self.begin_iteration();
         }
-        let (stats, ticket) = launch.parts();
         let cur = self.cycles_per_iteration.len() - 1;
-        match ticket {
-            Some(ticket) => self.pending.push((ticket, cur)),
-            None => self.cycles_per_iteration[cur] += stats.cycles,
-        }
-        self.stats.accumulate(stats);
+        self.pending.push((launch.ticket, cur));
+        self.stats.accumulate(&launch.stats);
     }
 
     /// Synchronize `gpu` and credit every absorbed launch's cycles to its
@@ -145,39 +120,53 @@ pub fn check_iteration_bound(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maxwarp_simt::{BlockCtx, GpuConfig, Mask};
+
+    /// A one-warp kernel of ten ALU instructions: every launch of it takes
+    /// the same cycles.
+    fn nops(b: &mut BlockCtx<'_>) {
+        b.phase(|w| (0..10).for_each(|_| w.alu_nop(Mask::FULL)));
+    }
+
+    /// A device and the synchronous stats of one [`nops`] launch on it.
+    fn gpu_and_one_launch() -> (Gpu, KernelStats) {
+        let mut gpu = Gpu::new(GpuConfig::tiny_test());
+        let one = gpu.launch(1, 32, &nops).unwrap();
+        assert!(one.cycles > 0);
+        (gpu, one)
+    }
+
+    fn submit(gpu: &mut Gpu) -> Submitted {
+        gpu.submit(1, 32, &nops).unwrap()
+    }
 
     #[test]
     fn absorb_accumulates_per_iteration() {
+        let (mut gpu, one) = gpu_and_one_launch();
         let mut run = AlgoRun::default();
         run.begin_iteration();
-        let s = KernelStats {
-            cycles: 100,
-            instructions: 10,
-            ..Default::default()
-        };
-        run.absorb(&s);
-        run.absorb(&s);
+        run.absorb(&submit(&mut gpu));
+        run.absorb(&submit(&mut gpu));
         run.begin_iteration();
-        run.absorb(&s);
+        run.absorb(&submit(&mut gpu));
+        assert_eq!(run.cycles(), 0, "cycles are pending until settled");
+        run.settle(&mut gpu).unwrap();
         assert_eq!(run.iterations, 2);
-        assert_eq!(run.cycles_per_iteration, vec![200, 100]);
-        assert_eq!(run.cycles(), 300);
-        assert_eq!(run.stats.instructions, 30);
+        assert_eq!(run.cycles_per_iteration, vec![2 * one.cycles, one.cycles]);
+        assert_eq!(run.cycles(), 3 * one.cycles);
+        assert_eq!(run.stats.instructions, 3 * one.instructions);
     }
 
     #[test]
     fn absorb_before_begin_opens_iteration_zero() {
+        let (mut gpu, one) = gpu_and_one_launch();
         let mut run = AlgoRun::default();
-        let s = KernelStats {
-            cycles: 40,
-            ..Default::default()
-        };
-        run.absorb(&s); // no begin_iteration yet: must not lose these cycles
+        run.absorb(&submit(&mut gpu)); // no begin_iteration yet: must not lose these cycles
         assert_eq!(run.iterations, 1);
-        assert_eq!(run.cycles_per_iteration, vec![40]);
         run.begin_iteration();
-        run.absorb(&s);
-        assert_eq!(run.cycles_per_iteration, vec![40, 40]);
+        run.absorb(&submit(&mut gpu));
+        run.settle(&mut gpu).unwrap();
+        assert_eq!(run.cycles_per_iteration, vec![one.cycles, one.cycles]);
         assert_eq!(
             run.cycles_per_iteration.iter().sum::<u64>(),
             run.stats.cycles,
@@ -187,23 +176,21 @@ mod tests {
 
     #[test]
     fn merge_concatenates_profiles() {
+        let (mut gpu, one) = gpu_and_one_launch();
         let mut a = AlgoRun::default();
         let mut b = AlgoRun::default();
-        let s = KernelStats {
-            cycles: 10,
-            instructions: 2,
-            ..Default::default()
-        };
         a.begin_iteration();
-        a.absorb(&s);
+        a.absorb(&submit(&mut gpu));
+        a.settle(&mut gpu).unwrap();
         b.begin_iteration();
-        b.absorb(&s);
-        b.absorb(&s);
+        b.absorb(&submit(&mut gpu));
+        b.absorb(&submit(&mut gpu));
+        b.settle(&mut gpu).unwrap();
         a.merge(&b);
         assert_eq!(a.iterations, 2);
-        assert_eq!(a.cycles_per_iteration, vec![10, 20]);
-        assert_eq!(a.stats.instructions, 6);
-        assert_eq!(a.cycles(), 30);
+        assert_eq!(a.cycles_per_iteration, vec![one.cycles, 2 * one.cycles]);
+        assert_eq!(a.stats.instructions, 3 * one.instructions);
+        assert_eq!(a.cycles(), 3 * one.cycles);
     }
 
     #[test]
@@ -219,7 +206,7 @@ mod tests {
 
     #[test]
     fn iteration_bound_errors() {
-        let mut gpu = Gpu::new(maxwarp_simt::GpuConfig::tiny_test());
+        let mut gpu = Gpu::new(GpuConfig::tiny_test());
         assert!(check_iteration_bound(&mut gpu, "bfs", 10, 10).is_ok());
         let err = check_iteration_bound(&mut gpu, "bfs", 100, 10).unwrap_err();
         assert!(err.to_string().contains("not converging"), "{err}");
@@ -234,7 +221,7 @@ mod tests {
 
     #[test]
     fn iteration_bound_respects_watchdog_cap() {
-        let mut cfg = maxwarp_simt::GpuConfig::tiny_test();
+        let mut cfg = GpuConfig::tiny_test();
         cfg.watchdog.max_iterations = Some(0);
         let mut gpu = Gpu::new(cfg);
         // An iteration cap of 0 trips on the very first iteration.

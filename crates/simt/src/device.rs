@@ -18,7 +18,7 @@ use crate::stats::KernelStats;
 use crate::timing::{self, TimingError, TimingInput, TimingReport, WarpSpan};
 use crate::trace::{BlockTrace, KernelTrace, Op, WarpTrace};
 use crate::warp::{WarpCtx, WarpId};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -371,7 +371,7 @@ impl Gpu {
         self.in_flight = Some(InFlight {
             ticket,
             label: self.prof.as_mut().and_then(|p| p.take_launch_label()),
-            replay: Replay::Queued(Box::new(job)),
+            replay: Replay::Queued(Arc::new(job)),
             _driver: Simulating::enter(),
         });
         Ok(Submitted { stats, ticket })
@@ -487,6 +487,11 @@ impl Gpu {
     /// core is free; otherwise the caller runs it when it settles, as it
     /// does at [`synchronize`](Self::synchronize). Either way the result
     /// and the point an error surfaces are the same.
+    ///
+    /// A replay error of the previous launch is returned here, after this
+    /// launch's functional pass has run — a pass a serial run would not
+    /// have made. Its device-memory writes, chaos draws and observer events
+    /// stay; only the error value matches the serial run's.
     pub fn submit<K: Kernel + ?Sized>(
         &mut self,
         grid_blocks: u32,
@@ -831,64 +836,45 @@ fn core_free() -> bool {
     SIMULATING.load(Ordering::Relaxed) < cores
 }
 
-/// A replay handed to a helper thread. Whichever of the helper and the
-/// joining caller claims it first runs it, so a helper thread that has not
-/// started by the join costs the caller nothing.
-struct Shared {
-    claimed: AtomicBool,
-    job: ReplayJob,
-}
-
-impl Shared {
-    fn claim(&self) -> bool {
-        !self.claimed.swap(true, Ordering::AcqRel)
-    }
-}
-
 /// A launch's replay. It is joined at the same point wherever it ran, so
 /// results and the moment an error surfaces never depend on where.
 enum Replay {
     /// Not started: the submitting thread runs it when it settles the
-    /// launch, unless the next submit hands it to a helper first.
-    Queued(Box<ReplayJob>),
-    /// Handed to a helper thread, which returns `None` if the caller
-    /// claimed the replay first.
-    Helper(Arc<Shared>, JoinHandle<Option<ReplayOut>>),
+    /// launch, unless the next submit hands it to a helper first. Shared
+    /// with the helper, so a refused spawn leaves the job here.
+    Queued(Arc<ReplayJob>),
+    /// Handed to a helper thread.
+    Helper(JoinHandle<ReplayOut>),
 }
 
 impl Replay {
+    /// Hand a queued replay to a helper thread. The placement exists only
+    /// for speed, so if the OS refuses a thread the replay stays queued.
     fn start(self) -> Replay {
         let Replay::Queued(job) = self else {
             return self;
         };
-        let shared = Arc::new(Shared {
-            claimed: AtomicBool::new(false),
-            job: *job,
-        });
-        let theirs = Arc::clone(&shared);
+        let theirs = Arc::clone(&job);
         let slot = Simulating::enter();
-        Replay::Helper(
-            shared,
-            std::thread::spawn(move || {
-                let _slot = slot;
-                theirs.claim().then(|| theirs.job.run())
-            }),
-        )
+        let helper = std::thread::Builder::new().spawn(move || {
+            let _slot = slot;
+            theirs.run()
+        });
+        match helper {
+            Ok(handle) => Replay::Helper(handle),
+            Err(_) => Replay::Queued(job),
+        }
     }
 
     /// The replay's result; a panic inside it re-raises here.
     fn join(self) -> ReplayOut {
-        let (shared, handle) = match self {
+        let handle = match self {
             Replay::Queued(job) => {
                 launch_phase_ns(LaunchPhase::Wait, 0);
                 return job.run();
             }
-            Replay::Helper(shared, handle) => (shared, handle),
+            Replay::Helper(handle) => handle,
         };
-        if shared.claim() {
-            launch_phase_ns(LaunchPhase::Wait, 0);
-            return shared.job.run();
-        }
         let start = Instant::now();
         let finished = handle.is_finished();
         let out = handle
@@ -900,8 +886,7 @@ impl Replay {
             start.elapsed().as_nanos() as u64
         };
         launch_phase_ns(LaunchPhase::Wait, waited);
-        // The helper claimed the replay, so it ran it.
-        out.unwrap_or_else(|| shared.job.run())
+        out
     }
 }
 
@@ -1380,7 +1365,7 @@ mod tests {
     fn on_helper(g: &mut Gpu) {
         g.start_replay();
         if let Some(InFlight {
-            replay: Replay::Helper(_, handle),
+            replay: Replay::Helper(handle),
             ..
         }) = &g.in_flight
         {
