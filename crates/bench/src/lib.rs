@@ -17,7 +17,6 @@
 //! simulator and baselines; the experiments report *simulated* GPU
 //! cycles.
 
-pub mod bench_suite;
 pub mod experiments;
 pub mod harness;
 pub mod util;
