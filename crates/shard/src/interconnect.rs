@@ -51,7 +51,8 @@ fn env_u64(name: &str) -> Option<u64> {
 
 impl LinkConfig {
     /// Defaults overridden by `MAXWARP_LINK_BW` / `MAXWARP_LINK_LAT` /
-    /// `MAXWARP_LINK_FANOUT`. Zero values are clamped to 1.
+    /// `MAXWARP_LINK_FANOUT`. Zero values are clamped to 1; a fanout beyond
+    /// `u32::MAX` saturates.
     pub fn from_env() -> LinkConfig {
         let d = LinkConfig::default();
         LinkConfig {
@@ -60,8 +61,8 @@ impl LinkConfig {
                 .max(1),
             latency_cycles: env_u64("MAXWARP_LINK_LAT").unwrap_or(d.latency_cycles),
             devices_per_link: env_u64("MAXWARP_LINK_FANOUT")
-                .unwrap_or(d.devices_per_link as u64)
-                .max(1) as u32,
+                .map_or(d.devices_per_link, |v| u32::try_from(v).unwrap_or(u32::MAX))
+                .max(1),
         }
     }
 }
@@ -142,7 +143,7 @@ impl Interconnect {
             .unwrap_or(0);
         let halo_bytes: u64 = self.device_bytes.iter().sum::<u64>() / 2;
         let comm_cycles = if halo_bytes > 0 {
-            transfer + self.cfg.latency_cycles
+            transfer.saturating_add(self.cfg.latency_cycles)
         } else {
             0
         };
