@@ -1,6 +1,7 @@
 //! `tool_chaos` — deterministic fault-injection sweep over every kernel.
 //!
-//! For each (kernel, graph, fault class) combo the tool runs the kernel
+//! For each (kernel, graph, fault class) combo — the `vw8` cells of
+//! `maxwarp::catalog` times three fault classes — the tool runs the kernel
 //! twice on clean devices (asserting the simulator is deterministic), then
 //! once more with seeded chaos injection (`GpuConfig::faults`) under
 //! generous watchdog budgets, with the whole launch wrapped in
@@ -9,7 +10,7 @@
 //! - **detected-by-error** — the launch returned a structured fault or
 //!   watchdog error (`LaunchError::Fault`),
 //! - **detected-by-validation** — the run completed but its functional
-//!   output differs from the clean reference,
+//!   output (the catalog's `Payload`) differs from the clean reference,
 //! - **tolerated** — the output is byte-identical to the clean run.
 //!
 //! Violations exit nonzero: a panic escaping a launch (the structured
@@ -21,57 +22,23 @@
 //! tool_chaos [--seed N] [--verbose]
 //! ```
 
-use maxwarp::{
-    run_betweenness, run_bfs, run_bfs_hybrid, run_bfs_queue, run_cc, run_coloring, run_kcore,
-    run_msbfs, run_pagerank, run_spmv, run_sssp, run_triangles, DeviceGraph, ExecConfig,
-    GpuHybridConfig, Method,
-};
-use maxwarp_graph::{hub_graph, random_weights, Csr, Dataset, Orientation, Scale};
-use maxwarp_simt::{FaultConfig, Gpu, GpuConfig, LaunchError};
+use maxwarp::catalog::{cells, sweep_graphs, Cell, Payload};
+use maxwarp::Method;
+use maxwarp_bench::harness::panic_message;
+use maxwarp_simt::{FaultConfig, Gpu, GpuConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::exit;
 
-/// Functional output of one kernel run, flattened to words so every
-/// kernel compares the same way (floats by bit pattern: the tolerated
-/// class means *byte-identical*, not approximately equal).
-type Digest = Vec<u64>;
-
-fn u32s(v: &[u32]) -> Digest {
-    v.iter().map(|&x| x as u64).collect()
-}
-
-fn f32s(v: &[f32]) -> Digest {
-    v.iter().map(|&x| x.to_bits() as u64).collect()
-}
+type Injector = fn(u64) -> FaultConfig;
 
 /// The three injection classes, swept independently so a detection can be
-/// attributed to the fault that caused it.
-#[derive(Clone, Copy)]
-enum Class {
-    BitFlips,
-    DroppedAtomics,
-    SchedPerturb,
-}
-
-impl Class {
-    const ALL: [Class; 3] = [Class::BitFlips, Class::DroppedAtomics, Class::SchedPerturb];
-
-    fn name(self) -> &'static str {
-        match self {
-            Class::BitFlips => "bit-flips",
-            Class::DroppedAtomics => "dropped-atomics",
-            Class::SchedPerturb => "sched-perturb",
-        }
-    }
-
-    fn config(self, seed: u64) -> FaultConfig {
-        match self {
-            Class::BitFlips => FaultConfig::bit_flips(seed),
-            Class::DroppedAtomics => FaultConfig::dropped_atomics(seed),
-            Class::SchedPerturb => FaultConfig::sched_perturb(seed),
-        }
-    }
-}
+/// attributed to the fault that caused it. Scheduling perturbations are
+/// timing-only: they must never change or fail a run.
+const CLASSES: [(&str, Injector); 3] = [
+    ("bit-flips", FaultConfig::bit_flips),
+    ("dropped-atomics", FaultConfig::dropped_atomics),
+    ("sched-perturb", FaultConfig::sched_perturb),
+];
 
 /// FNV-1a, to derive a per-combo seed from the label so every combo
 /// exercises a different (but reproducible) fault pattern.
@@ -84,45 +51,26 @@ fn fnv(base: u64, label: &str) -> u64 {
     h
 }
 
-/// Device config for the sweep: generous watchdog budgets so a fault that
-/// sends a kernel into a non-converging loop terminates as a structured
-/// watchdog error instead of hanging the tool.
-fn sweep_cfg(faults: Option<FaultConfig>) -> GpuConfig {
-    let mut cfg = GpuConfig::fermi_c2050();
-    cfg.watchdog.max_instructions = Some(50_000_000);
-    cfg.watchdog.max_cycles = Some(20_000_000_000);
-    cfg.faults = faults;
-    cfg
-}
-
 enum RunResult {
-    Ok(Digest),
+    Ok(Payload),
     Error(String),
     Panic(String),
 }
 
-/// One launch on a fresh device, panic-isolated.
-fn run_isolated(
-    faults: Option<FaultConfig>,
-    f: &(dyn Fn(&mut Gpu) -> Result<Digest, LaunchError> + Sync),
-) -> RunResult {
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        let mut gpu = Gpu::new(sweep_cfg(faults));
-        f(&mut gpu)
-    }));
-    match result {
-        Ok(Ok(d)) => RunResult::Ok(d),
+/// One run of `cell` on a fresh device, panic-isolated, under generous
+/// watchdog budgets so a fault that sends a kernel into a non-converging
+/// loop terminates as a structured watchdog error instead of hanging the
+/// tool. The answer is compared by bit pattern: the tolerated class means
+/// *byte-identical*, not approximately equal.
+fn run_isolated(faults: Option<FaultConfig>, cell: &Cell) -> RunResult {
+    let mut cfg = GpuConfig::fermi_c2050();
+    cfg.watchdog.max_instructions = Some(50_000_000);
+    cfg.watchdog.max_cycles = Some(20_000_000_000);
+    cfg.faults = faults;
+    match catch_unwind(AssertUnwindSafe(|| cell.run(&mut Gpu::new(cfg)))) {
+        Ok(Ok((_, payload))) => RunResult::Ok(payload),
         Ok(Err(e)) => RunResult::Error(e.to_string()),
-        Err(payload) => {
-            let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            };
-            RunResult::Panic(msg.lines().next().unwrap_or("").to_string())
-        }
+        Err(p) => RunResult::Panic(panic_message(&*p).lines().next().unwrap_or("").to_string()),
     }
 }
 
@@ -138,26 +86,24 @@ struct Tally {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let usage = || -> ! {
+        eprintln!("usage: tool_chaos [--seed N] [--verbose]");
+        exit(2)
+    };
     let mut base_seed = 0xC0FFEEu64;
     let mut verbose = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--seed" => {
-                i += 1;
-                base_seed = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("usage: tool_chaos [--seed N] [--verbose]");
-                    exit(2);
-                });
+                base_seed = args
+                    .next()
+                    .and_then(|s| s.parse().ok())
+                    .unwrap_or_else(|| usage())
             }
             "--verbose" | "-v" => verbose = true,
-            _ => {
-                eprintln!("usage: tool_chaos [--seed N] [--verbose]");
-                exit(2);
-            }
+            _ => usage(),
         }
-        i += 1;
     }
     // This tool owns its fault configuration; a leaked MAXWARP_FAULTS from
     // the calling environment would overwrite the per-class configs that
@@ -166,183 +112,66 @@ fn main() {
     std::env::remove_var("MAXWARP_MAX_CYCLES");
     std::env::remove_var("MAXWARP_MAX_ITERS");
 
-    // Same graph pair as tool_sanitize: a small scale-free graph and a
-    // pathological hub graph that maximizes intra-warp imbalance.
-    let rmat = Dataset::Rmat.build(Scale::Tiny);
-    let hub = hub_graph(2048, 4, 1500, 2, 7);
-    let graphs: Vec<(&str, &Csr)> = vec![("rmat", &rmat), ("hub", &hub)];
-
-    let m = Method::warp(8);
-    let exec = ExecConfig::default();
     let mut tally = Tally::default();
+    let graphs = sweep_graphs();
+    for cell in cells(&graphs).filter(|c| c.method == Method::warp(8)) {
+        let combo = format!("{}/{}", cell.kernel.name, cell.graph);
+        // Clean reference, twice: the simulator must be deterministic with
+        // faults off or the comparisons below mean nothing.
+        let reference = match (run_isolated(None, &cell), run_isolated(None, &cell)) {
+            (RunResult::Ok(a), RunResult::Ok(b)) if a == b => a,
+            (RunResult::Ok(_), RunResult::Ok(_)) => {
+                println!("FAIL  {combo}: clean runs are nondeterministic");
+                tally.reference_failures += 1;
+                continue;
+            }
+            (RunResult::Error(e), _) | (_, RunResult::Error(e)) => {
+                println!("FAIL  {combo}: clean run errored: {e}");
+                tally.reference_failures += 1;
+                continue;
+            }
+            (RunResult::Panic(p), _) | (_, RunResult::Panic(p)) => {
+                println!("FAIL  {combo}: clean run panicked: {p}");
+                tally.reference_failures += 1;
+                tally.panics += 1;
+                continue;
+            }
+        };
 
-    for (gname, g) in &graphs {
-        let g: &Csr = g;
-        let src = (0..g.num_vertices())
-            .max_by_key(|&v| g.degree(v))
-            .unwrap_or(0);
-        let sym = g.symmetrize();
-        let rev = g.reverse();
-        let weights = random_weights(g, 15, 11);
-        let values: Vec<f32> = weights.iter().map(|&w| w as f32).collect();
-        let x = vec![1.0f32; g.num_vertices() as usize];
-        let bc_sources: Vec<u32> = (0..4.min(g.num_vertices())).collect();
-        let ms_sources: Vec<u32> = (0..32.min(g.num_vertices())).collect();
-
-        type Runner<'a> = Box<dyn Fn(&mut Gpu) -> Result<Digest, LaunchError> + Sync + 'a>;
-        let kernels: Vec<(&str, Runner)> = vec![
-            (
-                "bfs",
-                Box::new(|gpu: &mut Gpu| {
-                    let dg = DeviceGraph::upload(gpu, g);
-                    run_bfs(gpu, &dg, src, m, &exec).map(|o| u32s(&o.levels))
-                }),
-            ),
-            (
-                "bfs_queue",
-                Box::new(|gpu: &mut Gpu| {
-                    let dg = DeviceGraph::upload(gpu, g);
-                    run_bfs_queue(gpu, &dg, src, m, &exec).map(|o| u32s(&o.levels))
-                }),
-            ),
-            (
-                "bfs_hybrid",
-                Box::new(|gpu: &mut Gpu| {
-                    let dg = DeviceGraph::upload(gpu, g);
-                    let drev = DeviceGraph::upload(gpu, &rev);
-                    run_bfs_hybrid(gpu, &dg, &drev, src, m, &exec, &GpuHybridConfig::default())
-                        .map(|o| u32s(&o.bfs.levels))
-                }),
-            ),
-            (
-                "sssp",
-                Box::new(|gpu: &mut Gpu| {
-                    let dg = DeviceGraph::upload_weighted(gpu, g, &weights);
-                    run_sssp(gpu, &dg, src, m, &exec).map(|o| u32s(&o.dist))
-                }),
-            ),
-            (
-                "cc",
-                Box::new(|gpu: &mut Gpu| {
-                    let dg = DeviceGraph::upload(gpu, &sym);
-                    run_cc(gpu, &dg, m, &exec).map(|o| u32s(&o.labels))
-                }),
-            ),
-            (
-                "pagerank",
-                Box::new(|gpu: &mut Gpu| {
-                    let dg = DeviceGraph::upload(gpu, g);
-                    run_pagerank(gpu, &dg, 5, 0.85, m, &exec).map(|o| f32s(&o.ranks))
-                }),
-            ),
-            (
-                "betweenness",
-                Box::new(|gpu: &mut Gpu| {
-                    let dg = DeviceGraph::upload(gpu, g);
-                    run_betweenness(gpu, &dg, &bc_sources, m, &exec).map(|o| f32s(&o.bc))
-                }),
-            ),
-            (
-                "triangles",
-                Box::new(|gpu: &mut Gpu| {
-                    run_triangles(gpu, &sym, m, &exec, Orientation::ByDegree).map(|o| vec![o.count])
-                }),
-            ),
-            (
-                "coloring",
-                Box::new(|gpu: &mut Gpu| {
-                    let dg = DeviceGraph::upload(gpu, &sym);
-                    run_coloring(gpu, &dg, m, &exec).map(|o| u32s(&o.colors))
-                }),
-            ),
-            (
-                "kcore",
-                Box::new(|gpu: &mut Gpu| {
-                    let dg = DeviceGraph::upload(gpu, &sym);
-                    run_kcore(gpu, &dg, m, &exec).map(|o| u32s(&o.core))
-                }),
-            ),
-            (
-                "msbfs",
-                Box::new(|gpu: &mut Gpu| {
-                    let dg = DeviceGraph::upload(gpu, g);
-                    run_msbfs(gpu, &dg, &ms_sources, m, &exec)
-                        .map(|o| o.levels.iter().flat_map(|l| u32s(l)).collect())
-                }),
-            ),
-            (
-                "spmv",
-                Box::new(|gpu: &mut Gpu| {
-                    let dg = DeviceGraph::upload(gpu, g);
-                    run_spmv(gpu, &dg, &values, &x, m, &exec).map(|o| f32s(&o.y))
-                }),
-            ),
-        ];
-
-        for (kernel, runner) in &kernels {
-            // Clean reference, twice: the simulator must be deterministic
-            // with faults off or the comparisons below mean nothing.
-            let reference = match (
-                run_isolated(None, runner.as_ref()),
-                run_isolated(None, runner.as_ref()),
-            ) {
-                (RunResult::Ok(a), RunResult::Ok(b)) if a == b => a,
-                (RunResult::Ok(_), RunResult::Ok(_)) => {
-                    println!("FAIL  {kernel}/{gname}: clean runs are nondeterministic");
-                    tally.reference_failures += 1;
-                    continue;
+        for (class, faults) in CLASSES {
+            tally.combos += 1;
+            let label = format!("{combo} {class}");
+            let sched = class == "sched-perturb";
+            match run_isolated(Some(faults(fnv(base_seed, &label))), &cell) {
+                RunResult::Ok(d) if d == reference => {
+                    tally.tolerated += 1;
+                    if verbose {
+                        println!("ok    {label}: tolerated (output identical)");
+                    }
                 }
-                (RunResult::Error(e), _) | (_, RunResult::Error(e)) => {
-                    println!("FAIL  {kernel}/{gname}: clean run errored: {e}");
-                    tally.reference_failures += 1;
-                    continue;
+                RunResult::Ok(_) if sched => {
+                    println!("FAIL  {label}: scheduling perturbation changed functional output");
+                    tally.sched_mismatches += 1;
                 }
-                (RunResult::Panic(p), _) | (_, RunResult::Panic(p)) => {
-                    println!("FAIL  {kernel}/{gname}: clean run panicked: {p}");
-                    tally.reference_failures += 1;
+                RunResult::Ok(_) => {
+                    tally.detected_validation += 1;
+                    if verbose {
+                        println!("ok    {label}: detected by result validation");
+                    }
+                }
+                RunResult::Error(e) if sched => {
+                    println!("FAIL  {label}: scheduling perturbation errored: {e}");
+                    tally.sched_mismatches += 1;
+                }
+                RunResult::Error(e) => {
+                    tally.detected_error += 1;
+                    if verbose {
+                        println!("ok    {label}: detected by structured error: {e}");
+                    }
+                }
+                RunResult::Panic(p) => {
+                    println!("FAIL  {label}: panic escaped the launch: {p}");
                     tally.panics += 1;
-                    continue;
-                }
-            };
-
-            for class in Class::ALL {
-                tally.combos += 1;
-                let label = format!("{kernel}/{gname} {}", class.name());
-                let seed = fnv(base_seed, &label);
-                let sched = matches!(class, Class::SchedPerturb);
-                match run_isolated(Some(class.config(seed)), runner.as_ref()) {
-                    RunResult::Ok(d) if d == reference => {
-                        tally.tolerated += 1;
-                        if verbose {
-                            println!("ok    {label}: tolerated (output identical)");
-                        }
-                    }
-                    RunResult::Ok(_) if sched => {
-                        println!(
-                            "FAIL  {label}: scheduling perturbation changed functional output"
-                        );
-                        tally.sched_mismatches += 1;
-                    }
-                    RunResult::Ok(_) => {
-                        tally.detected_validation += 1;
-                        if verbose {
-                            println!("ok    {label}: detected by result validation");
-                        }
-                    }
-                    RunResult::Error(e) if sched => {
-                        println!("FAIL  {label}: scheduling perturbation errored: {e}");
-                        tally.sched_mismatches += 1;
-                    }
-                    RunResult::Error(e) => {
-                        tally.detected_error += 1;
-                        if verbose {
-                            println!("ok    {label}: detected by structured error: {e}");
-                        }
-                    }
-                    RunResult::Panic(p) => {
-                        println!("FAIL  {label}: panic escaped the launch: {p}");
-                        tally.panics += 1;
-                    }
                 }
             }
         }

@@ -1,245 +1,38 @@
 //! `tool_sanitize` — run every kernel under the warp-hazard sanitizer.
 //!
-//! Exercises all kernel entry points over a small RMAT graph and a
-//! pathological high-degree hub graph, with the sanitizer
-//! (`GpuConfig::sanitize`) watching every warp-level operation. Prints each
-//! finding and exits nonzero if any *error*-severity hazard (race,
-//! divergent shuffle, out-of-bounds, atomic/store mixing) was detected;
-//! warn-only perf lints (bank conflicts, poor coalescing) are reported but
-//! do not fail the run.
+//! Sweeps the cells of `maxwarp::catalog` (every kernel × supported method
+//! over a small RMAT graph and a pathological high-degree hub graph), with
+//! the sanitizer (`GpuConfig::sanitize`) watching every warp-level
+//! operation. Prints each finding and exits nonzero if any
+//! *error*-severity hazard (race, divergent shuffle, out-of-bounds,
+//! atomic/store mixing) was detected; warn-only perf lints (bank conflicts,
+//! poor coalescing) are reported but do not fail the run.
 //!
 //! ```text
 //! tool_sanitize [--device fermi|gtx280] [--verbose]
 //! ```
 
-use maxwarp::{
-    run_betweenness, run_bfs, run_bfs_hybrid, run_bfs_queue, run_cc, run_coloring, run_kcore,
-    run_msbfs, run_pagerank, run_spmv, run_sssp, run_triangles, DeviceGraph, ExecConfig,
-    GpuHybridConfig, Method, VirtualWarp, WarpCentricOpts,
-};
-use maxwarp_graph::{hub_graph, random_weights, Csr, Dataset, Orientation, Scale};
-use maxwarp_simt::{Gpu, GpuConfig, LaunchError, Severity};
-use std::process::exit;
-
-/// Methods every kernel is checked under (deferral added where supported).
-fn methods() -> Vec<Method> {
-    vec![
-        Method::Baseline,
-        Method::warp(8),
-        Method::WarpCentric(WarpCentricOpts::plain(VirtualWarp::new(32)).with_dynamic()),
-    ]
-}
-
-/// Deferral variant for the kernels that support outlier deferral.
-fn defer_method(g: &Csr) -> Method {
-    let mean = (g.num_edges() as f64 / g.num_vertices().max(1) as f64).max(1.0);
-    Method::WarpCentric(
-        WarpCentricOpts::plain(VirtualWarp::new(8)).with_defer(((mean * 16.0) as u32).max(64)),
-    )
-}
-
-struct Outcome {
-    errors: u64,
-    warnings: u64,
-}
-
-/// Run one `(kernel, method)` combo on a fresh sanitized device, print its
-/// findings, and return the counts. A combo whose launch itself errors
-/// (watchdog, fault) is reported and skipped rather than aborting the
-/// sweep: the remaining combos still get checked.
-fn check(
-    cfg: &GpuConfig,
-    verbose: bool,
-    label: &str,
-    method: Method,
-    f: impl FnOnce(&mut Gpu) -> Result<(), LaunchError>,
-) -> Result<Outcome, LaunchError> {
-    let mut gpu = Gpu::new(cfg.clone());
-    let context = format!("{label} [{}]", method.label());
-    gpu.set_sanitize_context(&context);
-    if let Err(e) = f(&mut gpu) {
-        println!("FAIL  {context}: launch error: {e}");
-        return Err(e);
-    }
-    let san = gpu.sanitizer().expect("sanitizer must be on");
-    let out = Outcome {
-        errors: san.error_count(),
-        warnings: san.warning_count(),
-    };
-    if out.errors > 0 {
-        println!(
-            "FAIL  {context}: {} error(s), {} warning(s)",
-            out.errors, out.warnings
-        );
-        for d in san
-            .diagnostics()
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-        {
-            println!("{d}");
-        }
-    } else if out.warnings > 0 {
-        println!("warn  {context}: {} warning(s)", out.warnings);
-        if verbose {
-            for d in san.diagnostics() {
-                println!("{d}");
-            }
-        }
-    } else {
-        println!("ok    {context}");
-    }
-    Ok(out)
-}
+use maxwarp_bench::util::{lines, observer_sweep, sweep_args, Verdict};
+use maxwarp_simt::Severity;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut base_cfg = GpuConfig::fermi_c2050();
-    let mut verbose = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--device" => {
-                i += 1;
-                base_cfg = match args.get(i).map(String::as_str) {
-                    Some("fermi") => GpuConfig::fermi_c2050(),
-                    Some("gtx280") => GpuConfig::gtx280(),
-                    _ => {
-                        eprintln!("usage: tool_sanitize [--device fermi|gtx280] [--verbose]");
-                        exit(2);
-                    }
-                };
-            }
-            "--verbose" | "-v" => verbose = true,
-            _ => {
-                eprintln!("usage: tool_sanitize [--device fermi|gtx280] [--verbose]");
-                exit(2);
-            }
+    let (_, mut cfg, verbose) =
+        sweep_args("usage: tool_sanitize [--device fermi|gtx280] [--verbose]");
+    cfg.sanitize = true;
+    let sweep = observer_sweep(&cfg, verbose, |_, gpu| {
+        let san = gpu.sanitizer().expect("sanitizer must be on");
+        let diags = san.diagnostics();
+        Verdict {
+            errors: san.error_count(),
+            warnings: san.warning_count(),
+            error_report: lines(diags.iter().filter(|d| d.severity == Severity::Error)),
+            full_report: lines(diags),
         }
-        i += 1;
-    }
-    base_cfg.sanitize = true;
-    let cfg = base_cfg;
-
-    // A small scale-free graph and a pathological hub graph: a handful of
-    // vertices own most of the edges, maximizing intra-warp imbalance and
-    // the deferral/dynamic code paths.
-    let rmat = Dataset::Rmat.build(Scale::Tiny);
-    let hub = hub_graph(2048, 4, 1500, 2, 7);
-    let graphs: Vec<(&str, &Csr)> = vec![("rmat", &rmat), ("hub", &hub)];
-
-    let mut errors = 0u64;
-    let mut warnings = 0u64;
-    let mut combos = 0u64;
-    let mut failed: Vec<String> = Vec::new();
-    let exec = ExecConfig::default();
-
-    for (gname, g) in &graphs {
-        let g: &Csr = g;
-        let src = (0..g.num_vertices())
-            .max_by_key(|&v| g.degree(v))
-            .unwrap_or(0);
-        let sym = g.symmetrize();
-        let rev = g.reverse();
-        let weights = random_weights(g, 15, 11);
-        let values: Vec<f32> = weights.iter().map(|&w| w as f32).collect();
-        let x = vec![1.0f32; g.num_vertices() as usize];
-        let bc_sources: Vec<u32> = (0..4.min(g.num_vertices())).collect();
-        let ms_sources: Vec<u32> = (0..32.min(g.num_vertices())).collect();
-
-        let mut all_methods = methods();
-        all_methods.push(defer_method(g));
-
-        for method in &all_methods {
-            let m = *method;
-            let deferral = matches!(m, Method::WarpCentric(o) if o.defer_threshold.is_some());
-            let dynamic = matches!(m, Method::WarpCentric(o) if o.dynamic);
-
-            let mut run = |kernel: &str, f: &mut dyn FnMut(&mut Gpu) -> Result<(), LaunchError>| {
-                combos += 1;
-                match check(&cfg, verbose, &format!("{kernel}/{gname}"), m, |gpu| f(gpu)) {
-                    Ok(o) => {
-                        errors += o.errors;
-                        warnings += o.warnings;
-                        if o.errors > 0 {
-                            failed.push(format!("{kernel}/{gname} [{}]", m.label()));
-                        }
-                    }
-                    Err(_) => {
-                        failed.push(format!("{kernel}/{gname} [{}] (launch error)", m.label()));
-                    }
-                }
-            };
-
-            run("bfs", &mut |gpu| {
-                let dg = DeviceGraph::upload(gpu, g);
-                run_bfs(gpu, &dg, src, m, &exec).map(|_| ())
-            });
-            if !deferral {
-                run("bfs_queue", &mut |gpu| {
-                    let dg = DeviceGraph::upload(gpu, g);
-                    run_bfs_queue(gpu, &dg, src, m, &exec).map(|_| ())
-                });
-            }
-            if !deferral {
-                run("bfs_hybrid", &mut |gpu| {
-                    let dg = DeviceGraph::upload(gpu, g);
-                    let drev = DeviceGraph::upload(gpu, &rev);
-                    run_bfs_hybrid(gpu, &dg, &drev, src, m, &exec, &GpuHybridConfig::default())
-                        .map(|_| ())
-                });
-            }
-            run("sssp", &mut |gpu| {
-                let dg = DeviceGraph::upload_weighted(gpu, g, &weights);
-                run_sssp(gpu, &dg, src, m, &exec).map(|_| ())
-            });
-            run("cc", &mut |gpu| {
-                let dg = DeviceGraph::upload(gpu, &sym);
-                run_cc(gpu, &dg, m, &exec).map(|_| ())
-            });
-            if !deferral {
-                run("pagerank", &mut |gpu| {
-                    let dg = DeviceGraph::upload(gpu, g);
-                    run_pagerank(gpu, &dg, 5, 0.85, m, &exec).map(|_| ())
-                });
-                run("betweenness", &mut |gpu| {
-                    let dg = DeviceGraph::upload(gpu, g);
-                    run_betweenness(gpu, &dg, &bc_sources, m, &exec).map(|_| ())
-                });
-                run("triangles", &mut |gpu| {
-                    run_triangles(gpu, &sym, m, &exec, Orientation::ByDegree).map(|_| ())
-                });
-                run("coloring", &mut |gpu| {
-                    let dg = DeviceGraph::upload(gpu, &sym);
-                    run_coloring(gpu, &dg, m, &exec).map(|_| ())
-                });
-                run("kcore", &mut |gpu| {
-                    let dg = DeviceGraph::upload(gpu, &sym);
-                    run_kcore(gpu, &dg, m, &exec).map(|_| ())
-                });
-                run("msbfs", &mut |gpu| {
-                    let dg = DeviceGraph::upload(gpu, g);
-                    run_msbfs(gpu, &dg, &ms_sources, m, &exec).map(|_| ())
-                });
-            }
-            if !deferral && !dynamic {
-                run("spmv", &mut |gpu| {
-                    let dg = DeviceGraph::upload(gpu, g);
-                    run_spmv(gpu, &dg, &values, &x, m, &exec).map(|_| ())
-                });
-            }
-        }
-    }
-
+    });
     println!(
-        "\nsanitize sweep: {combos} kernel/method/graph combos, {errors} error(s), \
-         {warnings} warning(s)"
+        "\nsanitize sweep: {} kernel/method/graph combos, {} error(s), {} warning(s)",
+        sweep.combos, sweep.errors, sweep.warnings
     );
-    if !failed.is_empty() {
-        println!("failing combos:");
-        for f in &failed {
-            println!("  {f}");
-        }
-        exit(1);
-    }
+    sweep.exit_on_failures();
     println!("all combos hazard-free");
 }

@@ -1,11 +1,13 @@
-//! Shared harness utilities: scale parsing, fresh-device runs, and table
-//! printing.
+//! Shared harness utilities: scale parsing, fresh-device runs, table
+//! printing, and the observer sweep under `tool_sanitize` / `tool_analyze`.
 
 use crate::harness::{Cell, Harness};
-use maxwarp::{run_bfs, BfsOutput, DeviceGraph, ExecConfig, Method};
+use maxwarp::{catalog, run_bfs, BfsOutput, DeviceGraph, ExecConfig, Method};
 use maxwarp_graph::{Csr, Dataset, Scale};
 use maxwarp_simt::{Gpu, GpuConfig, TimingReport};
 use std::path::PathBuf;
+
+pub use maxwarp::catalog::defer_threshold;
 
 /// Parse the experiment scale from argv/env. Priority: first positional
 /// CLI arg (`--jobs` and its value are skipped), then `MAXWARP_SCALE`,
@@ -112,11 +114,117 @@ pub fn write_results(name: &str, content: &str) -> PathBuf {
     path
 }
 
-/// Default outlier-deferral threshold for a graph: well above the mean
-/// degree so only true outliers defer (the paper defers the heavy tail,
-/// not the bulk).
-pub fn defer_threshold(g: &Csr) -> u32 {
-    ((g.mean_degree() * 16.0) as u32).max(64)
+/// Parse the sweep tools' `[--device fermi|gtx280] [--verbose]` from argv,
+/// exiting with `usage` on anything else: the device name, its config and
+/// the verbose flag.
+pub fn sweep_args(usage: &str) -> (&'static str, GpuConfig, bool) {
+    let fail = || -> ! {
+        eprintln!("{usage}");
+        std::process::exit(2)
+    };
+    let (mut device, mut verbose) = ("fermi", false);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--device" => {
+                device = match args.next().as_deref() {
+                    Some("fermi") => "fermi",
+                    Some("gtx280") => "gtx280",
+                    _ => fail(),
+                }
+            }
+            "--verbose" | "-v" => verbose = true,
+            _ => fail(),
+        }
+    }
+    let cfg = match device {
+        "gtx280" => GpuConfig::gtx280(),
+        _ => GpuConfig::fermi_c2050(),
+    };
+    (device, cfg, verbose)
+}
+
+/// What a sweep tool's observer reports about one cell.
+pub struct Verdict {
+    pub errors: u64,
+    pub warnings: u64,
+    /// The error-severity findings, printed when there are any.
+    pub error_report: String,
+    /// Every finding, printed under `--verbose`.
+    pub full_report: String,
+}
+
+/// One finding per line.
+pub fn lines<T: std::fmt::Display>(findings: impl IntoIterator<Item = T>) -> String {
+    findings.into_iter().map(|f| format!("{f}\n")).collect()
+}
+
+/// Totals of an [`observer_sweep`].
+#[derive(Default)]
+pub struct SweepTotals {
+    pub combos: u64,
+    pub errors: u64,
+    pub warnings: u64,
+    /// Labels of the cells with errors or a failed launch.
+    pub failed: Vec<String>,
+}
+
+impl SweepTotals {
+    /// Print the failing combos and exit 1 when there are any.
+    pub fn exit_on_failures(&self) {
+        if !self.failed.is_empty() {
+            println!("failing combos:");
+            for f in &self.failed {
+                println!("  {f}");
+            }
+            std::process::exit(1);
+        }
+    }
+}
+
+/// The sweep of `tool_sanitize` and `tool_analyze`: run every
+/// `maxwarp::catalog` cell on a fresh `cfg` device whose observers are
+/// named after the cell, ask `verdict` what its observer found and print
+/// the cell's status line. A cell whose launch errors (watchdog, fault) is
+/// reported and skipped rather than aborting the sweep.
+pub fn observer_sweep(
+    cfg: &GpuConfig,
+    verbose: bool,
+    mut verdict: impl FnMut(&catalog::Cell, &Gpu) -> Verdict,
+) -> SweepTotals {
+    let mut t = SweepTotals::default();
+    let graphs = catalog::sweep_graphs();
+    for cell in catalog::cells(&graphs) {
+        t.combos += 1;
+        let label = cell.label();
+        let mut gpu = Gpu::new(cfg.clone());
+        gpu.set_sanitize_context(&label);
+        gpu.set_analyze_context(&label);
+        if let Err(e) = cell.run(&mut gpu) {
+            println!("FAIL  {label}: launch error: {e}");
+            t.failed.push(format!("{label} (launch error)"));
+            continue;
+        }
+        let v = verdict(&cell, &gpu);
+        t.errors += v.errors;
+        t.warnings += v.warnings;
+        if v.errors > 0 {
+            println!(
+                "FAIL  {label}: {} error(s), {} warning(s)",
+                v.errors, v.warnings
+            );
+            print!("{}", v.error_report);
+            t.failed.push(label);
+        } else if v.warnings > 0 {
+            println!("warn  {label}: {} warning(s)", v.warnings);
+            if verbose {
+                print!("{}", v.full_report);
+            }
+        } else {
+            println!("ok    {label}");
+        }
+    }
+    t
 }
 
 /// Print a figure/table header.

@@ -59,7 +59,9 @@
 //! | [`kernels::spmv`] | CSR sparse matrix-vector product (scalar vs vector CSR) |
 //! | [`runner`] | [`AlgoRun`] accumulation |
 //! | [`metrics`] | [`RunRow`] table rows, speedups, geomeans |
+//! | [`catalog`] | the kernel × method matrix: one entry per kernel above with its method-legality rule, and the hazard sweep's graphs, methods and cells |
 
+pub mod catalog;
 pub mod device_graph;
 pub mod kernels;
 pub mod method;

@@ -113,21 +113,12 @@ impl Method {
         Some(Method::WarpCentric(opts))
     }
 
-    /// Short label for tables ("baseline", "vw8", "vw32+dyn+defer", ...).
+    /// Short label for tables ("baseline", "vw8", "vw32+dyn+defer", ...):
+    /// the [`spec`](Method::spec) without the deferral threshold.
     pub fn label(&self) -> String {
-        match self {
-            Method::Baseline => "baseline".to_string(),
-            Method::WarpCentric(o) => {
-                let mut s = o.vw.to_string();
-                if o.dynamic {
-                    s.push_str("+dyn");
-                }
-                if o.defer_threshold.is_some() {
-                    s.push_str("+defer");
-                }
-                s
-            }
-        }
+        let mut s = self.spec();
+        s.truncate(s.find(':').unwrap_or(s.len()));
+        s
     }
 }
 

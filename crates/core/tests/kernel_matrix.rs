@@ -9,11 +9,9 @@
 //! the oracle on purpose, delete the file, run the test at the commit whose
 //! behaviour is the reference, and commit the result.
 
-mod common;
-
-use common::{try_run, Inputs, KERNELS};
+use maxwarp::catalog::{Inputs, Kernel, KERNELS};
 use maxwarp::{method_table, ExecConfig, Method, VirtualWarp, WarpCentricOpts};
-use maxwarp_graph::{Dataset, Fnv64};
+use maxwarp_graph::{Dataset, Fnv64, Scale};
 use maxwarp_simt::{Gpu, GpuConfig};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -21,13 +19,17 @@ use std::path::PathBuf;
 /// Low enough that deferral fires on both Tiny graphs.
 const DEFER_THRESHOLD: u32 = 16;
 
-fn methods(kernel: &str) -> Vec<Method> {
+/// The K sweep and `+dyn` for every kernel (a kernel without the
+/// dynamic distributor records them as rejected), `+defer` where deferral
+/// is implemented.
+fn methods(kernel: &Kernel) -> Vec<Method> {
     let opts = |k| WarpCentricOpts::plain(VirtualWarp::new(k));
     let mut v = method_table::k_sweep();
     v.push(Method::WarpCentric(opts(8).with_dynamic()));
     v.push(Method::WarpCentric(opts(32).with_dynamic()));
-    if matches!(kernel, "bfs" | "sssp" | "cc") {
-        v.push(Method::WarpCentric(opts(8).with_defer(DEFER_THRESHOLD)));
+    let defer = opts(8).with_defer(DEFER_THRESHOLD);
+    if kernel.supports(Method::WarpCentric(defer)) {
+        v.push(Method::WarpCentric(defer));
         v.push(Method::WarpCentric(
             opts(32).with_dynamic().with_defer(DEFER_THRESHOLD),
         ));
@@ -76,31 +78,33 @@ fn fnv(words: &[u32]) -> u64 {
 
 /// One line per cell of `dataset`'s slice of the matrix.
 fn cells(dataset: Dataset) -> String {
-    let inputs = Inputs::new(dataset);
+    let inputs = Inputs::new(dataset.build(Scale::Tiny));
     let mut out = String::new();
-    for (name, kernel) in KERNELS {
+    for kernel in &KERNELS {
+        let name = kernel.name;
         for (tag, exec) in exec_variants(name) {
-            for m in methods(name) {
+            for m in methods(kernel) {
                 let _ = write!(out, "{} {name} {} {tag}:", dataset.name(), m.spec());
-                let mut gpu = Gpu::new(GpuConfig::fermi_c2050());
-                match try_run(kernel, &inputs, &mut gpu, m, &exec) {
-                    Ok((run, payload)) => {
-                        let s = &run.stats;
-                        let _ = writeln!(
-                            out,
-                            " iters={} cycles={} instr={} memtx={} replays={} lanes={} pwi={:016x} payload={:016x}",
-                            run.iterations,
-                            s.cycles,
-                            s.instructions,
-                            s.mem_transactions,
-                            s.atomic_replays,
-                            s.active_lane_sum,
-                            fnv(&s.per_warp_instructions),
-                            fnv(&payload),
-                        );
-                    }
-                    Err(_) => out.push_str(" rejected\n"),
+                if !kernel.supports(m) {
+                    out.push_str(" rejected\n");
+                    continue;
                 }
+                let mut gpu = Gpu::new(GpuConfig::fermi_c2050());
+                let (run, payload) = (kernel.run)(&inputs, &mut gpu, m, &exec)
+                    .unwrap_or_else(|e| panic!("{} {name} {}: {e}", dataset.name(), m.spec()));
+                let s = &run.stats;
+                let _ = writeln!(
+                    out,
+                    " iters={} cycles={} instr={} memtx={} replays={} lanes={} pwi={:016x} payload={:016x}",
+                    run.iterations,
+                    s.cycles,
+                    s.instructions,
+                    s.mem_transactions,
+                    s.atomic_replays,
+                    s.active_lane_sum,
+                    fnv(&s.per_warp_instructions),
+                    fnv(&payload),
+                );
             }
         }
     }

@@ -6,19 +6,17 @@
 //! match the driver's digit for digit, and so must the profile timeline
 //! and the errors a run reports late.
 
-mod common;
-
-use common::{Inputs, Payload};
+use maxwarp::catalog::{Inputs, Kernel, KernelFn, Payload, KERNELS};
 use maxwarp::{
     bfs_round, cc_round, pagerank_apply_round, pagerank_base_fp, pagerank_damping_fp,
-    pagerank_fp_to_f32, pagerank_push_round, run_bfs, run_cc, run_pagerank, run_sssp, sssp_round,
-    AlgoRun, BfsState, CcState, DeviceGraph, ExecConfig, Method, PagerankState, SsspState,
-    VirtualWarp, WarpCentricOpts, PR_SCALE,
+    pagerank_fp_to_f32, pagerank_push_round, sssp_round, AlgoRun, BfsState, CcState, DeviceGraph,
+    ExecConfig, Method, PagerankState, SsspState, VirtualWarp, WarpCentricOpts, PR_SCALE,
 };
-use maxwarp_graph::Dataset;
+use maxwarp_graph::{Dataset, Scale};
 use maxwarp_simt::{Gpu, GpuConfig, LaunchError, SimtError, WatchdogKind};
 
-const KERNELS: [&str; 4] = ["bfs", "sssp", "cc", "pagerank"];
+const ROUND_KERNELS: [&str; 4] = ["bfs", "sssp", "cc", "pagerank"];
+/// The catalog's PageRank parameters.
 const PR_ITERS: u32 = 3;
 const PR_DAMPING: f32 = 0.85;
 
@@ -30,16 +28,19 @@ fn vw8() -> WarpCentricOpts {
 }
 
 fn methods(kernel: &str) -> Vec<Method> {
-    let mut v = vec![
+    [
         Method::Baseline,
         Method::WarpCentric(vw8()),
         Method::WarpCentric(vw8().with_dynamic()),
-    ];
-    // PageRank's push does not implement deferral.
-    if kernel != "pagerank" {
-        v.push(Method::WarpCentric(vw8().with_defer(DEFER_THRESHOLD)));
-    }
-    v
+        Method::WarpCentric(vw8().with_defer(DEFER_THRESHOLD)),
+    ]
+    .into_iter()
+    .filter(|&m| catalog_kernel(kernel).supports(m))
+    .collect()
+}
+
+fn catalog_kernel(name: &str) -> &'static Kernel {
+    KERNELS.iter().find(|k| k.name == name).unwrap()
 }
 
 fn bits(v: Vec<u32>) -> Payload {
@@ -48,38 +49,9 @@ fn bits(v: Vec<u32>) -> Payload {
         .collect()
 }
 
-/// The driver: launches pipelined, settled once.
-fn pipelined(
-    kernel: &str,
-    i: &Inputs,
-    gpu: &mut Gpu,
-    m: Method,
-    e: &ExecConfig,
-) -> Result<(AlgoRun, Payload), LaunchError> {
-    Ok(match kernel {
-        "bfs" => {
-            let dg = DeviceGraph::upload(gpu, &i.g);
-            let out = run_bfs(gpu, &dg, i.src, m, e)?;
-            (out.run, out.levels)
-        }
-        "sssp" => {
-            let dg = DeviceGraph::upload_weighted(gpu, &i.g, &i.weights);
-            let out = run_sssp(gpu, &dg, i.src, m, e)?;
-            (out.run, out.dist)
-        }
-        "cc" => {
-            let dg = DeviceGraph::upload(gpu, &i.sym);
-            let out = run_cc(gpu, &dg, m, e)?;
-            (out.run, out.labels)
-        }
-        "pagerank" => {
-            let dg = DeviceGraph::upload(gpu, &i.g);
-            let out = run_pagerank(gpu, &dg, PR_ITERS, PR_DAMPING, m, e)?;
-            let payload = out.ranks.into_iter().map(f32::to_bits).collect();
-            (out.run, payload)
-        }
-        other => unreachable!("{other}"),
-    })
+/// The driver (the catalog's entry): launches pipelined, settled once.
+fn pipelined(kernel: &str) -> KernelFn {
+    catalog_kernel(kernel).run
 }
 
 /// The same algorithm stepped through the public round functions, each of
@@ -149,12 +121,12 @@ fn assert_same_run(a: &AlgoRun, b: &AlgoRun, cell: &str) {
 fn drivers_match_settled_round_loops() {
     let exec = ExecConfig::default();
     for d in Dataset::ALL {
-        let inputs = Inputs::new(d);
-        for kernel in KERNELS {
+        let inputs = Inputs::new(d.build(Scale::Tiny));
+        for kernel in ROUND_KERNELS {
             for m in methods(kernel) {
                 let cell = format!("{kernel} / {} / {}", d.name(), m.spec());
                 let mut gp = Gpu::new(GpuConfig::tiny_test());
-                let (run_p, out_p) = pipelined(kernel, &inputs, &mut gp, m, &exec).unwrap();
+                let (run_p, out_p) = pipelined(kernel)(&inputs, &mut gp, m, &exec).unwrap();
                 let mut gs = Gpu::new(GpuConfig::tiny_test());
                 let (run_s, out_s) = stepped(kernel, &inputs, &mut gs, m, &exec).unwrap();
                 assert_eq!(out_p, out_s, "{cell}: answer");
@@ -179,7 +151,10 @@ fn profiled() -> Gpu {
 /// `run_bfs` with deferral on a hub graph: both launches of every level.
 fn skewed_bfs() -> (Inputs, Method) {
     let method = Method::WarpCentric(vw8().with_defer(DEFER_THRESHOLD));
-    (Inputs::new(Dataset::WikiTalkLike), method)
+    (
+        Inputs::new(Dataset::WikiTalkLike.build(Scale::Tiny)),
+        method,
+    )
 }
 
 #[test]
@@ -195,7 +170,7 @@ fn profile_labels_follow_their_launch() {
             .collect()
     };
     let mut gp = profiled();
-    pipelined("bfs", &inputs, &mut gp, m, &exec).unwrap();
+    pipelined("bfs")(&inputs, &mut gp, m, &exec).unwrap();
     let mut gs = profiled();
     stepped("bfs", &inputs, &mut gs, m, &exec).unwrap();
     let launches = timeline(&gp);
@@ -250,7 +225,7 @@ fn cycle_budget_trips_one_launch_late_with_the_serial_value() {
             Gpu::new(cfg)
         };
         let want = budget_err(cumulative[k + 1], budget);
-        let err = pipelined("bfs", &inputs, &mut with_budget(), m, &exec).unwrap_err();
+        let err = pipelined("bfs")(&inputs, &mut with_budget(), m, &exec).unwrap_err();
         assert_eq!(err, want, "run_bfs, budget after launch {k}");
         let err = stepped("bfs", &inputs, &mut with_budget(), m, &exec).unwrap_err();
         assert_eq!(err, want, "bfs_round loop, budget after launch {k}");
@@ -261,14 +236,8 @@ fn cycle_budget_trips_one_launch_late_with_the_serial_value() {
 fn a_failed_run_leaves_nothing_for_the_next() {
     let (inputs, m) = skewed_bfs();
     let exec = ExecConfig::default();
-    let (fresh, _) = pipelined(
-        "bfs",
-        &inputs,
-        &mut Gpu::new(GpuConfig::tiny_test()),
-        m,
-        &exec,
-    )
-    .unwrap();
+    let (fresh, _) =
+        pipelined("bfs")(&inputs, &mut Gpu::new(GpuConfig::tiny_test()), m, &exec).unwrap();
     let cycle_cap = fresh.cycles() / 2;
     let trips: [&dyn Fn(&mut GpuConfig); 2] =
         [&|cfg| cfg.watchdog.max_cycles = Some(cycle_cap), &|cfg| {
@@ -278,9 +247,9 @@ fn a_failed_run_leaves_nothing_for_the_next() {
         let mut cfg = GpuConfig::tiny_test();
         trip(&mut cfg);
         let mut gpu = Gpu::new(cfg);
-        assert!(pipelined("bfs", &inputs, &mut gpu, m, &exec).is_err());
+        assert!(pipelined("bfs")(&inputs, &mut gpu, m, &exec).is_err());
         gpu.cfg.watchdog = Default::default();
-        let (again, _) = pipelined("bfs", &inputs, &mut gpu, m, &exec).unwrap();
+        let (again, _) = pipelined("bfs")(&inputs, &mut gpu, m, &exec).unwrap();
         assert_same_run(&again, &fresh, "second run on the device");
     }
 }

@@ -5,11 +5,9 @@
 //! observers only consume the events the functional executor emits — they
 //! never add, reorder, or re-time work.
 
-mod common;
-
-use common::{Inputs, KERNELS};
+use maxwarp::catalog::{Inputs, KERNELS};
 use maxwarp::{AlgoRun, ExecConfig, Method};
-use maxwarp_graph::Dataset;
+use maxwarp_graph::{Dataset, Scale};
 use maxwarp_simt::{Gpu, GpuConfig, Lanes, Mask, TaskSchedule};
 use std::fmt::Debug;
 
@@ -83,11 +81,11 @@ fn assert_identical<P: PartialEq + Debug>(label: &str, f: impl Fn(&mut Gpu) -> (
 
 /// All 12 kernels under `m`, each across the whole observer matrix.
 fn sweep(m: Method) {
-    let inputs = Inputs::new(Dataset::Rmat);
+    let inputs = Inputs::new(Dataset::Rmat.build(Scale::Tiny));
     let exec = ExecConfig::default();
-    for (name, kernel) in KERNELS {
-        assert_identical(&format!("{name}/rmat [{}]", m.label()), |gpu| {
-            kernel(&inputs, gpu, m, &exec)
+    for kernel in &KERNELS {
+        assert_identical(&format!("{}/rmat [{}]", kernel.name, m.label()), |gpu| {
+            (kernel.run)(&inputs, gpu, m, &exec).unwrap()
         });
     }
 }

@@ -18,18 +18,12 @@ use crate::exec::{execute, DeviceTemplate};
 use crate::json::{self, Value};
 use crate::request::{Algo, Query, ServeError};
 use crate::store::GraphEntry;
-use maxwarp::{method_table, ExecConfig, Method};
-use maxwarp_graph::{atomic, induced_sample, Csr};
+use maxwarp::{catalog, method_table, ExecConfig, Method};
+use maxwarp_graph::{atomic, induced_sample};
 use maxwarp_obs::Counter;
 use maxwarp_simt::GpuConfig;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-
-/// Default outlier-deferral threshold: well above the mean degree so only
-/// the heavy tail defers (mirrors the bench suite's choice).
-pub fn default_defer_threshold(g: &Csr) -> u32 {
-    ((g.mean_degree() * 16.0) as u32).max(64)
-}
 
 /// Probe each method with the algorithm's canonical query on a fresh device
 /// per method, returning simulated cycles.
@@ -212,7 +206,7 @@ impl Tuner {
         };
         let probe_entry = sample_entry.as_ref().unwrap_or(entry);
 
-        let threshold = default_defer_threshold(&probe_entry.csr);
+        let threshold = catalog::defer_threshold(&probe_entry.csr);
         let candidates: Vec<Method> = method_table::candidates(threshold)
             .into_iter()
             .filter(|m| algo.supports(*m))

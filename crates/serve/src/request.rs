@@ -2,6 +2,7 @@
 
 use crate::resilience::{RetryPolicy, ShedReason};
 use crate::store::GraphHandle;
+use maxwarp::catalog::{Kernel, KERNELS};
 use maxwarp::Method;
 use maxwarp_graph::Fnv64;
 use maxwarp_simt::{KernelStats, LaunchError};
@@ -65,27 +66,15 @@ impl Algo {
         Algo::ALL.iter().copied().find(|a| a.label() == s)
     }
 
-    /// Whether this algorithm's kernels implement outlier deferral. The
-    /// drivers of the remaining kernels assert it away.
-    pub fn supports_defer(&self) -> bool {
-        matches!(self, Algo::Bfs | Algo::Sssp | Algo::Cc)
-    }
-
-    /// Whether the dynamic workload distributor applies (every kernel
-    /// except the two-phase scalar/vector SpMV).
-    pub fn supports_dynamic(&self) -> bool {
-        !matches!(self, Algo::Spmv)
+    /// This algorithm's entry in the kernel catalog ([`Algo::ALL`] and
+    /// [`KERNELS`] list the kernels in the same order).
+    fn kernel(&self) -> &'static Kernel {
+        &KERNELS[*self as usize]
     }
 
     /// True if `method` can legally run this algorithm.
     pub fn supports(&self, method: Method) -> bool {
-        match method {
-            Method::Baseline => true,
-            Method::WarpCentric(o) => {
-                (o.defer_threshold.is_none() || self.supports_defer())
-                    && (!o.dynamic || self.supports_dynamic())
-            }
-        }
+        self.kernel().supports(method)
     }
 
     /// Whether execution needs the transposed graph on the device.
@@ -485,6 +474,14 @@ mod tests {
             assert_eq!(Algo::parse(a.label()), Some(a));
         }
         assert_eq!(Algo::parse("nope"), None);
+    }
+
+    #[test]
+    fn algos_follow_the_catalog_order() {
+        for (i, a) in Algo::ALL.iter().enumerate() {
+            assert_eq!(a.label(), KERNELS[i].name);
+            assert_eq!(a.kernel().name, a.label());
+        }
     }
 
     #[test]

@@ -90,24 +90,25 @@ pub struct ShardedRun {
 }
 
 impl ShardedRun {
-    /// Modeled wall-clock cycles: sum of per-round critical paths.
+    /// Modeled wall-clock cycles: sum of per-round critical paths. Every
+    /// cycle sum here saturates at `u64::MAX`.
     pub fn makespan_cycles(&self) -> u64 {
-        self.run.cycles_per_iteration.iter().sum()
+        saturating_sum(self.run.cycles_per_iteration.iter().copied())
     }
 
     /// Critical-path compute cycles across rounds.
     pub fn compute_cycles(&self) -> u64 {
-        self.rounds.iter().map(|r| r.compute_cycles).sum()
+        saturating_sum(self.rounds.iter().map(|r| r.compute_cycles))
     }
 
     /// Interconnect cycles across rounds.
     pub fn comm_cycles(&self) -> u64 {
-        self.rounds.iter().map(|r| r.comm_cycles).sum()
+        saturating_sum(self.rounds.iter().map(|r| r.comm_cycles))
     }
 
     /// Contention-only cycles across rounds.
     pub fn stall_cycles(&self) -> u64 {
-        self.rounds.iter().map(|r| r.stall_cycles).sum()
+        saturating_sum(self.rounds.iter().map(|r| r.stall_cycles))
     }
 
     /// Total halo bytes exchanged.
@@ -218,9 +219,13 @@ fn merge_runs(per_shard: &[AlgoRun], rounds: &[RoundBreakdown]) -> AlgoRun {
     merged.iterations = rounds.len() as u32;
     merged.cycles_per_iteration = rounds
         .iter()
-        .map(|r| r.compute_cycles + r.comm_cycles)
+        .map(|r| r.compute_cycles.saturating_add(r.comm_cycles))
         .collect();
     merged
+}
+
+fn saturating_sum(cycles: impl Iterator<Item = u64>) -> u64 {
+    cycles.fold(0, u64::saturating_add)
 }
 
 /// Export shard metrics through a [`Registry`] (no-op without one).

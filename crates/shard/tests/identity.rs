@@ -355,6 +355,33 @@ fn breakdown_accounts_for_the_makespan() {
     assert!(sr.run.stats.cycles >= sr.compute_cycles());
 }
 
+/// A link latency of `u64::MAX` cycles saturates every cycle sum of the
+/// run at `u64::MAX` instead of overflowing (a panic in debug builds, a
+/// wrapped makespan in release builds).
+#[test]
+fn saturating_link_latency_saturates_the_makespan() {
+    let g = Dataset::Rmat.build(Scale::Tiny);
+    let mut md = fleet(&g, None, 2, CutStrategy::Block);
+    let link = LinkConfig {
+        latency_cycles: u64::MAX,
+        ..LinkConfig::default()
+    };
+    let out = run_bfs_sharded(
+        &mut md,
+        Dataset::Rmat.source(&g),
+        Method::warp(8),
+        &exec(),
+        &link,
+        None,
+    )
+    .unwrap();
+    let sr = &out.run;
+    assert!(sr.run.cycles_per_iteration.contains(&u64::MAX));
+    assert_eq!(sr.makespan_cycles(), u64::MAX);
+    assert_eq!(sr.comm_cycles(), u64::MAX);
+    assert!(sr.compute_cycles() < u64::MAX);
+}
+
 #[test]
 fn obs_metrics_are_registered() {
     let reg = maxwarp_obs::Registry::new();

@@ -4,16 +4,13 @@
 //! a kind the static abstraction maps it to. This is the formal sense in
 //! which the abstract interpretation over-approximates the shadow-state
 //! checker: anything the dynamic tool can observe, the static tool must
-//! have predicted.
+//! have predicted. The verdict runs over the `maxwarp::catalog` cells
+//! under the baseline and `vw8`.
 
-use maxwarp::{
-    run_betweenness, run_bfs, run_bfs_hybrid, run_bfs_queue, run_cc, run_coloring, run_kcore,
-    run_msbfs, run_pagerank, run_spmv, run_sssp, run_triangles, DeviceGraph, ExecConfig,
-    GpuHybridConfig, Method,
-};
-use maxwarp_graph::{hub_graph, random_weights, Csr, Dataset, Orientation, Scale};
+use maxwarp::catalog::{cells, sweep_graphs, Cell};
+use maxwarp::Method;
 use maxwarp_simt::analyze::FindKind;
-use maxwarp_simt::{DiagKind, Gpu, GpuConfig, LaunchError};
+use maxwarp_simt::{DiagKind, Gpu, GpuConfig};
 
 /// Static kinds that may absorb a dynamic diagnostic of the given kind.
 fn allowed(kind: DiagKind) -> &'static [FindKind] {
@@ -32,15 +29,17 @@ fn allowed(kind: DiagKind) -> &'static [FindKind] {
     }
 }
 
-/// Run one combo with both observers on and assert containment.
-fn assert_contained(label: &str, f: impl FnOnce(&mut Gpu) -> Result<(), LaunchError>) {
+/// Run one cell with both observers on and assert containment.
+fn assert_contained(cell: &Cell) {
+    let label = &cell.label();
     let mut cfg = GpuConfig::fermi_c2050();
     cfg.sanitize = true;
     cfg.analyze = true;
     let mut gpu = Gpu::new(cfg);
     gpu.set_sanitize_context(label);
     gpu.set_analyze_context(label);
-    f(&mut gpu).unwrap_or_else(|e| panic!("{label}: launch error: {e}"));
+    cell.run(&mut gpu)
+        .unwrap_or_else(|e| panic!("{label}: launch error: {e}"));
     let san = gpu.sanitizer().expect("sanitizer on");
     let anl = gpu.analyzer().expect("analyzer on");
     if anl.suppressed() > 0 {
@@ -66,82 +65,23 @@ fn assert_contained(label: &str, f: impl FnOnce(&mut Gpu) -> Result<(), LaunchEr
     }
 }
 
-fn sweep(gname: &str, g: &Csr) {
-    let exec = ExecConfig::default();
-    let src = (0..g.num_vertices())
-        .max_by_key(|&v| g.degree(v))
-        .unwrap_or(0);
-    let sym = g.symmetrize();
-    let rev = g.reverse();
-    let weights = random_weights(g, 15, 11);
-    let values: Vec<f32> = weights.iter().map(|&w| w as f32).collect();
-    let x = vec![1.0f32; g.num_vertices() as usize];
-    let bc_sources: Vec<u32> = (0..4.min(g.num_vertices())).collect();
-    let ms_sources: Vec<u32> = (0..32.min(g.num_vertices())).collect();
-
-    for m in [Method::Baseline, Method::warp(8)] {
-        let l = |k: &str| format!("{k}/{gname} [{}]", m.label());
-        assert_contained(&l("bfs"), |gpu| {
-            let dg = DeviceGraph::upload(gpu, g);
-            run_bfs(gpu, &dg, src, m, &exec).map(|_| ())
-        });
-        assert_contained(&l("bfs_queue"), |gpu| {
-            let dg = DeviceGraph::upload(gpu, g);
-            run_bfs_queue(gpu, &dg, src, m, &exec).map(|_| ())
-        });
-        assert_contained(&l("bfs_hybrid"), |gpu| {
-            let dg = DeviceGraph::upload(gpu, g);
-            let drev = DeviceGraph::upload(gpu, &rev);
-            run_bfs_hybrid(gpu, &dg, &drev, src, m, &exec, &GpuHybridConfig::default()).map(|_| ())
-        });
-        assert_contained(&l("sssp"), |gpu| {
-            let dg = DeviceGraph::upload_weighted(gpu, g, &weights);
-            run_sssp(gpu, &dg, src, m, &exec).map(|_| ())
-        });
-        assert_contained(&l("cc"), |gpu| {
-            let dg = DeviceGraph::upload(gpu, &sym);
-            run_cc(gpu, &dg, m, &exec).map(|_| ())
-        });
-        assert_contained(&l("pagerank"), |gpu| {
-            let dg = DeviceGraph::upload(gpu, g);
-            run_pagerank(gpu, &dg, 5, 0.85, m, &exec).map(|_| ())
-        });
-        assert_contained(&l("betweenness"), |gpu| {
-            let dg = DeviceGraph::upload(gpu, g);
-            run_betweenness(gpu, &dg, &bc_sources, m, &exec).map(|_| ())
-        });
-        assert_contained(&l("triangles"), |gpu| {
-            run_triangles(gpu, &sym, m, &exec, Orientation::ByDegree).map(|_| ())
-        });
-        assert_contained(&l("coloring"), |gpu| {
-            let dg = DeviceGraph::upload(gpu, &sym);
-            run_coloring(gpu, &dg, m, &exec).map(|_| ())
-        });
-        assert_contained(&l("kcore"), |gpu| {
-            let dg = DeviceGraph::upload(gpu, &sym);
-            run_kcore(gpu, &dg, m, &exec).map(|_| ())
-        });
-        assert_contained(&l("msbfs"), |gpu| {
-            let dg = DeviceGraph::upload(gpu, g);
-            run_msbfs(gpu, &dg, &ms_sources, m, &exec).map(|_| ())
-        });
-        assert_contained(&l("spmv"), |gpu| {
-            let dg = DeviceGraph::upload(gpu, g);
-            run_spmv(gpu, &dg, &values, &x, m, &exec).map(|_| ())
-        });
+/// Every baseline and `vw8` cell of the sweep graph `graph`.
+fn sweep(graph: &str) {
+    let graphs = sweep_graphs();
+    let methods = [Method::Baseline, Method::warp(8)];
+    for cell in cells(&graphs).filter(|c| c.graph == graph && methods.contains(&c.method)) {
+        assert_contained(&cell);
     }
 }
 
 #[test]
 fn dynamic_findings_contained_in_static_report_rmat() {
-    let g = Dataset::Rmat.build(Scale::Tiny);
-    sweep("rmat", &g);
+    sweep("rmat");
 }
 
 #[test]
 fn dynamic_findings_contained_in_static_report_hub() {
-    let g = hub_graph(2048, 4, 1500, 2, 7);
-    sweep("hub", &g);
+    sweep("hub");
 }
 
 /// The containment direction is meaningful only if the static side is not
@@ -149,13 +89,14 @@ fn dynamic_findings_contained_in_static_report_hub() {
 /// error-severity static findings (the CI lint gate's criterion).
 #[test]
 fn shipped_kernels_statically_error_free() {
-    let g = Dataset::Rmat.build(Scale::Tiny);
+    let graphs = sweep_graphs();
     let mut cfg = GpuConfig::fermi_c2050();
     cfg.analyze = true;
     let mut gpu = Gpu::new(cfg);
-    let dg = DeviceGraph::upload(&mut gpu, &g);
-    let src = Dataset::Rmat.source(&g);
-    run_bfs(&mut gpu, &dg, src, Method::warp(8), &ExecConfig::default()).unwrap();
+    let bfs = cells(&graphs)
+        .find(|c| c.kernel.name == "bfs" && c.method == Method::warp(8))
+        .unwrap();
+    bfs.run(&mut gpu).unwrap();
     let anl = gpu.analyzer().unwrap();
     assert!(!anl.has_errors(), "{}", anl.report());
 }
