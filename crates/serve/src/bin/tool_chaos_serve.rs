@@ -19,7 +19,6 @@
 //! | scenario | injects | exercises |
 //! |---|---|---|
 //! | `worker_panic_storm` | worker-level panics outside the request unwind | supervision, bounded restarts, in-flight requeue |
-//! | `slow_launch_hedging` | random execution delays | hedged duplicates, first-result-wins |
 //! | `launch_fault_breaker` | injected launch faults | retries, circuit breaker, CPU fallback degradation |
 //! | `persistence_corruption` | truncation + bit flips on tuning/warmup files | crash-safe store, quarantine, rebuild |
 //! | `tenant_flood` | one tenant flooding admission | token buckets, priority shedding |
@@ -266,13 +265,11 @@ fn start_with_graphs(
 
 /// Submit the stream (blocking retry on backpressure), wait for everything,
 /// and tally outcomes.
-#[allow(clippy::too_many_arguments)]
 fn run_stream(
     server: &Server,
     handles: &[maxwarp_serve::GraphHandle],
     wl: &Workload,
     stream: &[usize],
-    decorate: impl Fn(Request) -> Request,
     clean: &HashMap<usize, CleanDigest>,
     violations: &mut Vec<String>,
     scenario: &str,
@@ -282,7 +279,7 @@ fn run_stream(
     let mut tally = Tally::default();
     for &idx in stream {
         let (gi, query) = &wl.catalog[idx];
-        let req = decorate(Request::new(handles[*gi], query.clone()));
+        let req = Request::new(handles[*gi], query.clone());
         tally.submitted += 1;
         let mut backoff = 0u32;
         loop {
@@ -311,10 +308,6 @@ fn run_stream(
         tally.absorb(idx, &outcome, clean, violations, scenario);
     }
     (tally, start.elapsed())
-}
-
-fn no_decoration(r: Request) -> Request {
-    r
 }
 
 struct ScenarioReport {
@@ -381,7 +374,6 @@ fn main() {
         &clean_handles,
         &wl,
         &wl.stream,
-        no_decoration,
         &clean,
         &mut violations,
         "clean_warm",
@@ -403,7 +395,7 @@ fn main() {
     {
         let mut cfg = base_config();
         // A storm needs a deep restart budget — the point is supervision at
-        // scale, not the budget bound (scenario 7 covers that).
+        // scale, not the budget bound (scenario 6 covers that).
         cfg.resilience.restart = RestartPolicy {
             max_restarts: 1000,
             backoff: Backoff::new(Duration::from_micros(50), Duration::from_millis(2)),
@@ -419,7 +411,6 @@ fn main() {
             &handles,
             &wl,
             &wl.stream,
-            no_decoration,
             &clean,
             &mut violations,
             "worker_panic_storm",
@@ -441,7 +432,6 @@ fn main() {
             &handles,
             &wl,
             &wl.stream,
-            no_decoration,
             &clean,
             &mut violations,
             "worker_panic_storm/recovery",
@@ -471,47 +461,7 @@ fn main() {
         server.shutdown();
     }
 
-    // ---- Scenario 2: slow launches + hedging. ---------------------------
-    {
-        let (server, handles) = start_with_graphs(base_config(), &wl);
-        server.set_chaos(Some(ChaosConfig {
-            seed,
-            slow_launch: 0.5,
-            slow: Duration::from_millis(3),
-            ..ChaosConfig::default()
-        }));
-        let hedge = RetryPolicy::attempts(1).with_hedge(Duration::from_millis(1));
-        let (tally, wall) = run_stream(
-            &server,
-            &handles,
-            &wl,
-            &wl.stream,
-            |r| r.with_retry(hedge),
-            &clean,
-            &mut violations,
-            "slow_launch_hedging",
-        );
-        let snap = server.snapshot();
-        if snap.resilience.hedges == 0 {
-            violations.push("slow_launch_hedging: no hedges fired".to_string());
-        }
-        if tally.ok != tally.submitted {
-            violations.push("slow_launch_hedging: hedged requests failed".to_string());
-        }
-        scenarios.push(ScenarioReport {
-            name: "slow_launch_hedging",
-            tally,
-            wall,
-            notes: vec![
-                ("hedges", snap.resilience.hedges as f64),
-                ("hedge_wins", snap.resilience.hedge_wins as f64),
-                ("hedge_cancels", snap.resilience.hedge_cancels as f64),
-            ],
-        });
-        server.shutdown();
-    }
-
-    // ---- Scenario 3: launch faults → retries, breaker, CPU fallback. ----
+    // ---- Scenario 2: launch faults → retries, breaker, CPU fallback. ----
     {
         let mut cfg = base_config();
         cfg.resilience.retry = RetryPolicy::attempts(3);
@@ -530,7 +480,6 @@ fn main() {
             &handles,
             &wl,
             &wl.stream,
-            no_decoration,
             &clean,
             &mut violations,
             "launch_fault_breaker",
@@ -557,7 +506,6 @@ fn main() {
             &handles,
             &wl,
             &wl.stream,
-            no_decoration,
             &clean,
             &mut violations,
             "launch_fault_breaker/recovery",
@@ -580,7 +528,7 @@ fn main() {
         server.shutdown();
     }
 
-    // ---- Scenario 4: persistence corruption. ----------------------------
+    // ---- Scenario 3: persistence corruption. ----------------------------
     {
         let dir = std::env::temp_dir().join(format!("chaos_serve_{seed}_{}", std::process::id()));
         let _ = std::fs::create_dir_all(&dir);
@@ -595,7 +543,6 @@ fn main() {
             &handles,
             &wl,
             &wl.stream,
-            no_decoration,
             &clean,
             &mut violations,
             "persistence_corruption/populate",
@@ -645,7 +592,6 @@ fn main() {
             &handles2,
             &wl,
             &wl.stream,
-            no_decoration,
             &clean,
             &mut violations,
             "persistence_corruption",
@@ -675,7 +621,7 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // ---- Scenario 5: tenant flood + priority shedding. ------------------
+    // ---- Scenario 4: tenant flood + priority shedding. ------------------
     {
         let mut cfg = base_config();
         cfg.queue_capacity = 16;
@@ -760,7 +706,7 @@ fn main() {
         server.shutdown();
     }
 
-    // ---- Scenario 6: deadline storm (batch poison at scale). ------------
+    // ---- Scenario 5: deadline storm (batch poison at scale). ------------
     {
         let (server, handles) = start_with_graphs(base_config(), &wl);
         let mut tally = Tally::default();
@@ -819,7 +765,7 @@ fn main() {
         server.shutdown();
     }
 
-    // ---- Scenario 7: total worker loss. ---------------------------------
+    // ---- Scenario 6: total worker loss. ---------------------------------
     {
         let mut cfg = base_config();
         cfg.workers = 1;

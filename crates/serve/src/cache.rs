@@ -16,7 +16,6 @@ use crate::request::ResultData;
 use maxwarp_obs::Counter;
 use maxwarp_simt::{GpuConfig, KernelStats};
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
 
 /// Full identity of a cacheable response.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -119,18 +118,6 @@ struct Entry {
     value: CachedResult,
     bytes: usize,
     touched: u64,
-    /// When the entry was produced — drives stale-while-revalidate.
-    inserted: Instant,
-}
-
-/// Age classification of a cache hit relative to a TTL.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Freshness {
-    /// Within TTL (or no TTL configured): byte-identical replay.
-    Fresh,
-    /// Past TTL: still byte-identical to the run that produced it, but the
-    /// server flags it `degraded` and refreshes in the background.
-    Stale,
 }
 
 /// Running counters, exported in the server's stats JSON.
@@ -222,29 +209,12 @@ impl ResultCache {
 
     /// Look `key` up, refreshing its LRU position on hit.
     pub fn get(&mut self, key: &CacheKey) -> Option<CachedResult> {
-        self.get_at(key, Instant::now(), None).map(|(v, _)| v)
-    }
-
-    /// Look `key` up with stale classification: a hit older than `ttl` (if
-    /// one is given) is returned as [`Freshness::Stale`]. Stale entries are
-    /// still served — the scheduler flags them `degraded` and refreshes in
-    /// the background — so availability never regresses to a miss.
-    pub fn get_at(
-        &mut self,
-        key: &CacheKey,
-        now: Instant,
-        ttl: Option<Duration>,
-    ) -> Option<(CachedResult, Freshness)> {
         self.tick += 1;
         match self.map.get_mut(key) {
             Some(e) => {
                 e.touched = self.tick;
                 self.hits.inc();
-                let fresh = match ttl {
-                    Some(t) if now.saturating_duration_since(e.inserted) > t => Freshness::Stale,
-                    _ => Freshness::Fresh,
-                };
-                Some((e.value.clone(), fresh))
+                Some(e.value.clone())
             }
             None => {
                 self.misses.inc();
@@ -255,12 +225,6 @@ impl ResultCache {
 
     /// Insert a result, evicting the least-recently-touched entry if full.
     pub fn insert(&mut self, key: CacheKey, value: CachedResult) {
-        self.insert_at(key, value, Instant::now());
-    }
-
-    /// [`insert`](ResultCache::insert) with an explicit timestamp (the
-    /// scheduler passes one `now` per serve; tests pass synthetic clocks).
-    pub fn insert_at(&mut self, key: CacheKey, value: CachedResult, now: Instant) {
         if self.capacity == 0 {
             return;
         }
@@ -284,7 +248,6 @@ impl ResultCache {
                 value,
                 bytes,
                 touched: self.tick,
-                inserted: now,
             },
         );
     }
@@ -316,12 +279,11 @@ impl ResultCache {
     }
 
     /// Load entries from a snapshot produced by
-    /// [`export_snapshot`](ResultCache::export_snapshot), inserting them as
-    /// fresh at `now`. Returns the number of entries imported. A snapshot
-    /// from an unknown version (or with trailing garbage — the atomic layer
-    /// already rules out corruption) imports nothing: warmup is an
-    /// optimization, never load-bearing.
-    pub fn import_snapshot(&mut self, bytes: &[u8], now: Instant) -> usize {
+    /// [`export_snapshot`](ResultCache::export_snapshot). Returns the number
+    /// of entries imported. A snapshot from an unknown version (or with
+    /// trailing garbage — the atomic layer already rules out corruption)
+    /// imports nothing: warmup is an optimization, never load-bearing.
+    pub fn import_snapshot(&mut self, bytes: &[u8]) -> usize {
         let mut r = Reader { buf: bytes, at: 0 };
         let Some(version) = r.u32() else { return 0 };
         if version != SNAPSHOT_VERSION {
@@ -334,7 +296,7 @@ impl ResultCache {
                 break;
             };
             let (key, value) = entry;
-            self.insert_at(key, value, now);
+            self.insert(key, value);
             imported += 1;
         }
         imported
@@ -620,34 +582,6 @@ mod tests {
     }
 
     #[test]
-    fn ttl_classifies_but_never_drops() {
-        let mut c = ResultCache::new(4);
-        let t0 = Instant::now();
-        c.insert_at(key(1), result(7), t0);
-        let ttl = Some(Duration::from_millis(100));
-        let (_, fresh) = c
-            .get_at(&key(1), t0 + Duration::from_millis(50), ttl)
-            .unwrap();
-        assert_eq!(fresh, Freshness::Fresh);
-        let (v, fresh) = c
-            .get_at(&key(1), t0 + Duration::from_millis(150), ttl)
-            .unwrap();
-        assert_eq!(fresh, Freshness::Stale, "past TTL is stale, not a miss");
-        assert_eq!(v.iterations, 7, "stale replay is still the same bytes");
-        // No TTL: never stale.
-        let (_, fresh) = c
-            .get_at(&key(1), t0 + Duration::from_secs(3600), None)
-            .unwrap();
-        assert_eq!(fresh, Freshness::Fresh);
-        // A re-insert refreshes the clock.
-        c.insert_at(key(1), result(8), t0 + Duration::from_millis(150));
-        let (_, fresh) = c
-            .get_at(&key(1), t0 + Duration::from_millis(200), ttl)
-            .unwrap();
-        assert_eq!(fresh, Freshness::Fresh);
-    }
-
-    #[test]
     fn snapshot_round_trips_every_payload_shape() {
         let mut c = ResultCache::new(16);
         let shapes = [
@@ -677,7 +611,7 @@ mod tests {
         assert_eq!(snap, c.export_snapshot());
 
         let mut warm = ResultCache::new(16);
-        assert_eq!(warm.import_snapshot(&snap, Instant::now()), shapes.len());
+        assert_eq!(warm.import_snapshot(&snap), shapes.len());
         for (i, data) in shapes.iter().enumerate() {
             let hit = warm.get(&key(i as u64)).unwrap();
             match (&hit.data, data) {
@@ -698,13 +632,10 @@ mod tests {
         // panics.
         let mut bad = snap.clone();
         bad[0] ^= 0xff;
-        assert_eq!(
-            ResultCache::new(16).import_snapshot(&bad, Instant::now()),
-            0
-        );
+        assert_eq!(ResultCache::new(16).import_snapshot(&bad), 0);
         for cut in [0, 3, snap.len() / 2] {
             let mut partial = ResultCache::new(16);
-            let n = partial.import_snapshot(&snap[..cut], Instant::now());
+            let n = partial.import_snapshot(&snap[..cut]);
             assert!(n <= shapes.len());
         }
     }

@@ -10,7 +10,8 @@
 //! * **Scheduler** ([`scheduler`]) — a bounded submission queue with
 //!   structured backpressure ([`ServeError::QueueFull`]), per-request
 //!   cycle deadlines enforced through the simulator's watchdog, and
-//!   batching of same-graph requests so the device upload is amortized.
+//!   same-graph batching. Device templates are built once per graph for
+//!   the server's lifetime, so the upload is paid once per graph.
 //! * **Result cache** ([`cache`]) — keyed by graph digest × query digest ×
 //!   method × device fingerprint. Because every execution runs on a fresh
 //!   device cloned from a per-graph template (identical memory layout),
@@ -25,14 +26,16 @@
 //! A fourth layer — **resilience** ([`resilience`]) — keeps the service
 //! standing when things break: supervised workers (panic-isolated, bounded
 //! restarts with backoff, crash recovery of in-flight requests),
-//! per-request retry/backoff/hedging, admission control (per-tenant token
-//! buckets + priority shedding past a queue high-watermark), graceful
-//! degradation (stale-while-revalidate cache serving and a per-`(graph,
-//! algorithm)` circuit breaker routing to the CPU reference), and
-//! crash-safe persistence (tuning table and cache-warmup snapshot framed
-//! through [`maxwarp_graph::atomic`]). Every resilience policy is strictly
-//! *around* execution: non-degraded responses are byte-identical with the
-//! features on or off.
+//! per-request retry with backoff, admission control (per-tenant token
+//! buckets + priority shedding past a queue high-watermark), a
+//! per-`(graph, algorithm)` circuit breaker routing to the CPU reference,
+//! and crash-safe persistence (tuning table and cache-warmup snapshot
+//! framed through [`maxwarp_graph::atomic`]). Every resilience policy is
+//! strictly *around* execution: non-degraded responses are byte-identical
+//! with the features on or off. Nothing runs in the background: the
+//! kernels and the simulator are deterministic and graphs are immutable,
+//! so a cached result never goes stale and a duplicate launch can only
+//! repeat the original.
 //!
 //! A fifth layer — **sharding** — scales individual graphs across `N`
 //! simulated devices: with `MAXWARP_SHARDS > 1`, BFS/SSSP/CC/PageRank
@@ -77,7 +80,6 @@
 //! | `MAXWARP_OBS_SPANS` | span buffer capacity (default 65536) |
 //! | `MAXWARP_RETRY` | execution attempts per request (default 1 = retries off) |
 //! | `MAXWARP_SHED` | queue high-watermark fraction for priority shedding (e.g. `0.75`; `0`/`off` keeps bare `QueueFull`) |
-//! | `MAXWARP_STALE_TTL` | stale-while-revalidate TTL in ms (`0`/`off` disables) |
 //! | `MAXWARP_BREAKER` | circuit-breaker trip threshold in consecutive faults (`0`/`off` disables) |
 //! | `MAXWARP_WARMUP` | cache-warmup snapshot path (unset/`0`/`off` disables) |
 //! | `MAXWARP_SHARDS` | shard devices per graph (default 1 = single-device; >1 routes BFS/SSSP/CC/PageRank to the multi-device BSP executor) |
@@ -110,8 +112,7 @@ pub mod store;
 
 pub use autotune::{probe_methods, probe_one, Choice, ChoiceSource, TuneEntry, Tuner};
 pub use cache::{
-    gpu_fingerprint, sharded_fingerprint, CacheKey, CacheStats, CachedResult, Freshness,
-    ResultCache,
+    gpu_fingerprint, sharded_fingerprint, CacheKey, CacheStats, CachedResult, ResultCache,
 };
 pub use exec::{
     execute, execute_labeled, execute_sharded, sharded_supported, DeviceTemplate, ShardedTemplate,

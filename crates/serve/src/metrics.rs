@@ -69,14 +69,6 @@ pub struct ServeMetrics {
     /// `serve_retry_successes_total` — requests that succeeded on attempt
     /// two or later.
     pub retry_successes: Counter,
-    /// `serve_hedges_total` — hedged duplicates actually launched.
-    pub hedges: Counter,
-    /// `serve_hedge_wins_total` — hedged duplicates that produced the
-    /// winning response.
-    pub hedge_wins: Counter,
-    /// `serve_hedge_cancels_total` — hedge losers cancelled before (or
-    /// discarded after) execution.
-    pub hedge_cancels: Counter,
     /// `serve_shed_total{reason="tenant_rate"}` — token-bucket sheds.
     pub shed_tenant: Counter,
     /// `serve_shed_total{reason="queue_pressure"}` — watermark sheds.
@@ -88,12 +80,7 @@ pub struct ServeMetrics {
     /// `serve_cpu_fallbacks_total` — responses served by the CPU reference
     /// path while a breaker was open.
     pub fallbacks: Counter,
-    /// `serve_stale_served_total` — cache hits past TTL served degraded.
-    pub stale_served: Counter,
-    /// `serve_refreshes_total` — background refreshes enqueued for stale
-    /// entries.
-    pub refreshes: Counter,
-    /// `serve_degraded_total` — all degraded responses (stale + fallback).
+    /// `serve_degraded_total` — all degraded responses (CPU fallbacks).
     pub degraded: Counter,
     /// `serve_worker_panics_total` — panics that escaped a request and
     /// crashed a worker (supervised).
@@ -148,16 +135,11 @@ impl ServeMetrics {
             tuner_probes: registry.counter("serve_tuner_probes_total"),
             retries: registry.counter("serve_retries_total"),
             retry_successes: registry.counter("serve_retry_successes_total"),
-            hedges: registry.counter("serve_hedges_total"),
-            hedge_wins: registry.counter("serve_hedge_wins_total"),
-            hedge_cancels: registry.counter("serve_hedge_cancels_total"),
             shed_tenant: registry.counter_with("serve_shed_total", &[("reason", "tenant_rate")]),
             shed_queue: registry.counter_with("serve_shed_total", &[("reason", "queue_pressure")]),
             breaker_trips: registry.counter("serve_breaker_trips_total"),
             breaker_open: registry.gauge("serve_breaker_open"),
             fallbacks: registry.counter("serve_cpu_fallbacks_total"),
-            stale_served: registry.counter("serve_stale_served_total"),
-            refreshes: registry.counter("serve_refreshes_total"),
             degraded: registry.counter("serve_degraded_total"),
             worker_panics: registry.counter("serve_worker_panics_total"),
             worker_restarts: registry.counter("serve_worker_restarts_total"),

@@ -223,7 +223,7 @@ pub struct Request {
     pub tenant: Option<String>,
     /// Shedding priority under queue pressure.
     pub priority: Priority,
-    /// Retry/hedge policy for this request; `None` uses the server's
+    /// Retry policy for this request; `None` uses the server's
     /// default class ([`crate::resilience::ResilienceConfig::retry`]).
     pub retry: Option<RetryPolicy>,
 }
@@ -248,7 +248,7 @@ impl Request {
         self
     }
 
-    /// Attach a per-request retry/hedge policy.
+    /// Attach a per-request retry policy.
     pub fn with_retry(mut self, policy: RetryPolicy) -> Request {
         self.retry = Some(policy);
         self
@@ -317,11 +317,8 @@ impl ResultData {
 pub enum ResponseSource {
     /// Executed on the simulated device this call.
     Device,
-    /// Replayed from the result cache (fresh entry).
+    /// Replayed from the result cache.
     Cache,
-    /// Replayed from a cache entry past its TTL — `degraded: true`, a
-    /// background refresh is running.
-    StaleCache,
     /// Produced by the CPU reference implementation because the circuit
     /// breaker for this `(graph, algorithm)` is open — `degraded: true`,
     /// `stats` are zeroed (no device ran).
@@ -333,7 +330,6 @@ impl ResponseSource {
         match self {
             ResponseSource::Device => "device",
             ResponseSource::Cache => "cache",
-            ResponseSource::StaleCache => "stale_cache",
             ResponseSource::CpuFallback => "cpu_fallback",
         }
     }
@@ -356,7 +352,7 @@ pub struct Response {
     pub cached: bool,
     /// Which path produced the payload.
     pub source: ResponseSource,
-    /// True for degraded serves: a stale cache replay or a CPU fallback.
+    /// True for degraded serves: a CPU fallback while the breaker is open.
     /// Non-degraded responses are byte-identical to a clean cold run;
     /// degraded ones trade that guarantee for availability.
     pub degraded: bool,

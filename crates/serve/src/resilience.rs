@@ -83,26 +83,21 @@ impl SaturatingShl for u64 {
     }
 }
 
-/// Per-request-class retry budget and hedging policy.
+/// Per-request-class retry budget.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total execution attempts (1 = no retries).
     pub max_attempts: u32,
     /// Delay schedule between attempts.
     pub backoff: Backoff,
-    /// Deadline-critical requests: after this much wall time without a
-    /// response, launch a hedged duplicate; first result wins and the
-    /// loser is cancelled (skipped if still queued, discarded if raced).
-    pub hedge_after: Option<Duration>,
 }
 
 impl RetryPolicy {
-    /// One attempt, no hedging — the default request class.
+    /// One attempt — the default request class.
     pub fn none() -> RetryPolicy {
         RetryPolicy {
             max_attempts: 1,
             backoff: Backoff::default(),
-            hedge_after: None,
         }
     }
 
@@ -112,12 +107,6 @@ impl RetryPolicy {
             max_attempts: n.max(1),
             ..RetryPolicy::none()
         }
-    }
-
-    /// Attach a hedge deadline.
-    pub fn with_hedge(mut self, after: Duration) -> RetryPolicy {
-        self.hedge_after = Some(after);
-        self
     }
 }
 
@@ -311,6 +300,15 @@ impl CircuitBreaker {
         }
     }
 
+    /// A device run for `key` ended without a verdict on the device (the
+    /// request overran its own cycle deadline). A half-open trial is
+    /// released so the next request runs one; nothing else changes.
+    pub fn on_inconclusive(&mut self, key: (u64, &'static str)) {
+        if let Some(KeyState::Open { trial_inflight, .. }) = self.keys.get_mut(&key) {
+            *trial_inflight = false;
+        }
+    }
+
     /// Number of keys currently open (feeds the `serve_breaker_open`
     /// gauge).
     pub fn open_count(&self) -> u64 {
@@ -358,22 +356,17 @@ impl Default for CrashPolicy {
 
 /// The whole resilience policy bundle one server runs with.
 ///
-/// The default is **everything off** (legacy behavior): one attempt, no
-/// hedge, bare `QueueFull` backpressure, no TTL, no breaker — existing
-/// callers and tests see no change unless they opt in. Supervision
-/// (restart + crash recovery) is always on; it has no behavioral cost
-/// when nothing panics.
+/// The default is **everything off** (legacy behavior): one attempt, bare
+/// `QueueFull` backpressure, no breaker — existing callers and tests see no
+/// change unless they opt in. Supervision (restart + crash recovery) is
+/// always on; it has no behavioral cost when nothing panics.
 #[derive(Clone, Debug, Default)]
 pub struct ResilienceConfig {
-    /// Default per-request retry/hedge policy (`Request::retry` overrides).
+    /// Default per-request retry policy (`Request::retry` overrides).
     pub retry: RetryPolicy,
     /// Admission control + priority shedding; `None` keeps bare
     /// `QueueFull`.
     pub shed: Option<ShedConfig>,
-    /// Stale-while-revalidate: cache hits older than this are served
-    /// `degraded` while a background refresh runs; `None` = hits never
-    /// expire.
-    pub stale_ttl: Option<Duration>,
     /// Per-(graph, algorithm) circuit breaker; `None` disables.
     pub breaker: Option<BreakerConfig>,
     /// Worker supervision restart budget.
@@ -389,7 +382,6 @@ impl ResilienceConfig {
     /// |---|---|
     /// | `MAXWARP_RETRY` | max attempts per request (default 1 = off) |
     /// | `MAXWARP_SHED` | queue high-watermark fraction (e.g. `0.75`); `0`/`off` keeps bare `QueueFull` |
-    /// | `MAXWARP_STALE_TTL` | stale-while-revalidate TTL in milliseconds; `0`/`off` disables |
     /// | `MAXWARP_BREAKER` | consecutive-fault trip threshold; `0`/`off` disables |
     pub fn from_env() -> ResilienceConfig {
         let mut cfg = ResilienceConfig::default();
@@ -410,12 +402,6 @@ impl ResilienceConfig {
                 }
             }
         }
-        if let Ok(v) = std::env::var("MAXWARP_STALE_TTL") {
-            cfg.stale_ttl = match v.parse::<u64>() {
-                Ok(0) | Err(_) => None,
-                Ok(ms) => Some(Duration::from_millis(ms)),
-            };
-        }
         if let Ok(v) = std::env::var("MAXWARP_BREAKER") {
             cfg.breaker = match v.parse::<u32>() {
                 Ok(0) | Err(_) => None,
@@ -435,18 +421,14 @@ impl ResilienceConfig {
 /// Injection points sit deliberately on *opposite sides* of the
 /// per-request `catch_unwind`: worker panics fire in the worker loop
 /// (outside it — they genuinely crash the worker and exercise
-/// supervision), slow launches fire inside `serve_one` (they exercise
-/// hedging without killing anyone).
+/// supervision), launch faults fire inside `serve_one` (they exercise
+/// retries and the breaker without killing anyone).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ChaosConfig {
     /// Seed for every injection decision.
     pub seed: u64,
     /// Probability (0..=1) that a batch pickup panics the worker.
     pub worker_panic: f64,
-    /// Probability (0..=1) that an execution is delayed by `slow`.
-    pub slow_launch: f64,
-    /// The injected delay for slow launches.
-    pub slow: Duration,
     /// Probability (0..=1) that an execution fails with an injected launch
     /// fault (drives the circuit breaker without touching the device).
     pub launch_fault: f64,
@@ -471,7 +453,6 @@ impl ChaosConfig {
 /// are independent.
 pub mod chaos_salt {
     pub const WORKER_PANIC: u64 = 0x57_50;
-    pub const SLOW_LAUNCH: u64 = 0x51_0e;
     pub const LAUNCH_FAULT: u64 = 0xfa_17;
 }
 
@@ -558,6 +539,28 @@ mod tests {
     }
 
     #[test]
+    fn inconclusive_trial_releases_the_half_open_slot() {
+        let t0 = Instant::now();
+        let mut br = CircuitBreaker::new(BreakerConfig {
+            threshold: 1,
+            cooldown: Duration::from_millis(10),
+        });
+        let key = (7u64, "bfs");
+        br.on_inconclusive(key);
+        assert_eq!(br.admit(key, t0), BreakerState::Closed, "no trip");
+        assert!(br.on_failure(key, t0));
+        let t1 = t0 + Duration::from_millis(11);
+        assert_eq!(br.admit(key, t1), BreakerState::HalfOpen);
+        br.on_inconclusive(key);
+        assert_eq!(br.open_count(), 1, "still open");
+        assert_eq!(
+            br.admit(key, t1),
+            BreakerState::HalfOpen,
+            "the next request runs the trial"
+        );
+    }
+
+    #[test]
     fn other_keys_are_independent() {
         let t0 = Instant::now();
         let mut br = CircuitBreaker::new(BreakerConfig {
@@ -588,7 +591,7 @@ mod tests {
         assert!((rate - 0.1).abs() < 0.02, "empirical rate {rate}");
         // Different salts give different streams.
         let other: Vec<bool> = (0..10_000)
-            .map(|n| c.roll(chaos_salt::SLOW_LAUNCH, n, 0.1))
+            .map(|n| c.roll(chaos_salt::LAUNCH_FAULT, n, 0.1))
             .collect();
         assert_ne!(hits, other);
         // Edge probabilities.
@@ -603,7 +606,7 @@ mod tests {
         // tests).
         let d = ResilienceConfig::default();
         assert_eq!(d.retry.max_attempts, 1);
-        assert!(d.shed.is_none() && d.stale_ttl.is_none() && d.breaker.is_none());
+        assert!(d.shed.is_none() && d.breaker.is_none());
         assert_eq!(d.crash, CrashPolicy::Requeue { max_requeues: 2 });
     }
 }

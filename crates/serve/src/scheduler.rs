@@ -14,22 +14,25 @@
 //!    errors here mean nothing was enqueued.
 //! 2. **Batching** — a worker pops the oldest request, then pulls up to
 //!    `batch_max - 1` more requests *for the same graph* out of the queue
-//!    (preserving arrival order for everyone else). The batch shares one
-//!    device template, so the graph upload is paid once per graph rather
-//!    than once per request.
+//!    (preserving arrival order for everyone else). Device templates are
+//!    cached per graph for the server's lifetime (`get_template`), so a
+//!    batch saves no upload; it only reorders the queue.
 //! 3. **Resolution** — the method comes from the request pin, the
 //!    `MAXWARP_METHOD` override, the tuning table, or a fresh probe (in
 //!    that order; see [`crate::autotune`]).
 //! 4. **Cache** — the resolved `(graph, query, method, device)` key is
 //!    looked up; hits replay the recorded payload and `KernelStats`
 //!    (byte-identical by the template-layout argument in [`crate::exec`]).
-//!    With a stale TTL configured, hits past it are still served — flagged
-//!    `degraded` — while a background refresh re-executes.
+//!    Graphs are immutable and the key names everything that shapes a
+//!    result, so an entry never goes stale.
 //! 5. **Execution** — misses run on a fresh device with the request's
 //!    deadline wired into the watchdog. Panics are caught per request; a
 //!    poisoned request fails alone, the worker and its batch survive.
-//!    Retriable faults (launch errors, panics) consume the request's retry
-//!    budget with jittered backoff between attempts. With the circuit
+//!    Retriable faults (launch errors other than a deadline overrun,
+//!    panics) consume the request's retry budget with jittered backoff
+//!    between attempts. A deadline overrun is the client's own budget:
+//!    the simulator is deterministic, so a retry would overrun again, and
+//!    it says nothing about the device's health. With the circuit
 //!    breaker on, K consecutive faults per `(graph, algorithm)` open the
 //!    breaker and route requests to the CPU reference implementation
 //!    (degraded, zeroed stats) until a half-open trial succeeds.
@@ -47,13 +50,6 @@
 //! fail fast. Server locks recover from poisoning (`into_inner`) — a
 //! crashed worker cannot take the service down with it.
 //!
-//! ## Hedging
-//!
-//! A request whose [`RetryPolicy::hedge_after`] elapses without a response
-//! gets a duplicate enqueued by the hedger thread; whichever twin finishes
-//! first wins the (single) reply channel and the loser is cancelled —
-//! skipped if still queued, discarded at the send gate if it raced.
-//!
 //! ## Observability
 //!
 //! Every server owns a [`maxwarp_obs::Registry`] (so concurrent servers in
@@ -66,18 +62,17 @@
 
 use crate::autotune::Tuner;
 use crate::cache::{
-    gpu_fingerprint, sharded_fingerprint, CacheKey, CacheStats, CachedResult, Freshness,
-    ResultCache,
+    gpu_fingerprint, sharded_fingerprint, CacheKey, CacheStats, CachedResult, ResultCache,
 };
 use crate::exec::{
     execute_labeled, execute_sharded, sharded_supported, DeviceTemplate, ShardedTemplate,
 };
 use crate::json::{self, Value};
 use crate::metrics::ServeMetrics;
-use crate::request::{Priority, Request, Response, ResponseSource, ResultData, ServeError};
+use crate::request::{Request, Response, ResponseSource, ResultData, ServeError};
 use crate::resilience::{
     chaos_salt, BreakerState, ChaosConfig, CircuitBreaker, CrashPolicy, ResilienceConfig,
-    RetryPolicy, ShedReason, TokenBucket,
+    ShedReason, TokenBucket,
 };
 use crate::stats::LatencySummary;
 use crate::store::{GraphEntry, GraphHandle, GraphStore};
@@ -87,13 +82,13 @@ use maxwarp_graph::{atomic as store_atomic, Csr};
 use maxwarp_obs::{ActiveSpan, Registry, Tracer};
 use maxwarp_shard::{CutStrategy, LinkConfig, PartitionSpec};
 use maxwarp_simt::{GpuConfig, KernelStats, LaunchError, SimtError};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Lock a mutex, recovering from poisoning. A poisoned server lock means a
 /// worker panicked while holding it; the supervisor restarts the worker,
@@ -136,9 +131,9 @@ pub struct ServerConfig {
     /// Whether request span tracing records (`MAXWARP_OBS_TRACE`; default
     /// off — spans cost an allocation per stage).
     pub trace: bool,
-    /// Resilience policy bundle (retry/hedge defaults, admission control,
-    /// stale TTL, circuit breaker, supervision). The default is everything
-    /// off except supervision — see [`ResilienceConfig`].
+    /// Resilience policy bundle (retry defaults, admission control,
+    /// circuit breaker, supervision). The default is everything off except
+    /// supervision — see [`ResilienceConfig`].
     pub resilience: ResilienceConfig,
     /// Cache-warmup snapshot path (`MAXWARP_WARMUP`; unset disables).
     /// Loaded at startup, written at shutdown, framed through the
@@ -257,16 +252,11 @@ pub enum WorkerHealth {
 pub struct ResilienceSnapshot {
     pub retries: u64,
     pub retry_successes: u64,
-    pub hedges: u64,
-    pub hedge_wins: u64,
-    pub hedge_cancels: u64,
     pub shed_tenant: u64,
     pub shed_queue: u64,
     pub breaker_trips: u64,
     pub breaker_open: u64,
     pub fallbacks: u64,
-    pub stale_served: u64,
-    pub refreshes: u64,
     pub degraded: u64,
     pub worker_panics: u64,
     pub worker_restarts: u64,
@@ -281,16 +271,11 @@ impl ResilienceSnapshot {
         json::obj(vec![
             ("retries", json::n(self.retries as f64)),
             ("retry_successes", json::n(self.retry_successes as f64)),
-            ("hedges", json::n(self.hedges as f64)),
-            ("hedge_wins", json::n(self.hedge_wins as f64)),
-            ("hedge_cancels", json::n(self.hedge_cancels as f64)),
             ("shed_tenant", json::n(self.shed_tenant as f64)),
             ("shed_queue", json::n(self.shed_queue as f64)),
             ("breaker_trips", json::n(self.breaker_trips as f64)),
             ("breaker_open", json::n(self.breaker_open as f64)),
             ("fallbacks", json::n(self.fallbacks as f64)),
-            ("stale_served", json::n(self.stale_served as f64)),
-            ("refreshes", json::n(self.refreshes as f64)),
             ("degraded", json::n(self.degraded as f64)),
             ("worker_panics", json::n(self.worker_panics as f64)),
             ("worker_restarts", json::n(self.worker_restarts as f64)),
@@ -328,7 +313,7 @@ pub struct ServerSnapshot {
     pub tuner_decisions: u64,
     pub tuner_probes: u64,
     pub per_tenant: Vec<(String, u64)>,
-    /// Retry/hedge/shed/breaker/supervision counters.
+    /// Retry/shed/breaker/supervision counters.
     pub resilience: ResilienceSnapshot,
 }
 
@@ -365,19 +350,6 @@ impl ServerSnapshot {
     }
 }
 
-/// Shared first-result-wins flag between a hedged request and its twin.
-struct HedgeState {
-    done: AtomicBool,
-}
-
-/// A registered hedge the hedger thread is timing.
-struct HedgeEntry {
-    due: Instant,
-    req: Request,
-    tx: mpsc::Sender<Result<Response, ServeError>>,
-    state: Arc<HedgeState>,
-}
-
 struct Job {
     req: Request,
     enqueued: Instant,
@@ -388,14 +360,6 @@ struct Job {
     queue_span: ActiveSpan,
     /// Crash-recovery requeues this request has consumed.
     crash_requeues: u32,
-    /// First-result-wins gate shared with a hedged twin, if any.
-    hedge: Option<Arc<HedgeState>>,
-    /// True for the hedged duplicate (the late twin).
-    is_hedge_dup: bool,
-    /// Set on internal background-refresh jobs: the cache key being
-    /// refreshed. Internal jobs bypass the cache read, never reply to a
-    /// client, and skip client-facing metrics.
-    refresh_key: Option<CacheKey>,
 }
 
 /// What a crashed worker was holding — enough to requeue or fail each
@@ -404,9 +368,6 @@ struct InflightStub {
     req: Request,
     tx: mpsc::Sender<Result<Response, ServeError>>,
     crash_requeues: u32,
-    hedge: Option<Arc<HedgeState>>,
-    is_hedge_dup: bool,
-    refresh_key: Option<CacheKey>,
 }
 
 /// One supervised worker slot.
@@ -462,11 +423,6 @@ struct Inner {
     /// Per-(graph, algorithm) circuit breaker (consulted only when
     /// `cfg.resilience.breaker` is set).
     breaker: Mutex<CircuitBreaker>,
-    /// Cache keys with a background refresh already queued (dedupe).
-    refreshing: Mutex<HashSet<CacheKey>>,
-    /// Hedges waiting for their deadline.
-    hedges: Mutex<Vec<HedgeEntry>>,
-    hedge_cv: Condvar,
     /// Fault-injection plan; swappable at runtime by the chaos harness.
     chaos: Mutex<Option<ChaosConfig>>,
     /// Sequence counters for the chaos decision streams (one per class of
@@ -480,7 +436,6 @@ struct Inner {
 pub struct Server {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
-    hedger: Option<JoinHandle<()>>,
 }
 
 impl Server {
@@ -514,7 +469,7 @@ impl Server {
         if let Some(path) = &cfg.warmup_path {
             match store_atomic::read_or_quarantine(path) {
                 store_atomic::Recovered::Ok(payload) => {
-                    let n = cache.import_snapshot(&payload, Instant::now());
+                    let n = cache.import_snapshot(&payload);
                     metrics.warmup_loaded.add(n as u64);
                 }
                 store_atomic::Recovered::Missing => {}
@@ -550,9 +505,6 @@ impl Server {
             dead_workers: AtomicUsize::new(0),
             buckets: Mutex::new(HashMap::new()),
             breaker: Mutex::new(breaker),
-            refreshing: Mutex::new(HashSet::new()),
-            hedges: Mutex::new(Vec::new()),
-            hedge_cv: Condvar::new(),
             chaos: Mutex::new(cfg.chaos),
             chaos_batch_seq: AtomicU64::new(0),
             chaos_exec_seq: AtomicU64::new(0),
@@ -570,18 +522,7 @@ impl Server {
                 }
             })
             .collect();
-        let hedger = {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("serve-hedger".to_string())
-                .spawn(move || hedger_loop(&inner))
-                .ok()
-        };
-        Server {
-            inner,
-            workers,
-            hedger,
-        }
+        Server { inner, workers }
     }
 
     /// Register a graph for querying.
@@ -634,17 +575,6 @@ impl Server {
         }
 
         let (tx, rx) = mpsc::channel();
-        let policy = req.retry.unwrap_or(self.inner.cfg.resilience.retry);
-        // Prepare the hedge registration before `req` moves into the job.
-        let hedge_plan = policy.hedge_after.map(|after| {
-            (
-                after,
-                Arc::new(HedgeState {
-                    done: AtomicBool::new(false),
-                }),
-                req.clone(),
-            )
-        });
         let mut span = self.inner.tracer.begin("request");
         span.arg("algo", req.query.algo().label());
         if let Some(t) = &req.tenant {
@@ -654,13 +584,10 @@ impl Server {
         let job = Job {
             req,
             enqueued: Instant::now(),
-            tx: tx.clone(),
+            tx,
             span,
             queue_span,
             crash_requeues: 0,
-            hedge: hedge_plan.as_ref().map(|(_, s, _)| Arc::clone(s)),
-            is_hedge_dup: false,
-            refresh_key: None,
         };
         let cap = self.inner.cfg.queue_capacity;
         let victim = {
@@ -712,25 +639,12 @@ impl Server {
         };
         if let Some(v) = victim {
             self.inner.metrics.shed_queue.inc();
-            deliver(
-                &v.tx,
-                &v.hedge,
-                Err(ServeError::Shed {
-                    reason: ShedReason::QueuePressure,
-                }),
-            );
+            let _ = v.tx.send(Err(ServeError::Shed {
+                reason: ShedReason::QueuePressure,
+            }));
         }
         self.inner.metrics.submitted.inc();
         self.inner.cv.notify_one();
-        if let Some((after, state, hedge_req)) = hedge_plan {
-            lock(&self.inner.hedges).push(HedgeEntry {
-                due: Instant::now() + after,
-                req: hedge_req,
-                tx,
-                state,
-            });
-            self.inner.hedge_cv.notify_all();
-        }
         Ok(Ticket { rx })
     }
 
@@ -880,16 +794,11 @@ impl Server {
             resilience: ResilienceSnapshot {
                 retries: m.retries.get(),
                 retry_successes: m.retry_successes.get(),
-                hedges: m.hedges.get(),
-                hedge_wins: m.hedge_wins.get(),
-                hedge_cancels: m.hedge_cancels.get(),
                 shed_tenant: m.shed_tenant.get(),
                 shed_queue: m.shed_queue.get(),
                 breaker_trips: m.breaker_trips.get(),
                 breaker_open: m.breaker_open.get(),
                 fallbacks: m.fallbacks.get(),
-                stale_served: m.stale_served.get(),
-                refreshes: m.refreshes.get(),
                 degraded: m.degraded.get(),
                 worker_panics: m.worker_panics.get(),
                 worker_restarts: m.worker_restarts.get(),
@@ -918,12 +827,8 @@ impl Server {
             self.inner.shutdown.store(true, Ordering::SeqCst);
         }
         self.inner.cv.notify_all();
-        self.inner.hedge_cv.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
-        }
-        if let Some(h) = self.hedger.take() {
-            let _ = h.join();
         }
         self.save_warmup();
         let drained: Vec<Job> = {
@@ -931,37 +836,17 @@ impl Server {
             q.drain(..).collect()
         };
         for job in drained {
-            if let Some(k) = &job.refresh_key {
-                lock(&self.inner.refreshing).remove(k);
-                continue;
-            }
-            deliver(&job.tx, &job.hedge, Err(ServeError::ShuttingDown));
+            let _ = job.tx.send(Err(ServeError::ShuttingDown));
         }
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        if !self.workers.is_empty() || self.hedger.is_some() {
+        if !self.workers.is_empty() {
             self.shutdown_impl();
         }
     }
-}
-
-/// Send `result` to the client unless a hedged twin already won the
-/// first-result-wins race. Returns whether this caller won.
-fn deliver(
-    tx: &mpsc::Sender<Result<Response, ServeError>>,
-    hedge: &Option<Arc<HedgeState>>,
-    result: Result<Response, ServeError>,
-) -> bool {
-    if let Some(h) = hedge {
-        if h.done.swap(true, Ordering::AcqRel) {
-            return false;
-        }
-    }
-    let _ = tx.send(result);
-    true
 }
 
 /// Supervisor for one worker slot: run the worker loop, and on a crash
@@ -1014,12 +899,8 @@ fn worker_entry(inner: &Arc<Inner>, slot: usize) {
                                 q.drain(..).collect()
                             };
                             for job in drained {
-                                if let Some(k) = &job.refresh_key {
-                                    lock(&inner.refreshing).remove(k);
-                                    continue;
-                                }
                                 inner.metrics.failed.inc();
-                                deliver(&job.tx, &job.hedge, Err(ServeError::WorkersDead));
+                                let _ = job.tx.send(Err(ServeError::WorkersDead));
                             }
                             inner.metrics.queue_depth.set(0);
                         }
@@ -1039,17 +920,6 @@ fn recover_inflight(inner: &Arc<Inner>, slot: usize) {
         inflight.drain(..).flatten().collect()
     };
     for stub in stubs {
-        if let Some(k) = &stub.refresh_key {
-            // Background refresh: nobody is waiting; just release the
-            // dedupe slot so a later stale hit can re-schedule it.
-            lock(&inner.refreshing).remove(k);
-            continue;
-        }
-        if let Some(h) = &stub.hedge {
-            if h.done.load(Ordering::Acquire) {
-                continue; // the twin already answered
-            }
-        }
         let requeue = match inner.cfg.resilience.crash {
             CrashPolicy::Requeue { max_requeues } => stub.crash_requeues < max_requeues,
             CrashPolicy::Fail => false,
@@ -1066,9 +936,6 @@ fn recover_inflight(inner: &Arc<Inner>, slot: usize) {
                     span,
                     queue_span,
                     crash_requeues: stub.crash_requeues + 1,
-                    hedge: stub.hedge,
-                    is_hedge_dup: stub.is_hedge_dup,
-                    refresh_key: None,
                 });
                 inner.metrics.queue_depth.set(q.len() as u64);
             }
@@ -1077,83 +944,10 @@ fn recover_inflight(inner: &Arc<Inner>, slot: usize) {
         } else {
             inner.metrics.crash_failed.inc();
             inner.metrics.failed.inc();
-            deliver(
-                &stub.tx,
-                &stub.hedge,
-                Err(ServeError::WorkerCrashed {
-                    requeues: stub.crash_requeues,
-                }),
-            );
+            let _ = stub.tx.send(Err(ServeError::WorkerCrashed {
+                requeues: stub.crash_requeues,
+            }));
         }
-    }
-}
-
-/// The hedger: watches registered hedges and enqueues the duplicate when a
-/// deadline passes without a response.
-fn hedger_loop(inner: &Arc<Inner>) {
-    let mut hedges = lock(&inner.hedges);
-    loop {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        hedges.retain(|e| !e.state.done.load(Ordering::Acquire));
-        let now = Instant::now();
-        let mut due = Vec::new();
-        let mut i = 0;
-        while i < hedges.len() {
-            if hedges[i].due <= now {
-                due.push(hedges.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        if !due.is_empty() {
-            drop(hedges);
-            for e in due {
-                if e.state.done.load(Ordering::Acquire) {
-                    continue;
-                }
-                let mut span = inner.tracer.begin("hedge");
-                span.arg("algo", e.req.query.algo().label());
-                let queue_span = span.child("queue_wait");
-                let pushed = {
-                    let mut q = lock(&inner.queue);
-                    if q.len() >= inner.cfg.queue_capacity {
-                        false // queue saturated; the primary is still in flight
-                    } else {
-                        q.push_back(Job {
-                            req: e.req,
-                            enqueued: Instant::now(),
-                            tx: e.tx,
-                            span,
-                            queue_span,
-                            crash_requeues: 0,
-                            hedge: Some(e.state),
-                            is_hedge_dup: true,
-                            refresh_key: None,
-                        });
-                        inner.metrics.queue_depth.set(q.len() as u64);
-                        true
-                    }
-                };
-                if pushed {
-                    inner.metrics.hedges.inc();
-                    inner.cv.notify_one();
-                }
-            }
-            hedges = lock(&inner.hedges);
-            continue;
-        }
-        let timeout = hedges
-            .iter()
-            .map(|e| e.due.saturating_duration_since(now))
-            .min()
-            .unwrap_or(Duration::from_millis(50));
-        let (guard, _) = inner
-            .hedge_cv
-            .wait_timeout(hedges, timeout.max(Duration::from_micros(100)))
-            .unwrap_or_else(|p| p.into_inner());
-        hedges = guard;
     }
 }
 
@@ -1186,9 +980,6 @@ fn worker_loop(inner: &Arc<Inner>, slot: usize) {
                     req: j.req.clone(),
                     tx: j.tx.clone(),
                     crash_requeues: j.crash_requeues,
-                    hedge: j.hedge.clone(),
-                    is_hedge_dup: j.is_hedge_dup,
-                    refresh_key: j.refresh_key.clone(),
                 })
             }));
         }
@@ -1258,9 +1049,10 @@ fn is_deadline_overrun(e: &ServeError) -> bool {
 }
 
 /// True when retrying could plausibly change the outcome (transient
-/// execution faults; not validation or admission errors).
+/// execution faults; not validation or admission errors, and not a
+/// deadline overrun, which a deterministic re-run repeats exactly).
 fn is_retriable(e: &ServeError) -> bool {
-    matches!(e, ServeError::Launch(_) | ServeError::Panicked(_))
+    matches!(e, ServeError::Launch(_) | ServeError::Panicked(_)) && !is_deadline_overrun(e)
 }
 
 fn serve_batch(inner: &Arc<Inner>, slot: usize, batch: Vec<Job>) {
@@ -1280,34 +1072,17 @@ fn serve_batch(inner: &Arc<Inner>, slot: usize, batch: Vec<Job>) {
     batch_span.finish();
 }
 
-/// Serve one job end to end: hedge gate, retry loop, metrics, reply.
+/// Serve one job end to end: retry loop, metrics, reply.
 fn serve_job(inner: &Arc<Inner>, slot: usize, idx: usize, job: Job, batch_size: u32) {
     let m = &inner.metrics;
-    let clear_stub = |inner: &Arc<Inner>| {
-        let mut inflight = lock(&inner.slots[slot].inflight);
-        if let Some(s) = inflight.get_mut(idx) {
-            *s = None;
-        }
-    };
     job.queue_span.finish();
-    // A hedge loser still in the queue when its twin answered: cancel
-    // without executing.
-    if let Some(h) = &job.hedge {
-        if h.done.load(Ordering::Acquire) {
-            m.hedge_cancels.inc();
-            clear_stub(inner);
-            job.span.finish();
-            return;
-        }
-    }
     let queue_wait = job.enqueued.elapsed();
     let started = Instant::now();
-    let internal = job.refresh_key.is_some();
     let policy = job.req.retry.unwrap_or(inner.cfg.resilience.retry);
     let mut attempts: u32 = 0;
     let outcome = loop {
         attempts += 1;
-        match serve_one(inner, &job.req, &job.span, internal) {
+        match serve_one(inner, &job.req, &job.span) {
             Ok(s) => break Ok(s),
             Err(e) => {
                 if is_retriable(&e) && attempts < policy.max_attempts.max(1) {
@@ -1321,33 +1096,6 @@ fn serve_job(inner: &Arc<Inner>, slot: usize, idx: usize, job: Job, batch_size: 
         }
     };
     let service = started.elapsed();
-
-    if internal {
-        // Background refresh: release the dedupe slot; no client, no
-        // client-facing metrics.
-        if let Some(k) = &job.refresh_key {
-            lock(&inner.refreshing).remove(k);
-        }
-        clear_stub(inner);
-        job.span.finish();
-        return;
-    }
-
-    // First-result-wins: claim the reply channel before recording
-    // client-facing metrics, so a hedge loser doesn't double-count.
-    let won = match &job.hedge {
-        Some(h) => !h.done.swap(true, Ordering::AcqRel),
-        None => true,
-    };
-    if !won {
-        m.hedge_cancels.inc();
-        clear_stub(inner);
-        job.span.finish();
-        return;
-    }
-    if job.is_hedge_dup {
-        m.hedge_wins.inc();
-    }
 
     m.queue_wait.record_duration(queue_wait);
     m.service.record_duration(service);
@@ -1382,7 +1130,7 @@ fn serve_job(inner: &Arc<Inner>, slot: usize, idx: usize, job: Job, batch_size: 
         stats: s.stats,
         iterations: s.iterations,
         method: s.method,
-        cached: matches!(s.source, ResponseSource::Cache | ResponseSource::StaleCache),
+        cached: s.source == ResponseSource::Cache,
         source: s.source,
         degraded: s.degraded,
         attempts,
@@ -1394,7 +1142,9 @@ fn serve_job(inner: &Arc<Inner>, slot: usize, idx: usize, job: Job, batch_size: 
     let _ = job.tx.send(response);
     reply_span.finish();
     job.span.finish();
-    clear_stub(inner);
+    if let Some(s) = lock(&inner.slots[slot].inflight).get_mut(idx) {
+        *s = None;
+    }
 }
 
 /// One execution attempt's result, before it becomes a [`Response`].
@@ -1407,12 +1157,7 @@ struct Served {
     degraded: bool,
 }
 
-fn serve_one(
-    inner: &Arc<Inner>,
-    req: &Request,
-    span: &ActiveSpan,
-    force_refresh: bool,
-) -> Result<Served, ServeError> {
+fn serve_one(inner: &Arc<Inner>, req: &Request, span: &ActiveSpan) -> Result<Served, ServeError> {
     let entry = inner
         .store
         .get(req.graph)
@@ -1445,48 +1190,22 @@ fn serve_one(
         method: method.spec(),
         device: inner.device_fp,
     };
-    if !force_refresh {
-        let mut lookup_span = span.child("cache_lookup");
-        let hit = lock(&inner.cache).get_at(&key, Instant::now(), inner.cfg.resilience.stale_ttl);
-        if let Some((hit, freshness)) = hit {
-            lookup_span.arg(
-                "outcome",
-                if freshness == Freshness::Fresh {
-                    "hit"
-                } else {
-                    "stale"
-                },
-            );
-            lookup_span.finish();
-            return match freshness {
-                Freshness::Fresh => Ok(Served {
-                    data: hit.data,
-                    stats: hit.stats,
-                    iterations: hit.iterations,
-                    method,
-                    source: ResponseSource::Cache,
-                    degraded: false,
-                }),
-                Freshness::Stale => {
-                    // Stale-while-revalidate: serve the (still
-                    // byte-identical) old entry flagged degraded, and
-                    // refresh in the background.
-                    inner.metrics.stale_served.inc();
-                    schedule_refresh(inner, req, &key);
-                    Ok(Served {
-                        data: hit.data,
-                        stats: hit.stats,
-                        iterations: hit.iterations,
-                        method,
-                        source: ResponseSource::StaleCache,
-                        degraded: true,
-                    })
-                }
-            };
-        }
-        lookup_span.arg("outcome", "miss");
+    let mut lookup_span = span.child("cache_lookup");
+    let hit = lock(&inner.cache).get(&key);
+    if let Some(hit) = hit {
+        lookup_span.arg("outcome", "hit");
         lookup_span.finish();
+        return Ok(Served {
+            data: hit.data,
+            stats: hit.stats,
+            iterations: hit.iterations,
+            method,
+            source: ResponseSource::Cache,
+            degraded: false,
+        });
     }
+    lookup_span.arg("outcome", "miss");
+    lookup_span.finish();
 
     // Circuit breaker: an open breaker routes to the CPU reference
     // implementation (degraded) instead of burning device attempts on a
@@ -1520,17 +1239,14 @@ fn serve_one(
     }
     template_span.finish();
 
-    // Chaos: execution-level injections (inside the per-request unwind
-    // boundary — they exercise retry, hedging, and the breaker without
-    // crashing the worker).
+    // Chaos: an execution-level injection (inside the per-request unwind
+    // boundary — it exercises retry and the breaker without crashing the
+    // worker).
     {
         let chaos = *lock(&inner.chaos);
         if let Some(c) = chaos {
-            if c.slow_launch > 0.0 || c.launch_fault > 0.0 {
+            if c.launch_fault > 0.0 {
                 let n = inner.chaos_exec_seq.fetch_add(1, Ordering::Relaxed);
-                if c.roll(chaos_salt::SLOW_LAUNCH, n, c.slow_launch) {
-                    std::thread::sleep(c.slow);
-                }
                 if c.roll(chaos_salt::LAUNCH_FAULT, n, c.launch_fault) {
                     breaker_fault(inner, bkey);
                     return Err(ServeError::Panicked(
@@ -1575,10 +1291,16 @@ fn serve_one(
     let run = match run {
         Err(p) => {
             breaker_fault(inner, bkey);
-            return Err(ServeError::Panicked(panic_message(&p)));
+            return Err(ServeError::Panicked(panic_message(&*p)));
         }
         Ok(Err(e)) => {
-            breaker_fault(inner, bkey);
+            if is_deadline_overrun(&e) {
+                // The request's own cycle budget ran out: no verdict on the
+                // device, so neither a fault nor a success.
+                lock(&inner.breaker).on_inconclusive(bkey);
+            } else {
+                breaker_fault(inner, bkey);
+            }
             return Err(e);
         }
         Ok(Ok(r)) => {
@@ -1669,52 +1391,6 @@ fn cpu_fallback(entry: &GraphEntry, query: &crate::request::Query) -> Option<Ser
         source: ResponseSource::CpuFallback,
         degraded: true,
     })
-}
-
-/// Enqueue a background refresh for a stale cache entry (deduped per key;
-/// dropped silently if the queue is saturated — the stale entry keeps
-/// serving).
-fn schedule_refresh(inner: &Arc<Inner>, req: &Request, key: &CacheKey) {
-    {
-        let mut refreshing = lock(&inner.refreshing);
-        if !refreshing.insert(key.clone()) {
-            return; // already scheduled
-        }
-    }
-    let mut refresh_req = req.clone();
-    refresh_req.retry = Some(RetryPolicy::none());
-    refresh_req.priority = Priority::Low;
-    refresh_req.tenant = None;
-    // Internal job: the receiver is dropped immediately; nothing replies.
-    let (tx, _rx) = mpsc::channel();
-    let span = inner.tracer.begin("refresh");
-    let queue_span = span.child("queue_wait");
-    let pushed = {
-        let mut q = lock(&inner.queue);
-        if q.len() >= inner.cfg.queue_capacity {
-            false
-        } else {
-            q.push_back(Job {
-                req: refresh_req,
-                enqueued: Instant::now(),
-                tx,
-                span,
-                queue_span,
-                crash_requeues: 0,
-                hedge: None,
-                is_hedge_dup: false,
-                refresh_key: Some(key.clone()),
-            });
-            inner.metrics.queue_depth.set(q.len() as u64);
-            true
-        }
-    };
-    if pushed {
-        inner.metrics.refreshes.inc();
-        inner.cv.notify_one();
-    } else {
-        lock(&inner.refreshing).remove(key);
-    }
 }
 
 /// Fetch or build the device template; the flag reports whether this call

@@ -1,5 +1,5 @@
 //! Service-resilience behavior: worker supervision, crash recovery,
-//! retries, hedging, admission shedding, the circuit breaker with CPU
+//! retries, admission shedding, the circuit breaker with CPU
 //! fallback, and the acceptance contract that every resilience feature is
 //! pure policy — non-degraded results are byte-identical with the whole
 //! stack on or off.
@@ -11,7 +11,7 @@ use maxwarp_serve::{
     BreakerConfig, ChaosConfig, Priority, Query, Request, ResponseSource, RetryPolicy, ServeError,
     Server, ServerConfig, ShedConfig, ShedReason, WorkerHealth,
 };
-use maxwarp_simt::GpuConfig;
+use maxwarp_simt::{GpuConfig, LaunchError, SimtError};
 use std::time::Duration;
 
 fn graph() -> maxwarp_graph::Csr {
@@ -115,7 +115,6 @@ fn retries_absorb_transient_faults() {
     cfg.resilience.retry = RetryPolicy {
         max_attempts: 12,
         backoff: fast_backoff(),
-        hedge_after: None,
     };
     cfg.chaos = Some(ChaosConfig {
         seed: 21,
@@ -184,6 +183,85 @@ fn breaker_trips_to_cpu_fallback() {
     assert!(snap.resilience.fallbacks >= 1);
     assert!(snap.resilience.degraded >= 1);
     clean.shutdown();
+    server.shutdown();
+}
+
+/// A request that overruns its own cycle deadline is the client's doing:
+/// the simulator is deterministic, so a retry would overrun again, and it
+/// says nothing about the device. It consumes no retries and does not
+/// count toward the breaker, so healthy requests on the same (graph,
+/// algorithm) still run on the device.
+#[test]
+fn deadline_overrun_neither_retries_nor_trips_the_breaker() {
+    let mut cfg = ServerConfig::for_tests(GpuConfig::tiny_test());
+    cfg.workers = 1;
+    cfg.resilience.retry = RetryPolicy::attempts(3);
+    cfg.resilience.breaker = Some(BreakerConfig {
+        threshold: 3,
+        cooldown: Duration::from_secs(30),
+    });
+    let server = Server::start(cfg);
+    let h = server.register_graph("hub", graph());
+
+    let mut doomed = pinned(h, Query::Bfs { src: Some(0) });
+    doomed.deadline_cycles = Some(1);
+    match server.call(doomed) {
+        Err(ServeError::Launch(LaunchError::Fault(SimtError::Watchdog(_)))) => {}
+        other => panic!("expected the watchdog error, got {other:?}"),
+    }
+
+    let ok = server
+        .call(pinned(h, Query::Bfs { src: Some(1) }))
+        .expect("healthy request serves");
+    assert!(!ok.degraded, "a healthy request must not be degraded");
+    assert_eq!(ok.source, ResponseSource::Device);
+
+    let snap = server.snapshot();
+    assert_eq!(snap.resilience.retries, 0, "an overrun is not retried");
+    assert_eq!(snap.resilience.breaker_trips, 0, "an overrun is no fault");
+    server.shutdown();
+}
+
+/// A deadline overrun that lands on the breaker's half-open trial gives
+/// no verdict, so the trial passes to the next request instead of leaving
+/// the breaker open for good.
+#[test]
+fn deadline_overrun_hands_the_half_open_trial_on() {
+    let mut cfg = ServerConfig::for_tests(GpuConfig::tiny_test());
+    cfg.workers = 1;
+    cfg.resilience.breaker = Some(BreakerConfig {
+        threshold: 1,
+        cooldown: Duration::from_millis(20),
+    });
+    cfg.chaos = Some(ChaosConfig {
+        seed: 3,
+        launch_fault: 1.0,
+        ..ChaosConfig::default()
+    });
+    let server = Server::start(cfg);
+    let h = server.register_graph("hub", graph());
+
+    assert!(matches!(
+        server.call(pinned(h, Query::Bfs { src: Some(0) })),
+        Err(ServeError::Panicked(_))
+    ));
+    server.set_chaos(None);
+    std::thread::sleep(Duration::from_millis(30));
+
+    let mut doomed = pinned(h, Query::Bfs { src: Some(1) });
+    doomed.deadline_cycles = Some(1);
+    assert!(matches!(
+        server.call(doomed),
+        Err(ServeError::Launch(LaunchError::Fault(SimtError::Watchdog(
+            _
+        ))))
+    ));
+    let ok = server
+        .call(pinned(h, Query::Bfs { src: Some(2) }))
+        .expect("the next request runs the trial");
+    assert_eq!(ok.source, ResponseSource::Device);
+    assert!(!ok.degraded);
+    assert_eq!(server.snapshot().resilience.breaker_trips, 1);
     server.shutdown();
 }
 
@@ -274,32 +352,6 @@ fn queue_pressure_sheds_by_priority() {
     server.shutdown();
 }
 
-/// With every launch slowed past the hedge deadline, a duplicate fires and
-/// the first result wins — exactly one response reaches the client.
-#[test]
-fn hedged_request_races_a_duplicate() {
-    let mut cfg = ServerConfig::for_tests(GpuConfig::tiny_test());
-    cfg.workers = 2;
-    cfg.chaos = Some(ChaosConfig {
-        seed: 5,
-        slow_launch: 1.0,
-        slow: Duration::from_millis(20),
-        ..ChaosConfig::default()
-    });
-    let server = Server::start(cfg);
-    let h = server.register_graph("hub", graph());
-
-    let req = pinned(h, Query::Bfs { src: Some(0) })
-        .with_retry(RetryPolicy::none().with_hedge(Duration::from_millis(1)));
-    let r = server.call(req).expect("hedged request completes");
-    assert!(!r.degraded);
-
-    let snap = server.snapshot();
-    assert!(snap.resilience.hedges >= 1, "the hedge must have fired");
-    assert_eq!(snap.completed, 1, "exactly one client-visible completion");
-    server.shutdown();
-}
-
 /// One poisoned request (a cycle deadline that trips the watchdog
 /// immediately) inside a 4-request batch fails alone — its batch-mates
 /// complete with correct results.
@@ -350,7 +402,7 @@ fn poisoned_request_fails_alone_in_batch() {
 }
 
 /// Acceptance: resilience is pure policy. With retries, shedding headroom,
-/// stale-TTL, and the breaker all enabled (but no faults), every response
+/// and the breaker all enabled (but no faults), every response
 /// is byte-identical — data, stats, iterations, method — to a server with
 /// the whole stack off.
 #[test]
@@ -360,7 +412,6 @@ fn resilience_stack_is_byte_identical_when_healthy() {
     let mut cfg = ServerConfig::for_tests(GpuConfig::tiny_test());
     cfg.resilience.retry = RetryPolicy::attempts(3);
     cfg.resilience.shed = Some(ShedConfig::default());
-    cfg.resilience.stale_ttl = Some(Duration::from_secs(3600));
     cfg.resilience.breaker = Some(BreakerConfig::default());
     let armed = Server::start(cfg);
 

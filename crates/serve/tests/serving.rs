@@ -139,6 +139,32 @@ fn deadline_fails_request_not_worker() {
     server.shutdown();
 }
 
+/// A driver panic fails the request with `Panicked` carrying the panic's
+/// own message, not a placeholder.
+#[test]
+fn panic_message_reaches_the_client() {
+    let mut cfg = ServerConfig::for_tests(GpuConfig::tiny_test());
+    cfg.workers = 1;
+    let server = Server::start(cfg);
+    let h = server.register_graph("hub", graph());
+
+    let bad = pinned(
+        h,
+        Query::Pagerank {
+            iters: 3,
+            damping: 2.0,
+        },
+    );
+    match server.call(bad) {
+        Err(ServeError::Panicked(msg)) => assert!(
+            msg.contains("damping must be in [0,1]"),
+            "panic message lost: {msg:?}"
+        ),
+        other => panic!("expected Panicked, got {other:?}"),
+    }
+    server.shutdown();
+}
+
 /// Admission control rejects bad requests before they occupy queue slots:
 /// unknown graph handles and method/algorithm mismatches.
 #[test]
