@@ -1,17 +1,15 @@
 //! Wall-clock performance of the CPU baselines (the F5 comparison points).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use maxwarp_cpu::{
-    bfs_hybrid_symmetric, bfs_parallel, bfs_sequential, sssp_bellman_ford, HybridConfig,
-};
-use maxwarp_graph::{random_weights, Dataset, Scale};
+use maxwarp_cpu::bfs_parallel;
+use maxwarp_graph::{reference, Dataset, Scale};
 
 fn bench_cpu_bfs(c: &mut Criterion) {
     let mut grp = c.benchmark_group("cpu_bfs");
     grp.sample_size(20);
     let g = Dataset::Rmat.build(Scale::Small);
     let src = Dataset::Rmat.source(&g);
-    grp.bench_function("sequential", |b| b.iter(|| bfs_sequential(&g, src)));
+    grp.bench_function("sequential", |b| b.iter(|| reference::bfs_levels(&g, src)));
     for threads in [1usize, 2, 4] {
         grp.bench_function(format!("parallel_x{threads}"), |b| {
             b.iter(|| bfs_parallel(&g, src, threads))
@@ -20,29 +18,5 @@ fn bench_cpu_bfs(c: &mut Criterion) {
     grp.finish();
 }
 
-fn bench_cpu_hybrid_bfs(c: &mut Criterion) {
-    let mut grp = c.benchmark_group("cpu_hybrid_bfs");
-    grp.sample_size(20);
-    let g = Dataset::SmallWorld.build(Scale::Small);
-    let src = Dataset::SmallWorld.source(&g);
-    grp.bench_function("top_down_only", |b| b.iter(|| bfs_sequential(&g, src)));
-    grp.bench_function("direction_optimizing", |b| {
-        b.iter(|| bfs_hybrid_symmetric(&g, src, &HybridConfig::default()))
-    });
-    grp.finish();
-}
-
-fn bench_cpu_sssp(c: &mut Criterion) {
-    let mut grp = c.benchmark_group("cpu_sssp");
-    grp.sample_size(10);
-    let g = Dataset::Random.build(Scale::Small);
-    let w = random_weights(&g, 16, 5);
-    let src = Dataset::Random.source(&g);
-    grp.bench_function("bellman_ford", |b| {
-        b.iter(|| sssp_bellman_ford(&g, &w, src))
-    });
-    grp.finish();
-}
-
-criterion_group!(benches, bench_cpu_bfs, bench_cpu_hybrid_bfs, bench_cpu_sssp);
+criterion_group!(benches, bench_cpu_bfs);
 criterion_main!(benches);

@@ -13,8 +13,8 @@
 use crate::harness::{row, Cell, Harness};
 use crate::util::{banner, bfs_fresh, built_datasets_par, device, f, reachable_edges};
 use maxwarp::{ExecConfig, Method, VirtualWarp};
-use maxwarp_cpu::{bfs_parallel_default, bfs_sequential, default_threads, time_median};
-use maxwarp_graph::Scale;
+use maxwarp_cpu::{bfs_parallel_default, default_threads, time_median};
+use maxwarp_graph::{reference, Scale};
 
 /// Print MTEPS for CPU-1, CPU-N, GPU-baseline, GPU-warp-centric.
 pub fn run(scale: Scale, h: &Harness) {
@@ -54,7 +54,7 @@ pub fn run(scale: Scale, h: &Harness) {
         let Some(chunk) = row("F5", d.name(), chunk) else {
             continue;
         };
-        let (levels, t_seq) = time_median(3, || bfs_sequential(g, *src));
+        let (levels, t_seq) = time_median(3, || reference::bfs_levels(g, *src));
         let (_, t_par) = time_median(3, || bfs_parallel_default(g, *src));
         let edges = reachable_edges(g, &levels);
         let mteps = |secs: f64| edges as f64 / secs / 1e6;

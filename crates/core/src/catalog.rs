@@ -2,16 +2,23 @@
 //! is an entry in [`KERNELS`] that uploads what it needs, runs under a
 //! [`Method`] and flattens its answer into words; [`Kernel::supports`] is
 //! the one place that says which methods a kernel implements (its driver
-//! asserts the rest away). The hazard sweep — sanitizer, analyzer, fault
-//! injection and the analyzer's soundness check — walks [`cells`] over
-//! [`sweep_graphs`], and the kernel-layer oracles walk [`KERNELS`].
+//! asserts the rest away). Each entry also names its sequential answer in
+//! `maxwarp_graph::reference` ([`Kernel::reference`]) and how close a
+//! device answer must come to it ([`Kernel::agrees`]). The hazard sweep —
+//! sanitizer, analyzer, fault injection and the analyzer's soundness check
+//! — walks [`cells`] over [`sweep_graphs`], and the kernel-layer oracles
+//! walk [`KERNELS`].
 
 use crate::{
     run_betweenness, run_bfs, run_bfs_hybrid, run_bfs_queue, run_cc, run_coloring, run_kcore,
     run_msbfs, run_pagerank, run_spmv, run_sssp, run_triangles, AlgoRun, DeviceGraph, Direction,
     ExecConfig, GpuHybridConfig, Method, VirtualWarp, WarpCentricOpts,
 };
-use maxwarp_graph::{hub_graph, random_weights, Csr, Dataset, Orientation, Scale};
+use maxwarp_graph::reference::{
+    betweenness, bfs_levels, greedy_coloring, is_proper_coloring, kcore, min_reaching_label,
+    pagerank, spmv, sssp_dijkstra,
+};
+use maxwarp_graph::{count_triangles, hub_graph, random_weights, Csr, Dataset, Orientation, Scale};
 use maxwarp_simt::{Gpu, LaunchError};
 
 /// A kernel's answer as words (`f32` by bit pattern), so answers of
@@ -75,18 +82,16 @@ pub struct Kernel {
     /// The name every tool prints; `maxwarp_serve::Algo::label` agrees.
     pub name: &'static str,
     pub run: KernelFn,
+    /// The sequential answer, from `maxwarp_graph::reference`.
+    pub reference: fn(&Inputs) -> Payload,
+    /// `Ok` if a device answer (`got`, then `want` from
+    /// [`Kernel::reference`]) is within the kernel's stated tolerance;
+    /// otherwise the first word that is not.
+    pub agrees: fn(&Inputs, &Payload, &Payload) -> Result<(), String>,
     refinements: Refinements,
 }
 
 impl Kernel {
-    const fn new(name: &'static str, refinements: Refinements, run: KernelFn) -> Kernel {
-        Kernel {
-            name,
-            run,
-            refinements,
-        }
-    }
-
     /// Whether this kernel implements `method`. Every kernel runs the
     /// baseline and plain virtual warps; only BFS, SSSP and CC implement
     /// outlier deferral, and every kernel but the two-phase SpMV the
@@ -103,25 +108,123 @@ impl Kernel {
     }
 }
 
+/// A [`KERNELS`] entry before [`Draft::checked_against`] names its
+/// reference and tolerance.
+struct Draft(&'static str, Refinements, KernelFn);
+
+impl Draft {
+    const fn checked_against(
+        self,
+        reference: fn(&Inputs) -> Payload,
+        agrees: fn(&Inputs, &Payload, &Payload) -> Result<(), String>,
+    ) -> Kernel {
+        let Draft(name, refinements, run) = self;
+        Kernel {
+            name,
+            run,
+            reference,
+            agrees,
+            refinements,
+        }
+    }
+}
+
 fn bits(v: Vec<f32>) -> Payload {
     v.into_iter().map(f32::to_bits).collect()
+}
+
+fn narrow(v: Vec<f64>) -> Payload {
+    v.into_iter().map(|x| (x as f32).to_bits()).collect()
+}
+
+/// `Ok` if `ok(got[i], want[i])` holds at every word and the lengths
+/// match; otherwise the first word where not.
+fn each_word(got: &[u32], want: &[u32], ok: impl Fn(u32, u32) -> bool) -> Result<(), String> {
+    let bad = (0..got.len().max(want.len()))
+        .find(|&i| !matches!((got.get(i), want.get(i)), (Some(&a), Some(&b)) if ok(a, b)));
+    match bad {
+        None => Ok(()),
+        Some(i) => Err(format!(
+            "word {i}: {:?}, want {:?}",
+            got.get(i),
+            want.get(i)
+        )),
+    }
+}
+
+/// Word for word.
+fn exact(_: &Inputs, got: &Payload, want: &Payload) -> Result<(), String> {
+    each_word(got, want, |a, b| a == b)
+}
+
+/// The words as `f32`: `|got − want| / scale(want) ≤ bound` at every word
+/// (a NaN is not).
+fn within(got: &[u32], want: &[u32], bound: f64, scale: impl Fn(f64) -> f64) -> Result<(), String> {
+    let f = |w: u32| f32::from_bits(w) as f64;
+    each_word(got, want, |a, b| (f(a) - f(b)).abs() / scale(f(b)) <= bound)
+        .map_err(|e| format!("{e} (f32 bits), beyond {bound:e}"))
+}
+
+/// The levels (the first n words) word for word; each per-level direction
+/// word after them is 0 (top-down) or 1 (bottom-up).
+fn hybrid_levels(_: &Inputs, got: &Payload, want: &Payload) -> Result<(), String> {
+    let (levels, directions) = got.split_at(want.len().min(got.len()));
+    each_word(levels, want, |a, b| a == b)?;
+    each_word(directions, directions, |d, _| d <= 1)
+}
+
+/// A proper colouring of `sym` within first-fit greedy's bound: every
+/// colour is below Δ + 1. The device colours in a speculative parallel
+/// order, so its colours differ from the reference's.
+fn proper_coloring(i: &Inputs, got: &Payload, _: &Payload) -> Result<(), String> {
+    let bound = (0..i.sym.num_vertices()).map(|v| i.sym.degree(v) + 1).max();
+    match got.iter().max() {
+        _ if !is_proper_coloring(&i.sym, got) => Err("not a proper colouring of sym".into()),
+        Some(&c) if Some(c) >= bound => Err(format!("colour {c} is not below Δ + 1")),
+        _ => Ok(()),
+    }
+}
+
+/// PageRank: max |got − want| · n ≤ 1e-2, the bound the repo benchmark's
+/// oracle uses. The device accumulates in Q2.30 fixed point, the reference
+/// in `f64`; the worst over the `kernel_matrix` cells is 1.1e-5.
+fn pagerank_close(i: &Inputs, got: &Payload, want: &Payload) -> Result<(), String> {
+    let n = i.g.num_vertices() as f64;
+    within(got, want, 1e-2, |_| 1.0 / n)
+}
+
+/// Betweenness: `|got − want| / max(|want|, 1)` ≤ 1e-5 per vertex. The
+/// device accumulates dependencies in `f32`, the reference in `f64`; the
+/// worst over the `kernel_matrix` cells is 2.8e-7.
+fn betweenness_close(_: &Inputs, got: &Payload, want: &Payload) -> Result<(), String> {
+    within(got, want, 1e-5, |b| b.abs().max(1.0))
+}
+
+/// SpMV: `|got − want| / max(|want|, 1)` ≤ 1e-5 per row, room for `f32`
+/// sums in another order (vector CSR reduces a row in a shuffle tree). The
+/// `kernel_matrix` inputs are small integers, so every partial sum is exact
+/// and the worst over its cells is 0.
+fn spmv_close(_: &Inputs, got: &Payload, want: &Payload) -> Result<(), String> {
+    within(got, want, 1e-5, |y| y.abs().max(1.0))
 }
 
 /// The matrix's kernel axis, in the order every tool prints it.
 pub const KERNELS: [Kernel; 12] = {
     use Refinements::*;
     [
-        Kernel::new("bfs", DynamicAndDefer, |i, gpu, m, e| {
+        Draft("bfs", DynamicAndDefer, |i, gpu, m, e| {
             let dg = DeviceGraph::upload(gpu, &i.g);
             let out = run_bfs(gpu, &dg, i.src, m, e)?;
             Ok((out.run, out.levels))
-        }),
-        Kernel::new("bfs_queue", Dynamic, |i, gpu, m, e| {
+        })
+        .checked_against(|i| bfs_levels(&i.g, i.src), exact),
+        Draft("bfs_queue", Dynamic, |i, gpu, m, e| {
             let dg = DeviceGraph::upload(gpu, &i.g);
             let out = run_bfs_queue(gpu, &dg, i.src, m, e)?;
             Ok((out.run, out.levels))
-        }),
-        Kernel::new("bfs_hybrid", Dynamic, |i, gpu, m, e| {
+        })
+        .checked_against(|i| bfs_levels(&i.g, i.src), exact),
+        Draft("bfs_hybrid", Dynamic, |i, gpu, m, e| {
             let dg = DeviceGraph::upload(gpu, &i.g);
             let drev = DeviceGraph::upload(gpu, &i.rev);
             let cfg = GpuHybridConfig::default();
@@ -133,51 +236,78 @@ pub const KERNELS: [Kernel; 12] = {
                     .map(|&d| (d == Direction::BottomUp) as u32),
             );
             Ok((out.bfs.run, payload))
-        }),
-        Kernel::new("sssp", DynamicAndDefer, |i, gpu, m, e| {
+        })
+        .checked_against(|i| bfs_levels(&i.g, i.src), hybrid_levels),
+        Draft("sssp", DynamicAndDefer, |i, gpu, m, e| {
             let dg = DeviceGraph::upload_weighted(gpu, &i.g, &i.weights);
             let out = run_sssp(gpu, &dg, i.src, m, e)?;
             Ok((out.run, out.dist))
-        }),
-        Kernel::new("cc", DynamicAndDefer, |i, gpu, m, e| {
+        })
+        .checked_against(|i| sssp_dijkstra(&i.g, &i.weights, i.src), exact),
+        Draft("cc", DynamicAndDefer, |i, gpu, m, e| {
             let dg = DeviceGraph::upload(gpu, &i.sym);
             let out = run_cc(gpu, &dg, m, e)?;
             Ok((out.run, out.labels))
-        }),
-        Kernel::new("pagerank", Dynamic, |i, gpu, m, e| {
+        })
+        .checked_against(|i| min_reaching_label(&i.sym), exact),
+        Draft("pagerank", Dynamic, |i, gpu, m, e| {
             let dg = DeviceGraph::upload(gpu, &i.g);
             let out = run_pagerank(gpu, &dg, 3, 0.85, m, e)?;
             Ok((out.run, bits(out.ranks)))
-        }),
-        Kernel::new("betweenness", Dynamic, |i, gpu, m, e| {
+        })
+        .checked_against(|i| narrow(pagerank(&i.g, 3, 0.85)), pagerank_close),
+        Draft("betweenness", Dynamic, |i, gpu, m, e| {
             let dg = DeviceGraph::upload(gpu, &i.g);
             let out = run_betweenness(gpu, &dg, &i.bc_sources, m, e)?;
             Ok((out.run, bits(out.bc)))
-        }),
-        Kernel::new("triangles", Dynamic, |i, gpu, m, e| {
+        })
+        .checked_against(
+            |i| narrow(betweenness(&i.g, &i.bc_sources)),
+            betweenness_close,
+        ),
+        Draft("triangles", Dynamic, |i, gpu, m, e| {
             let out = run_triangles(gpu, &i.sym, m, e, Orientation::ByDegree)?;
             Ok((out.run, vec![out.count as u32, (out.count >> 32) as u32]))
-        }),
-        Kernel::new("coloring", Dynamic, |i, gpu, m, e| {
+        })
+        .checked_against(
+            |i| {
+                let count = count_triangles(&i.sym);
+                vec![count as u32, (count >> 32) as u32]
+            },
+            exact,
+        ),
+        Draft("coloring", Dynamic, |i, gpu, m, e| {
             let dg = DeviceGraph::upload(gpu, &i.sym);
             let out = run_coloring(gpu, &dg, m, e)?;
             Ok((out.run, out.colors))
-        }),
-        Kernel::new("kcore", Dynamic, |i, gpu, m, e| {
+        })
+        .checked_against(|i| greedy_coloring(&i.sym), proper_coloring),
+        Draft("kcore", Dynamic, |i, gpu, m, e| {
             let dg = DeviceGraph::upload(gpu, &i.sym);
             let out = run_kcore(gpu, &dg, m, e)?;
             Ok((out.run, out.core))
-        }),
-        Kernel::new("msbfs", Dynamic, |i, gpu, m, e| {
+        })
+        .checked_against(|i| kcore(&i.sym), exact),
+        Draft("msbfs", Dynamic, |i, gpu, m, e| {
             let dg = DeviceGraph::upload(gpu, &i.g);
             let out = run_msbfs(gpu, &dg, &i.ms_sources, m, e)?;
             Ok((out.run, out.levels.concat()))
-        }),
-        Kernel::new("spmv", Plain, |i, gpu, m, e| {
+        })
+        .checked_against(
+            |i| {
+                i.ms_sources
+                    .iter()
+                    .flat_map(|&s| bfs_levels(&i.g, s))
+                    .collect()
+            },
+            exact,
+        ),
+        Draft("spmv", Plain, |i, gpu, m, e| {
             let dg = DeviceGraph::upload(gpu, &i.g);
             let out = run_spmv(gpu, &dg, &i.values, &i.x, m, e)?;
             Ok((out.run, bits(out.y)))
-        }),
+        })
+        .checked_against(|i| bits(spmv(&i.g, &i.values, &i.x)), spmv_close),
     ]
 };
 

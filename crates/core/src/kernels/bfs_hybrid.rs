@@ -27,7 +27,7 @@ pub enum Direction {
     BottomUp,
 }
 
-/// Switch thresholds (same semantics as the CPU hybrid in `maxwarp-cpu`).
+/// Switch thresholds of the α/β heuristic.
 #[derive(Clone, Copy, Debug)]
 pub struct GpuHybridConfig {
     /// Go bottom-up when `frontier_edges > remaining_edges / alpha`.

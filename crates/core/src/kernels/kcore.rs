@@ -32,34 +32,6 @@ pub struct KcoreOutput {
     pub run: AlgoRun,
 }
 
-/// Sequential reference peel (bucket-free, O(rounds·n), fine at test
-/// sizes).
-pub fn kcore_reference(g: &maxwarp_graph::Csr) -> Vec<u32> {
-    let n = g.num_vertices() as usize;
-    let mut deg: Vec<i64> = (0..n as u32).map(|v| g.degree(v) as i64).collect();
-    let mut core = vec![u32::MAX; n];
-    let mut remaining = n;
-    let mut k = 0u32;
-    while remaining > 0 {
-        let mut peeled_any = true;
-        while peeled_any {
-            peeled_any = false;
-            for v in 0..n {
-                if core[v] == u32::MAX && deg[v] <= k as i64 {
-                    core[v] = k;
-                    remaining -= 1;
-                    peeled_any = true;
-                    for &u in g.neighbors(v as u32) {
-                        deg[u as usize] -= 1;
-                    }
-                }
-            }
-        }
-        k += 1;
-    }
-    core
-}
-
 struct KcoreState {
     deg: DevPtr<u32>,
     core: DevPtr<u32>,
@@ -204,43 +176,13 @@ mod tests {
     use maxwarp_simt::{Gpu, GpuConfig};
 
     fn check(g: &maxwarp_graph::Csr, name: &str) {
-        let want = kcore_reference(g);
+        let want = maxwarp_graph::reference::kcore(g);
         for m in [Method::Baseline, Method::warp(8)] {
             let mut gpu = Gpu::new(GpuConfig::tiny_test());
             let dg = DeviceGraph::upload(&mut gpu, g);
             let out = run_kcore(&mut gpu, &dg, m, &ExecConfig::default()).unwrap();
             assert_eq!(out.core, want, "{name} / {}", m.label());
         }
-    }
-
-    #[test]
-    fn reference_on_known_graphs() {
-        // A triangle with a tail: triangle vertices are 2-core, tail 1.
-        let g = maxwarp_graph::Csr::from_edges(
-            4,
-            &[
-                (0, 1),
-                (1, 0),
-                (1, 2),
-                (2, 1),
-                (2, 0),
-                (0, 2),
-                (2, 3),
-                (3, 2),
-            ],
-        );
-        assert_eq!(kcore_reference(&g), vec![2, 2, 2, 1]);
-        // K5: everyone is 4-core.
-        let mut e5 = Vec::new();
-        for a in 0..5u32 {
-            for b in 0..5u32 {
-                if a != b {
-                    e5.push((a, b));
-                }
-            }
-        }
-        let k5 = maxwarp_graph::Csr::from_edges(5, &e5);
-        assert_eq!(kcore_reference(&k5), vec![4; 5]);
     }
 
     #[test]

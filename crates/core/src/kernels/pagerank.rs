@@ -252,8 +252,7 @@ mod tests {
     use super::*;
     use crate::method::WarpCentricOpts;
     use crate::vwarp::VirtualWarp;
-    use maxwarp_cpu::pagerank::{pagerank_push, rank_linf};
-    use maxwarp_graph::{Dataset, Scale};
+    use maxwarp_graph::{reference, Dataset, Scale};
     use maxwarp_simt::{Gpu, GpuConfig, KernelStats};
 
     fn methods() -> Vec<Method> {
@@ -265,15 +264,23 @@ mod tests {
         ]
     }
 
-    fn check_dataset(d: Dataset, tol: f32) {
+    /// Every method's ranks within `tol` (max |Δrank|) of the `f64`
+    /// reference after 10 iterations; the worst measured is 3.2e-7, on
+    /// Patents-like.
+    fn check_dataset(d: Dataset, tol: f64) {
         let g = d.build(Scale::Tiny);
-        let want = pagerank_push(&g, 10, 0.85);
+        let want = reference::pagerank(&g, 10, 0.85);
         for method in methods() {
             let mut gpu = Gpu::new(GpuConfig::tiny_test());
             let dg = DeviceGraph::upload(&mut gpu, &g);
             let out =
                 run_pagerank(&mut gpu, &dg, 10, 0.85, method, &ExecConfig::default()).unwrap();
-            let err = rank_linf(&out.ranks, &want);
+            let err = out
+                .ranks
+                .iter()
+                .zip(&want)
+                .map(|(&a, &b)| (a as f64 - b).abs())
+                .fold(0.0, f64::max);
             assert!(err < tol, "{} / {}: linf={err}", d.name(), method.label());
             assert_eq!(out.run.iterations, 10);
         }

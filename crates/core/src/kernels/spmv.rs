@@ -24,22 +24,6 @@ pub struct SpmvOutput {
     pub run: AlgoRun,
 }
 
-/// Sequential reference.
-pub fn spmv_reference(g: &maxwarp_graph::Csr, values: &[f32], x: &[f32]) -> Vec<f32> {
-    assert_eq!(values.len() as u64, g.num_edges());
-    assert_eq!(x.len() as u32, g.num_vertices());
-    (0..g.num_vertices())
-        .map(|r| {
-            let row = g.row_offsets()[r as usize] as usize;
-            g.neighbors(r)
-                .iter()
-                .enumerate()
-                .map(|(k, &c)| values[row + k] * x[c as usize])
-                .sum()
-        })
-        .collect()
-}
-
 /// Run `y = A·x` on the device. `values` are the per-edge matrix entries
 /// (aligned with `col_indices`), `x` the input vector.
 pub fn run_spmv(
@@ -111,7 +95,7 @@ mod tests {
     fn check(d: Dataset, tol: f32) {
         let g = d.build(Scale::Tiny);
         let (vals, x) = inputs(&g, 5);
-        let want = spmv_reference(&g, &vals, &x);
+        let want = maxwarp_graph::reference::spmv(&g, &vals, &x);
         for m in [Method::Baseline, Method::warp(4), Method::warp(32)] {
             let mut gpu = Gpu::new(GpuConfig::tiny_test());
             let dg = crate::DeviceGraph::upload(&mut gpu, &g);

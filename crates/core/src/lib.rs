@@ -76,13 +76,13 @@ pub use kernels::bfs_hybrid::{run_bfs_hybrid, Direction, GpuHybridConfig, Hybrid
 pub use kernels::bfs_queue::run_bfs_queue;
 pub use kernels::cc::{cc_round, run_cc, CcOutput, CcState};
 pub use kernels::coloring::{run_coloring, ColoringOutput};
-pub use kernels::kcore::{kcore_reference, run_kcore, KcoreOutput};
+pub use kernels::kcore::{run_kcore, KcoreOutput};
 pub use kernels::msbfs::{run_msbfs, MsBfsOutput};
 pub use kernels::pagerank::{
     pagerank_apply_round, pagerank_base_fp, pagerank_damping_fp, pagerank_fp_to_f32,
     pagerank_push_round, run_pagerank, PagerankOutput, PagerankState, PR_SCALE,
 };
-pub use kernels::spmv::{run_spmv, spmv_reference, SpmvOutput};
+pub use kernels::spmv::{run_spmv, SpmvOutput};
 pub use kernels::sssp::{run_sssp, sssp_round, SsspOutput, SsspState, INF as SSSP_INF};
 pub use kernels::triangles::{run_triangles, TriangleOutput};
 pub use method::{table as method_table, ExecConfig, Method, WarpCentricOpts};

@@ -3,12 +3,17 @@
 //! cycles, instruction / transaction / replay / active-lane totals, the
 //! per-warp instruction histogram and the answer recorded in
 //! `golden/kernel_matrix.txt`. A refactor of `crates/core/src/kernels/`
-//! that changes the emitted op sequence of any cell fails here.
+//! that changes the emitted op sequence of any cell fails here. Every
+//! answer must also agree with the kernel's sequential reference within its
+//! catalog tolerance (`Kernel::agrees`).
 //!
-//! The golden file is written by this test when it does not exist; to move
-//! the oracle on purpose, delete the file, run the test at the commit whose
-//! behaviour is the reference, and commit the result.
+//! The golden file is written by this test when it does not exist (see
+//! `crates/simt/tests/support/golden.rs`).
 
+#[path = "../../simt/tests/support/golden.rs"]
+mod golden;
+
+use golden::assert_matches_golden;
 use maxwarp::catalog::{Inputs, Kernel, KERNELS};
 use maxwarp::{method_table, ExecConfig, Method, VirtualWarp, WarpCentricOpts};
 use maxwarp_graph::{Dataset, Fnv64, Scale};
@@ -76,12 +81,14 @@ fn fnv(words: &[u32]) -> u64 {
     h.finish()
 }
 
-/// One line per cell of `dataset`'s slice of the matrix.
+/// One line per cell of `dataset`'s slice of the matrix; every supported
+/// cell's answer is first checked against the kernel's reference.
 fn cells(dataset: Dataset) -> String {
     let inputs = Inputs::new(dataset.build(Scale::Tiny));
     let mut out = String::new();
     for kernel in &KERNELS {
         let name = kernel.name;
+        let want = (kernel.reference)(&inputs);
         for (tag, exec) in exec_variants(name) {
             for m in methods(kernel) {
                 let _ = write!(out, "{} {name} {} {tag}:", dataset.name(), m.spec());
@@ -92,6 +99,9 @@ fn cells(dataset: Dataset) -> String {
                 let mut gpu = Gpu::new(GpuConfig::fermi_c2050());
                 let (run, payload) = (kernel.run)(&inputs, &mut gpu, m, &exec)
                     .unwrap_or_else(|e| panic!("{} {name} {}: {e}", dataset.name(), m.spec()));
+                if let Err(e) = (kernel.agrees)(&inputs, &payload, &want) {
+                    panic!("{} {name} {} {tag}: {e}", dataset.name(), m.spec());
+                }
                 let s = &run.stats;
                 let _ = writeln!(
                     out,
@@ -117,27 +127,6 @@ fn every_cell_matches_the_golden_file() {
         let hub = s.spawn(|| cells(Dataset::WikiTalkLike));
         (cells(Dataset::Rmat), hub.join().unwrap())
     });
-    let got = rmat + &hub;
-
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/kernel_matrix.txt");
-    let Ok(want) = std::fs::read_to_string(&path) else {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &got).unwrap();
-        panic!("{} did not exist; wrote it — commit it", path.display());
-    };
-    let diffs: Vec<String> = want
-        .lines()
-        .zip(got.lines())
-        .filter(|(w, g)| w != g)
-        .map(|(w, g)| format!("  golden: {w}\n  now:    {g}"))
-        .collect();
-    assert!(
-        diffs.is_empty() && want.lines().count() == got.lines().count(),
-        "{} of {} cells differ from {} ({} lines now):\n{}",
-        diffs.len(),
-        want.lines().count(),
-        path.display(),
-        got.lines().count(),
-        diffs[..diffs.len().min(12)].join("\n")
-    );
+    assert_matches_golden(&path, &(rmat + &hub), "cells");
 }

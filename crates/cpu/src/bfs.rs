@@ -1,39 +1,11 @@
-//! CPU BFS baselines: an optimized sequential queue BFS and a
-//! level-synchronous multicore BFS — the comparison points for the paper's
-//! "GPU vs CPU" figure (our F5).
+//! The multicore CPU BFS baseline of the paper's "GPU vs CPU" figure (our
+//! F5): level-synchronous, over crossbeam scoped threads. Its sequential
+//! counterpart is `maxwarp_graph::reference::bfs_levels`.
 
 use crate::measure::default_threads;
+use maxwarp_graph::reference::INF_LEVEL;
 use maxwarp_graph::Csr;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-
-/// Level of unreachable vertices.
-pub const INF: u32 = u32::MAX;
-
-/// Sequential frontier-queue BFS (the strongest single-thread baseline:
-/// no atomics, cache-friendly current/next vectors).
-pub fn bfs_sequential(g: &Csr, src: u32) -> Vec<u32> {
-    assert!(src < g.num_vertices());
-    let mut levels = vec![INF; g.num_vertices() as usize];
-    levels[src as usize] = 0;
-    let mut current = vec![src];
-    let mut next = Vec::new();
-    let mut level = 0u32;
-    while !current.is_empty() {
-        level += 1;
-        for &u in &current {
-            for &v in g.neighbors(u) {
-                let slot = &mut levels[v as usize];
-                if *slot == INF {
-                    *slot = level;
-                    next.push(v);
-                }
-            }
-        }
-        std::mem::swap(&mut current, &mut next);
-        next.clear();
-    }
-    levels
-}
 
 /// Level-synchronous parallel BFS over `threads` workers (crossbeam scoped
 /// threads). Each level, the frontier is chunked; workers claim chunks from
@@ -45,7 +17,7 @@ pub fn bfs_parallel(g: &Csr, src: u32, threads: usize) -> Vec<u32> {
     assert!(src < g.num_vertices());
     let threads = threads.max(1);
     let n = g.num_vertices() as usize;
-    let levels: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(INF)).collect();
+    let levels: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(INF_LEVEL)).collect();
     levels[src as usize].store(0, Ordering::Relaxed);
 
     let mut frontier = vec![src];
@@ -72,10 +44,10 @@ pub fn bfs_parallel(g: &Csr, src: u32, threads: usize) -> Vec<u32> {
                         let end = (start + chunk).min(frontier.len());
                         for &u in &frontier[start..end] {
                             for &v in g.neighbors(u) {
-                                if levels[v as usize].load(Ordering::Relaxed) == INF
+                                if levels[v as usize].load(Ordering::Relaxed) == INF_LEVEL
                                     && levels[v as usize]
                                         .compare_exchange(
-                                            INF,
+                                            INF_LEVEL,
                                             level,
                                             Ordering::Relaxed,
                                             Ordering::Relaxed,
@@ -123,7 +95,6 @@ mod tests {
 
     fn check_matches_reference(g: &Csr, src: u32) {
         let want = bfs_levels(g, src);
-        assert_eq!(bfs_sequential(g, src), want, "sequential");
         for threads in [1, 2, 4] {
             assert_eq!(bfs_parallel(g, src, threads), want, "parallel x{threads}");
         }
@@ -158,14 +129,15 @@ mod tests {
     #[test]
     fn isolated_source() {
         let g = Csr::from_edges(4, &[(1, 2)]);
-        let lv = bfs_sequential(&g, 0);
-        assert_eq!(lv, vec![0, INF, INF, INF]);
-        assert_eq!(bfs_parallel(&g, 0, 2), lv);
+        assert_eq!(
+            bfs_parallel(&g, 0, 2),
+            vec![0, INF_LEVEL, INF_LEVEL, INF_LEVEL]
+        );
     }
 
     #[test]
     fn default_wrapper_works() {
         let g = erdos_renyi(500, 4000, 1);
-        assert_eq!(bfs_parallel_default(&g, 0), bfs_sequential(&g, 0));
+        assert_eq!(bfs_parallel_default(&g, 0), bfs_levels(&g, 0));
     }
 }

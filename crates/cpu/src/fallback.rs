@@ -8,12 +8,12 @@
 //! strings `maxwarp_serve::Algo::label` produces) so this crate stays
 //! independent of serve's request types.
 //!
-//! Only the algorithms with a CPU implementation in this crate are
-//! covered; [`supported`] lets the breaker decide between degrading to
+//! Every answer comes from the sequential references of
+//! `maxwarp_graph::reference`. Only the BFS family, SSSP, CC and PageRank
+//! are covered; [`supported`] lets the breaker decide between degrading to
 //! fallback and failing fast.
 
-use crate::{bfs, cc, pagerank, sssp};
-use maxwarp_graph::Csr;
+use maxwarp_graph::{reference, Csr};
 
 /// Fallback output, by shape (mirrors the serve tier's payload shapes).
 #[derive(Clone, Debug, PartialEq)]
@@ -46,29 +46,29 @@ pub fn supported(algo: &str) -> bool {
 
 /// Execute the CPU fallback for `algo` on `g`. Returns `None` for
 /// algorithms without a CPU implementation (the breaker then fails fast
-/// instead of degrading).
+/// instead of degrading). `params.src` must be a vertex of `g`.
 ///
-/// Correctness contract: for the deterministic u32-valued algorithms
-/// (BFS levels, Bellman-Ford distances, min-label components) the output
-/// equals the device kernel's fixpoint exactly, on directed graphs too;
-/// PageRank matches within float tolerance (the device accumulates in a
-/// different order).
+/// Correctness contract: BFS levels, shortest distances and min-reaching
+/// labels equal the device kernel's fixpoint exactly, on directed graphs
+/// too; PageRank is the `f64` reference narrowed to `f32`, within the
+/// catalog's PageRank bound of the device's fixed-point ranks.
 pub fn run(algo: &str, g: &Csr, weights: &[u32], params: FallbackParams) -> Option<FallbackData> {
     match algo {
         // All three BFS variants answer the same question — levels from
         // `src` — so one sequential queue BFS covers them.
         "bfs" | "bfs_queue" | "bfs_hybrid" => {
-            Some(FallbackData::U32s(bfs::bfs_sequential(g, params.src)))
+            Some(FallbackData::U32s(reference::bfs_levels(g, params.src)))
         }
-        "sssp" => Some(FallbackData::U32s(sssp::sssp_bellman_ford(
+        "sssp" => Some(FallbackData::U32s(reference::sssp_dijkstra(
             g, weights, params.src,
         ))),
-        "cc" => Some(FallbackData::U32s(cc::min_reaching_label(g))),
-        "pagerank" => Some(FallbackData::F32s(pagerank::pagerank_push(
-            g,
-            params.iters,
-            params.damping,
-        ))),
+        "cc" => Some(FallbackData::U32s(reference::min_reaching_label(g))),
+        "pagerank" => Some(FallbackData::F32s(
+            reference::pagerank(g, params.iters, params.damping as f64)
+                .into_iter()
+                .map(|r| r as f32)
+                .collect(),
+        )),
         _ => None,
     }
 }
@@ -126,17 +126,8 @@ mod tests {
         let Some(FallbackData::U32s(labels)) = run("cc", &g, &[], FallbackParams::default()) else {
             panic!("cc fallback missing");
         };
-        // Same partition as the reference: label equality patterns match.
-        let want = reference::connected_components(&g);
-        for i in 0..labels.len() {
-            for j in (i + 1)..labels.len() {
-                assert_eq!(
-                    labels[i] == labels[j],
-                    want[i] == want[j],
-                    "vertices {i},{j} disagree on connectivity"
-                );
-            }
-        }
+        // There every label is its component's minimum, as in union-find.
+        assert_eq!(labels, reference::connected_components(&g));
     }
 
     #[test]

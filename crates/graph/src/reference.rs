@@ -1,8 +1,10 @@
-//! Sequential reference implementations.
+//! Sequential reference implementations: one answer per algorithm.
 //!
-//! Every GPU kernel result in the workspace is validated against these.
-//! They favour obviousness over speed (the fast CPU baselines live in
-//! `maxwarp-cpu`).
+//! Every kernel result in the workspace is validated against these, and the
+//! serve tier's CPU fallback answers with them. They favour obviousness
+//! over speed. The triangle count lives in [`crate::triangles`]
+//! ([`crate::count_triangles`]), beside the forward orientation the device
+//! kernel shares.
 
 use crate::csr::Csr;
 use std::collections::{BinaryHeap, VecDeque};
@@ -82,6 +84,38 @@ pub fn connected_components(g: &Csr) -> Vec<u32> {
         }
     }
     (0..n as u32).map(|v| find(&mut parent, v)).collect()
+}
+
+/// The fixpoint the device CC kernels reach on any graph, directed or not:
+/// every vertex takes the smallest id among the vertices that reach it
+/// along out-edges, itself included. The kernels push labels along
+/// out-edges only, so on a directed graph this differs from
+/// [`connected_components`], which ignores direction; on a symmetric graph
+/// both are the component minima.
+///
+/// Linear time: sources are searched in increasing id order, and a search
+/// stops at vertices a smaller source already claimed — everything such a
+/// vertex reaches, that source reached too.
+pub fn min_reaching_label(g: &Csr) -> Vec<u32> {
+    let n = g.num_vertices();
+    let mut label = vec![u32::MAX; n as usize];
+    let mut stack = Vec::new();
+    for s in 0..n {
+        if label[s as usize] != u32::MAX {
+            continue;
+        }
+        label[s as usize] = s;
+        stack.push(s);
+        while let Some(u) = stack.pop() {
+            for &v in g.neighbors(u) {
+                if label[v as usize] == u32::MAX {
+                    label[v as usize] = s;
+                    stack.push(v);
+                }
+            }
+        }
+    }
+    label
 }
 
 /// PageRank with uniform teleport, `iters` synchronous iterations,
@@ -195,6 +229,54 @@ pub fn greedy_coloring(g: &Csr) -> Vec<u32> {
     colors
 }
 
+/// Core numbers of a symmetric graph by sequential peeling (bucket-free,
+/// O(rounds·n), fine at test sizes): the core number of a vertex is the
+/// largest k such that it belongs to a subgraph where every vertex has
+/// degree ≥ k.
+pub fn kcore(g: &Csr) -> Vec<u32> {
+    let n = g.num_vertices() as usize;
+    let mut deg: Vec<i64> = (0..n as u32).map(|v| g.degree(v) as i64).collect();
+    let mut core = vec![u32::MAX; n];
+    let mut remaining = n;
+    let mut k = 0u32;
+    while remaining > 0 {
+        let mut peeled_any = true;
+        while peeled_any {
+            peeled_any = false;
+            for v in 0..n {
+                if core[v] == u32::MAX && deg[v] <= k as i64 {
+                    core[v] = k;
+                    remaining -= 1;
+                    peeled_any = true;
+                    for &u in g.neighbors(v as u32) {
+                        deg[u as usize] -= 1;
+                    }
+                }
+            }
+        }
+        k += 1;
+    }
+    core
+}
+
+/// Sparse matrix-vector product `y = A·x`, where `A` is `g`'s adjacency
+/// structure with one `f32` value per edge (aligned with
+/// `g.col_indices()`). Each row sums in edge order.
+pub fn spmv(g: &Csr, values: &[f32], x: &[f32]) -> Vec<f32> {
+    assert_eq!(values.len() as u64, g.num_edges());
+    assert_eq!(x.len() as u32, g.num_vertices());
+    (0..g.num_vertices())
+        .map(|r| {
+            let row = g.row_offsets()[r as usize] as usize;
+            g.neighbors(r)
+                .iter()
+                .enumerate()
+                .map(|(k, &c)| values[row + k] * x[c as usize])
+                .sum()
+        })
+        .collect()
+}
+
 /// True if no edge connects two vertices of the same color and every
 /// vertex is colored.
 pub fn is_proper_coloring(g: &Csr, colors: &[u32]) -> bool {
@@ -280,6 +362,65 @@ mod tests {
         let g = Csr::from_edges(4, &[(0, 1), (2, 1), (3, 2)]);
         let cc = connected_components(&g);
         assert!(cc.iter().all(|&c| c == 0));
+    }
+
+    #[test]
+    fn min_reaching_label_matches_brute_force() {
+        let g = erdos_renyi(60, 90, 9);
+        let n = g.num_vertices() as usize;
+        // reach[u][v]: v reachable from u (transitive closure by DFS).
+        let reach: Vec<Vec<bool>> = (0..n as u32)
+            .map(|u| {
+                let mut seen = vec![false; n];
+                let mut stack = vec![u];
+                seen[u as usize] = true;
+                while let Some(x) = stack.pop() {
+                    for &y in g.neighbors(x) {
+                        if !seen[y as usize] {
+                            seen[y as usize] = true;
+                            stack.push(y);
+                        }
+                    }
+                }
+                seen
+            })
+            .collect();
+        let want: Vec<u32> = (0..n)
+            .map(|v| (0..n).find(|&u| reach[u][v]).unwrap() as u32)
+            .collect();
+        assert_eq!(min_reaching_label(&g), want);
+        // Symmetric input: the component minima.
+        let sym = g.symmetrize();
+        assert_eq!(min_reaching_label(&sym), connected_components(&sym));
+    }
+
+    #[test]
+    fn kcore_on_known_graphs() {
+        // A triangle with a tail: triangle vertices are 2-core, tail 1.
+        let g = Csr::from_edges(
+            4,
+            &[
+                (0, 1),
+                (1, 0),
+                (1, 2),
+                (2, 1),
+                (2, 0),
+                (0, 2),
+                (2, 3),
+                (3, 2),
+            ],
+        );
+        assert_eq!(kcore(&g), vec![2, 2, 2, 1]);
+        // K5: everyone is 4-core.
+        let mut e5 = Vec::new();
+        for a in 0..5u32 {
+            for b in 0..5u32 {
+                if a != b {
+                    e5.push((a, b));
+                }
+            }
+        }
+        assert_eq!(kcore(&Csr::from_edges(5, &e5)), vec![4; 5]);
     }
 
     #[test]

@@ -128,7 +128,7 @@ pub fn sharded_supported(algo: Algo) -> bool {
 }
 
 /// Resolve a query's source vertex, validating explicit ones.
-fn resolve_src(entry: &GraphEntry, src: Option<u32>) -> Result<u32, ServeError> {
+pub(crate) fn resolve_src(entry: &GraphEntry, src: Option<u32>) -> Result<u32, ServeError> {
     let n = entry.csr.num_vertices();
     if n == 0 {
         return Err(ServeError::BadRequest("graph has no vertices".into()));
@@ -140,6 +140,13 @@ fn resolve_src(entry: &GraphEntry, src: Option<u32>) -> Result<u32, ServeError> 
             "source {s} out of range (n = {n})"
         ))),
     }
+}
+
+pub(crate) fn check_iters(iters: u32) -> Result<(), ServeError> {
+    if iters == 0 {
+        return Err(ServeError::BadRequest("pagerank iters must be >= 1".into()));
+    }
+    Ok(())
 }
 
 fn resolve_sources(entry: &GraphEntry, k: u32, max: u32) -> Result<Vec<u32>, ServeError> {
@@ -263,9 +270,7 @@ pub fn execute_labeled(
             (ResultData::U32s(out.labels), out.run)
         }
         Query::Pagerank { iters, damping } => {
-            if *iters == 0 {
-                return Err(ServeError::BadRequest("pagerank iters must be >= 1".into()));
-            }
+            check_iters(*iters)?;
             let out = run_pagerank(&mut gpu, dg, *iters, *damping, method, exec)?;
             (ResultData::F32s(out.ranks), out.run)
         }
@@ -356,9 +361,7 @@ pub fn execute_sharded(
             (ResultData::U32s(out.values), out.run)
         }
         Query::Pagerank { iters, damping } => {
-            if *iters == 0 {
-                return Err(ServeError::BadRequest("pagerank iters must be >= 1".into()));
-            }
+            check_iters(*iters)?;
             let out = run_pagerank_sharded(&mut md, *iters, *damping, method, exec, link, obs)?;
             (ResultData::F32s(out.values), out.run)
         }

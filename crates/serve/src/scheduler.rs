@@ -65,7 +65,8 @@ use crate::cache::{
     gpu_fingerprint, sharded_fingerprint, CacheKey, CacheStats, CachedResult, ResultCache,
 };
 use crate::exec::{
-    execute_labeled, execute_sharded, sharded_supported, DeviceTemplate, ShardedTemplate,
+    check_iters, execute_labeled, execute_sharded, resolve_src, sharded_supported, DeviceTemplate,
+    ShardedTemplate,
 };
 use crate::json::{self, Value};
 use crate::metrics::ServeMetrics;
@@ -1214,7 +1215,7 @@ fn serve_one(inner: &Arc<Inner>, req: &Request, span: &ActiveSpan) -> Result<Ser
     if inner.cfg.resilience.breaker.is_some()
         && lock(&inner.breaker).admit(bkey, Instant::now()) == BreakerState::Open
     {
-        if let Some(served) = cpu_fallback(&entry, &req.query) {
+        if let Some(served) = cpu_fallback(&entry, &req.query)? {
             inner.metrics.fallbacks.inc();
             return Ok(served);
         }
@@ -1360,8 +1361,13 @@ fn breaker_ok(inner: &Arc<Inner>, key: (u64, &'static str)) {
 
 /// Serve from the CPU reference implementation (breaker open). Stats are
 /// zeroed — no device ran — and the result is **not** cached, preserving
-/// the cache's byte-identity contract.
-fn cpu_fallback(entry: &GraphEntry, query: &crate::request::Query) -> Option<Served> {
+/// the cache's byte-identity contract. The source and iteration count are
+/// validated as on the device path, so a bad one is the same `BadRequest`
+/// either way.
+fn cpu_fallback(
+    entry: &GraphEntry,
+    query: &crate::request::Query,
+) -> Result<Option<Served>, ServeError> {
     use crate::request::Query;
     let algo = query.algo();
     let params = match query {
@@ -1369,28 +1375,32 @@ fn cpu_fallback(entry: &GraphEntry, query: &crate::request::Query) -> Option<Ser
         | Query::BfsQueue { src }
         | Query::BfsHybrid { src }
         | Query::Sssp { src } => maxwarp_cpu::FallbackParams {
-            src: src.unwrap_or(entry.source()),
+            src: resolve_src(entry, *src)?,
             ..Default::default()
         },
-        Query::Pagerank { iters, damping } => maxwarp_cpu::FallbackParams {
-            iters: *iters,
-            damping: *damping,
-            ..Default::default()
-        },
+        Query::Pagerank { iters, damping } => {
+            check_iters(*iters)?;
+            maxwarp_cpu::FallbackParams {
+                iters: *iters,
+                damping: *damping,
+                ..Default::default()
+            }
+        }
         _ => maxwarp_cpu::FallbackParams::default(),
     };
-    let data = match maxwarp_cpu::fallback_run(algo.label(), &entry.csr, &entry.weights, params)? {
-        FallbackData::U32s(v) => ResultData::U32s(v),
-        FallbackData::F32s(v) => ResultData::F32s(v),
+    let data = match maxwarp_cpu::fallback_run(algo.label(), &entry.csr, &entry.weights, params) {
+        None => return Ok(None),
+        Some(FallbackData::U32s(v)) => ResultData::U32s(v),
+        Some(FallbackData::F32s(v)) => ResultData::F32s(v),
     };
-    Some(Served {
+    Ok(Some(Served {
         data,
         stats: KernelStats::default(),
         iterations: 0,
         method: Method::Baseline,
         source: ResponseSource::CpuFallback,
         degraded: true,
-    })
+    }))
 }
 
 /// Fetch or build the device template; the flag reports whether this call

@@ -4,12 +4,13 @@
 //! pure policy — non-degraded results are byte-identical with the whole
 //! stack on or off.
 
+use maxwarp::catalog::{Inputs, KERNELS};
 use maxwarp::Method;
 use maxwarp_graph::hub_graph;
 use maxwarp_serve::resilience::{Backoff, CrashPolicy, RestartPolicy};
 use maxwarp_serve::{
-    BreakerConfig, ChaosConfig, Priority, Query, Request, ResponseSource, RetryPolicy, ServeError,
-    Server, ServerConfig, ShedConfig, ShedReason, WorkerHealth,
+    BreakerConfig, ChaosConfig, Priority, Query, Request, ResponseSource, ResultData, RetryPolicy,
+    ServeError, Server, ServerConfig, ShedConfig, ShedReason, WorkerHealth,
 };
 use maxwarp_simt::{GpuConfig, LaunchError, SimtError};
 use std::time::Duration;
@@ -138,11 +139,9 @@ fn retries_absorb_transient_faults() {
     server.shutdown();
 }
 
-/// A tripped circuit breaker routes requests to the CPU reference: the
-/// response is flagged degraded, sourced `CpuFallback`, and carries the
-/// same payload the device would have produced.
-#[test]
-fn breaker_trips_to_cpu_fallback() {
+/// A server whose device always faults, with a breaker that opens after two
+/// faults, and the graph registered on it.
+fn faulting_server() -> (Server, maxwarp_serve::GraphHandle) {
     let mut cfg = ServerConfig::for_tests(GpuConfig::tiny_test());
     cfg.workers = 1;
     cfg.resilience.breaker = Some(BreakerConfig {
@@ -156,14 +155,26 @@ fn breaker_trips_to_cpu_fallback() {
     });
     let server = Server::start(cfg);
     let h = server.register_graph("hub", graph());
+    (server, h)
+}
 
-    // Two consecutive faults trip the (graph, bfs) breaker.
-    for src in 0..2 {
-        match server.call(pinned(h, Query::Bfs { src: Some(src) })) {
+/// Two injected faults on `q`'s (graph, algorithm) open its breaker.
+fn trip(server: &Server, h: maxwarp_serve::GraphHandle, q: &Query) {
+    for _ in 0..2 {
+        match server.call(pinned(h, q.clone())) {
             Err(ServeError::Panicked(_)) => {}
             other => panic!("expected injected fault, got {other:?}"),
         }
     }
+}
+
+/// A tripped circuit breaker routes requests to the CPU reference: the
+/// response is flagged degraded, sourced `CpuFallback`, and carries the
+/// same payload the device would have produced.
+#[test]
+fn breaker_trips_to_cpu_fallback() {
+    let (server, h) = faulting_server();
+    trip(&server, h, &Query::Bfs { src: Some(0) });
 
     let deg = server
         .call(pinned(h, Query::Bfs { src: Some(0) }))
@@ -183,6 +194,71 @@ fn breaker_trips_to_cpu_fallback() {
     assert!(snap.resilience.fallbacks >= 1);
     assert!(snap.resilience.degraded >= 1);
     clean.shutdown();
+    server.shutdown();
+}
+
+/// Degraded SSSP and CC answers equal a clean server's device answers
+/// exactly; degraded PageRank is within the catalog's PageRank bound.
+#[test]
+fn degraded_answers_agree_with_the_device() {
+    let (server, h) = faulting_server();
+    let clean = Server::start(ServerConfig::for_tests(GpuConfig::tiny_test()));
+    let hc = clean.register_graph("hub", graph());
+    let pagerank = KERNELS.iter().find(|k| k.name == "pagerank").unwrap();
+    let words = |d: &ResultData| match d {
+        ResultData::F32s(v) => v.iter().map(|r| r.to_bits()).collect(),
+        other => panic!("pagerank answers are ranks, got {other:?}"),
+    };
+    let pr = Query::Pagerank {
+        iters: 3,
+        damping: 0.85,
+    };
+    for q in [Query::Sssp { src: Some(5) }, Query::Cc, pr.clone()] {
+        trip(&server, h, &q);
+        let deg = server.call(pinned(h, q.clone())).expect("fallback serves");
+        assert_eq!(deg.source, ResponseSource::CpuFallback, "{q:?}");
+        let want = clean.call(pinned(hc, q.clone())).unwrap();
+        if q == pr {
+            let got =
+                (pagerank.agrees)(&Inputs::new(graph()), &words(&deg.data), &words(&want.data));
+            assert_eq!(got, Ok(()));
+        } else {
+            assert_eq!(deg.data, want.data, "{q:?}");
+        }
+    }
+    clean.shutdown();
+    server.shutdown();
+}
+
+/// While the breaker is open, an out-of-range source or a zero iteration
+/// count is the same `BadRequest` the device path gives, not a panic in the
+/// CPU fallback that crashes the worker or an answer to a request the
+/// device refuses.
+#[test]
+fn open_breaker_rejects_what_the_device_rejects() {
+    let (server, h) = faulting_server();
+    let pagerank = |iters| Query::Pagerank {
+        iters,
+        damping: 0.85,
+    };
+    for (ok, bad, why) in [
+        (
+            Query::Bfs { src: Some(0) },
+            Query::Bfs {
+                src: Some(1_000_000),
+            },
+            "out of range",
+        ),
+        (pagerank(3), pagerank(0), "iters must be >= 1"),
+    ] {
+        trip(&server, h, &ok);
+        match server.call(pinned(h, bad)) {
+            Err(ServeError::BadRequest(msg)) => assert!(msg.contains(why), "{msg}"),
+            other => panic!("expected BadRequest, got {other:?}"),
+        }
+        let deg = server.call(pinned(h, ok)).expect("the worker still serves");
+        assert_eq!(deg.source, ResponseSource::CpuFallback);
+    }
     server.shutdown();
 }
 

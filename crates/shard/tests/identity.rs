@@ -10,10 +10,12 @@
 //! every cell's makespan, compute / comm / stall cycles, halo bytes, BSP
 //! round count and a digest of its per-round breakdowns must reproduce,
 //! digit for digit, `golden/shard_<tag>.txt`. A golden file is written by
-//! its test when it does not exist; to move the oracle on purpose, delete
-//! the file, run the test at the commit whose behaviour is the reference,
-//! and commit the result.
+//! its test when it does not exist (see `crates/simt/tests/support/golden.rs`).
 
+#[path = "../../simt/tests/support/golden.rs"]
+mod golden_file;
+
+use golden_file::assert_matches_golden;
 use maxwarp::{run_bfs, run_cc, run_pagerank, run_sssp, AlgoRun, DeviceGraph, ExecConfig, Method};
 use maxwarp_graph::{random_weights, Csr, Dataset, Fnv64, Scale};
 use maxwarp_shard::{
@@ -81,32 +83,11 @@ fn cell_line(out: &mut String, what: &str, algo: &str, sr: &ShardedRun) {
     );
 }
 
-/// Compare the sweep's lines against `golden/shard_<tag>.txt`, writing the
-/// file (and failing) when it does not exist.
-fn assert_matches_golden(tag: &str, got: &str) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+/// `golden/shard_<tag>.txt`.
+fn golden(tag: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
-        .join(format!("shard_{tag}.txt"));
-    let Ok(want) = std::fs::read_to_string(&path) else {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, got).unwrap();
-        panic!("{} did not exist; wrote it — commit it", path.display());
-    };
-    let diffs: Vec<String> = want
-        .lines()
-        .zip(got.lines())
-        .filter(|(w, g)| w != g)
-        .map(|(w, g)| format!("  golden: {w}\n  now:    {g}"))
-        .collect();
-    assert!(
-        diffs.is_empty() && want.lines().count() == got.lines().count(),
-        "{} of {} cells differ from {} ({} lines now):\n{}",
-        diffs.len(),
-        want.lines().count(),
-        path.display(),
-        got.lines().count(),
-        diffs[..diffs.len().min(12)].join("\n")
-    );
+        .join(format!("shard_{tag}.txt"))
 }
 
 /// Run the 4-algorithm identity check for one graph across shard counts
@@ -196,7 +177,7 @@ fn rmat_identity_sweep() {
     let w = random_weights(&g, 63, 11);
     let src = Dataset::Rmat.source(&g);
     let got = identity_sweep("rmat", &g, Some(&w), src, Method::warp(8));
-    assert_matches_golden("rmat", &got);
+    assert_matches_golden(&golden("rmat"), &got, "cells");
 }
 
 #[test]
@@ -207,7 +188,7 @@ fn hub_graph_identity_sweep() {
     let w = random_weights(&g, 31, 7);
     let src = (0..g.num_vertices()).max_by_key(|&v| g.degree(v)).unwrap();
     let got = identity_sweep("hub", &g, Some(&w), src, Method::warp(32));
-    assert_matches_golden("hub", &got);
+    assert_matches_golden(&golden("hub"), &got, "cells");
 }
 
 #[test]
@@ -215,7 +196,7 @@ fn wikitalk_identity_sweep_baseline() {
     let g = Dataset::WikiTalkLike.build(Scale::Tiny);
     let src = Dataset::WikiTalkLike.source(&g);
     let got = identity_sweep("wikitalk", &g, None, src, Method::Baseline);
-    assert_matches_golden("wikitalk", &got);
+    assert_matches_golden(&golden("wikitalk"), &got, "cells");
 }
 
 #[test]

@@ -11,10 +11,13 @@
 //! whose ALU, shared and cache-hit latencies are zero, so completions land
 //! in the issuing cycle and compete with the issue port at once.
 //!
-//! The golden file is written by this test when it does not exist; to move
-//! the oracle on purpose, delete the file, run the test at the commit whose
-//! behaviour is the reference, and commit the result.
+//! The golden file is written by this test when it does not exist (see
+//! `support/golden.rs`).
 
+#[path = "support/golden.rs"]
+mod golden;
+
+use golden::assert_matches_golden;
 use maxwarp_simt::timing::{self, StallBreakdown, TimingInput, WarpSpan};
 use maxwarp_simt::{GpuConfig, Op, WarpTrace};
 use rand::rngs::StdRng;
@@ -326,26 +329,6 @@ fn lines() -> String {
 
 #[test]
 fn every_input_matches_the_golden_file() {
-    let got = lines();
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/timing_replay.txt");
-    let Ok(want) = std::fs::read_to_string(&path) else {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &got).unwrap();
-        panic!("{} did not exist; wrote it — commit it", path.display());
-    };
-    let diffs: Vec<String> = want
-        .lines()
-        .zip(got.lines())
-        .filter(|(w, g)| w != g)
-        .map(|(w, g)| format!("  golden: {w}\n  now:    {g}"))
-        .collect();
-    assert!(
-        diffs.is_empty() && want.lines().count() == got.lines().count(),
-        "{} of {} inputs differ from {} ({} lines now):\n{}",
-        diffs.len(),
-        want.lines().count(),
-        path.display(),
-        got.lines().count(),
-        diffs[..diffs.len().min(8)].join("\n")
-    );
+    assert_matches_golden(&path, &lines(), "inputs");
 }

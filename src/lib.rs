@@ -7,7 +7,7 @@
 //!
 //! * [`maxwarp_simt`] — the SIMT GPU simulator substrate,
 //! * [`maxwarp_graph`] — CSR graphs, generators, datasets, references,
-//! * [`maxwarp_cpu`] — sequential and multicore CPU baselines,
+//! * [`maxwarp_cpu`] — the multicore CPU BFS baseline and the CPU fallback,
 //! * [`maxwarp`] — the virtual warp-centric programming method (the paper's
 //!   contribution).
 

@@ -1,11 +1,10 @@
 //! Integration tests for the extension features: cached loads, frontier
-//! queues, hybrid CPU BFS, betweenness, triangles, and permutations —
+//! queues, betweenness, triangles, and permutations —
 //! exercised together across crates.
 
 use maxwarp::{
     run_betweenness, run_bfs, run_bfs_queue, run_triangles, DeviceGraph, ExecConfig, Method,
 };
-use maxwarp_cpu::{bfs_hybrid, HybridConfig};
 use maxwarp_graph::{
     apply_permutation, count_triangles, random_permutation, reference, Dataset, Orientation, Scale,
 };
@@ -66,20 +65,6 @@ fn queue_and_scan_bfs_agree_everywhere() {
         let queue =
             run_bfs_queue(&mut gpu, &dg, src, Method::warp(8), &ExecConfig::default()).unwrap();
         assert_eq!(scan.levels, queue.levels, "{}", d.name());
-    }
-}
-
-#[test]
-fn hybrid_cpu_bfs_matches_gpu() {
-    for d in [Dataset::SmallWorld, Dataset::Random] {
-        let g = d.build(Scale::Tiny);
-        let src = d.source(&g);
-        let rev = g.reverse();
-        let (cpu, _) = bfs_hybrid(&g, &rev, src, &HybridConfig::default());
-        let mut gpu = Gpu::new(GpuConfig::tiny_test());
-        let dg = DeviceGraph::upload(&mut gpu, &g);
-        let out = run_bfs(&mut gpu, &dg, src, Method::warp(8), &ExecConfig::default()).unwrap();
-        assert_eq!(cpu, out.levels, "{}", d.name());
     }
 }
 

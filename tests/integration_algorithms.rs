@@ -1,9 +1,7 @@
 //! Cross-crate integration for SSSP, connected components, and PageRank:
-//! GPU kernels vs the sequential references vs the multicore CPU
-//! baselines.
+//! GPU kernels under several methods vs the sequential references.
 
 use maxwarp::{run_cc, run_pagerank, run_sssp, DeviceGraph, ExecConfig, Method};
-use maxwarp_cpu::{cc_parallel, pagerank_push, rank_linf, sssp_parallel};
 use maxwarp_graph::{random_weights, reference, Dataset, Scale};
 use maxwarp_simt::{Gpu, GpuConfig};
 
@@ -21,7 +19,6 @@ fn sssp_three_way_agreement() {
         let w = random_weights(&g, 12, 99);
         let src = d.source(&g);
         let want = reference::sssp_dijkstra(&g, &w, src);
-        assert_eq!(sssp_parallel(&g, &w, src, 2), want, "{}: cpu", d.name());
         for k in METHODS {
             let mut gpu = Gpu::new(GpuConfig::tiny_test());
             let dg = DeviceGraph::upload_weighted(&mut gpu, &g, &w);
@@ -63,7 +60,6 @@ fn cc_three_way_agreement() {
     for d in [Dataset::RoadNet, Dataset::SmallWorld] {
         let g = d.build(Scale::Tiny);
         let want = reference::connected_components(&g);
-        assert_eq!(cc_parallel(&g, 2), want, "{}: cpu", d.name());
         for k in METHODS {
             let mut gpu = Gpu::new(GpuConfig::tiny_test());
             let dg = DeviceGraph::upload(&mut gpu, &g);
@@ -93,11 +89,7 @@ fn pagerank_three_way_agreement() {
         Dataset::PatentsLike,
     ] {
         let g = d.build(Scale::Tiny);
-        let cpu = pagerank_push(&g, 12, 0.85);
-        let cpu_f64 = reference::pagerank(&g, 12, 0.85);
-        for (v, (a, b)) in cpu.iter().zip(&cpu_f64).enumerate() {
-            assert!((*a as f64 - b).abs() < 1e-4, "cpu f32 vs f64 at {v}");
-        }
+        let want = reference::pagerank(&g, 12, 0.85);
         for k in METHODS {
             let mut gpu = Gpu::new(GpuConfig::tiny_test());
             let dg = DeviceGraph::upload(&mut gpu, &g);
@@ -110,7 +102,13 @@ fn pagerank_three_way_agreement() {
                 &ExecConfig::default(),
             )
             .unwrap();
-            let err = rank_linf(&out.ranks, &cpu);
+            // Max |Δrank| against the f64 reference.
+            let err = out
+                .ranks
+                .iter()
+                .zip(&want)
+                .map(|(&a, &b)| (a as f64 - b).abs())
+                .fold(0.0, f64::max);
             assert!(err < 1e-4, "{}: vw{} linf={}", d.name(), k, err);
         }
     }
