@@ -20,9 +20,9 @@
 //! `None` in its input-order slot. The other cells' results survive, and
 //! [`exit_code`] turns nonzero so batch drivers still fail loudly.
 
+use maxwarp_simt::{cores, fan_out};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Set when any cell in this process failed both attempts.
@@ -123,83 +123,22 @@ impl Harness {
     /// isolation).
     ///
     /// With one job (or one cell) the cells run serially on the calling
-    /// thread, in order — exactly the pre-harness behaviour. Otherwise
-    /// `min(jobs, cells)` scoped workers pull cells from a shared index
-    /// and the results are merged back into input order afterwards, so
-    /// the returned `Vec` is identical either way.
+    /// thread, in order. Otherwise `min(jobs, cells)` threads pull cells
+    /// in input order through [`fan_out`], which returns the results in
+    /// input order, so the returned `Vec` is identical either way.
     ///
     /// `what` names the experiment in progress lines (stderr):
     /// `[F2] 3/40 rmat vw8: 412 ms`.
     pub fn run<T: Send>(&self, what: &str, cells: Vec<Cell<'_, T>>) -> Vec<Option<T>> {
         let total = cells.len();
-        if self.jobs == 1 || total <= 1 {
-            return cells
-                .into_iter()
-                .enumerate()
-                .map(|(i, mut cell)| {
-                    let t0 = Instant::now();
-                    let out = run_cell(what, &cell.label, &mut cell.run);
-                    progress(what, i + 1, total, &cell.label, t0);
-                    out
-                })
-                .collect();
-        }
-
-        let slots: Vec<Mutex<Option<Cell<'_, T>>>> =
-            cells.into_iter().map(|c| Mutex::new(Some(c))).collect();
-        let next = AtomicUsize::new(0);
         let done = AtomicUsize::new(0);
-        let workers = self.jobs.min(total);
-
-        let per_worker = crossbeam::scope(|s| -> Vec<Vec<(usize, Option<T>)>> {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let (slots, next, done) = (&slots, &next, &done);
-                    s.spawn(move |_| {
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= total {
-                                break;
-                            }
-                            let mut slot = match slots[i].lock() {
-                                Ok(g) => g,
-                                Err(_) => panic!("cell slot poisoned"),
-                            };
-                            let Some(mut cell) = slot.take() else {
-                                panic!("cell taken twice");
-                            };
-                            drop(slot);
-                            let t0 = Instant::now();
-                            let v = run_cell(what, &cell.label, &mut cell.run);
-                            let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-                            progress(what, n, total, &cell.label, t0);
-                            out.push((i, v));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(v) => v,
-                    Err(_) => panic!("harness worker panicked"),
-                })
-                .collect()
-        });
-        let per_worker = match per_worker {
-            Ok(v) => v,
-            Err(_) => panic!("harness scope panicked"),
-        };
-
-        let mut merged: Vec<Option<T>> = (0..total).map(|_| None).collect();
-        for chunk in per_worker {
-            for (i, v) in chunk {
-                merged[i] = v;
-            }
-        }
-        merged
+        fan_out(self.jobs, cells, |mut cell| {
+            let t0 = Instant::now();
+            let out = run_cell(what, &cell.label, &mut cell.run);
+            let n = done.fetch_add(1, Ordering::Relaxed) + 1;
+            progress(what, n, total, &cell.label, t0);
+            out
+        })
     }
 }
 
@@ -248,9 +187,7 @@ pub fn jobs_from_env() -> usize {
     {
         return n.max(1);
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    cores()
 }
 
 #[cfg(test)]

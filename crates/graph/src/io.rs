@@ -85,6 +85,13 @@ pub fn read_edge_list<R: BufRead>(r: R, min_vertices: u32) -> Result<Csr, GraphI
                 msg: "trailing tokens".into(),
             });
         }
+        // `max id + 1` is the vertex count, which must fit in a u32.
+        if u.max(v) == u32::MAX {
+            return Err(GraphIoError::Parse {
+                line: i + 1,
+                msg: format!("vertex id {} is out of range", u32::MAX),
+            });
+        }
         max_id = max_id.max(u).max(v);
         edges.push((u, v));
     }
@@ -125,11 +132,13 @@ pub fn decode_csr(mut data: &[u8]) -> Result<Csr, GraphIoError> {
     }
     data.advance(MAGIC.len());
     let n = data.get_u32_le() as usize;
-    let m = data.get_u64_le() as usize;
-    let need = 4 * (n + 1) + 4 * m;
-    if data.remaining() != need {
+    let header_m = data.get_u64_le();
+    // The header is untrusted: the expected size must not wrap.
+    let m = usize::try_from(header_m).unwrap_or(usize::MAX);
+    let need = m.checked_add(n + 1).and_then(|words| words.checked_mul(4));
+    if need != Some(data.remaining()) {
         return Err(GraphIoError::Format(format!(
-            "payload size {} != expected {need}",
+            "payload size {} does not match n = {n}, m = {header_m}",
             data.remaining()
         )));
     }
@@ -196,6 +205,15 @@ mod tests {
     }
 
     #[test]
+    fn edge_list_rejects_the_id_that_wraps_the_vertex_count() {
+        let r = read_edge_list(BufReader::new("4294967295 0\n".as_bytes()), 0);
+        assert!(
+            matches!(r, Err(GraphIoError::Parse { line: 1, .. })),
+            "{r:?}"
+        );
+    }
+
+    #[test]
     fn empty_edge_list_uses_min_vertices() {
         let g = read_edge_list(BufReader::new("# nothing\n".as_bytes()), 7).unwrap();
         assert_eq!(g.num_vertices(), 7);
@@ -225,6 +243,18 @@ mod tests {
         let off = bad2.len() - 4;
         bad2[off..].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode_csr(&bad2).is_err());
+    }
+
+    #[test]
+    fn binary_rejects_an_edge_count_that_wraps_the_size_check() {
+        // n = 0, m = 2^62: 4 * (n + 1 + m) wraps to 4, the size of the payload.
+        let mut bad = MAGIC.to_vec();
+        bad.extend_from_slice(&0u32.to_le_bytes());
+        bad.extend_from_slice(&(1u64 << 62).to_le_bytes());
+        bad.extend_from_slice(&[0; 4]);
+        assert_eq!(bad.len(), 22);
+        let r = decode_csr(&bad);
+        assert!(matches!(r, Err(GraphIoError::Format(_))), "{r:?}");
     }
 
     #[test]

@@ -21,16 +21,17 @@ use crate::store::GraphEntry;
 use maxwarp::{catalog, method_table, ExecConfig, Method};
 use maxwarp_graph::{atomic, induced_sample};
 use maxwarp_obs::Counter;
-use maxwarp_simt::GpuConfig;
+use maxwarp_simt::{cores, fan_out, GpuConfig};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 /// Probe each method with the algorithm's canonical query on a fresh device
-/// per method, returning simulated cycles.
+/// per method, returning simulated cycles in `methods` order.
 ///
 /// The device image is built once and cloned per probe, which makes every
 /// probe byte-identical to a standalone cold run of that method — the same
-/// property the result cache relies on. Failed probes (watchdog, faults)
+/// property the result cache relies on. So the probes are independent and
+/// fan out over the machine's cores. Failed probes (watchdog, faults)
 /// return the error instead of a count.
 pub fn probe_methods(
     cfg: &GpuConfig,
@@ -41,14 +42,11 @@ pub fn probe_methods(
 ) -> Vec<(Method, Result<u64, ServeError>)> {
     let template = DeviceTemplate::build(cfg, entry, algo.needs_reverse());
     let query = Query::canonical(algo);
-    methods
-        .iter()
-        .map(|&m| {
-            let outcome =
-                execute(cfg, exec, entry, &template, &query, m, None).map(|(_, run)| run.cycles());
-            (m, outcome)
-        })
-        .collect()
+    fan_out(cores(), methods.to_vec(), |m| {
+        let outcome =
+            execute(cfg, exec, entry, &template, &query, m, None).map(|(_, run)| run.cycles());
+        (m, outcome)
+    })
 }
 
 /// [`probe_methods`] for a single method — the figure experiments use this

@@ -3,7 +3,9 @@
 
 use maxwarp::{method_table, ExecConfig, Method};
 use maxwarp_graph::{hub_graph, Dataset, Scale};
-use maxwarp_serve::{probe_methods, Algo, GraphEntry, Query, Request, Server, ServerConfig, Tuner};
+use maxwarp_serve::{
+    probe_methods, probe_one, Algo, GraphEntry, Query, Request, Server, ServerConfig, Tuner,
+};
 use maxwarp_simt::GpuConfig;
 use std::path::PathBuf;
 
@@ -151,5 +153,37 @@ fn tuner_choice_matches_fig3_sweep_on_rmat() {
             choice.method, fig3_best,
             "a plain-ladder winner must be the fig3 best exactly"
         );
+    }
+}
+
+/// The tuner's probes run concurrently, yet each returns exactly what the
+/// same probe returns alone: for every algorithm, `probe_methods` over its
+/// candidates matches `probe_one`, in order and method for method.
+#[test]
+fn concurrent_probes_match_single_probes() {
+    let exec = ExecConfig::default();
+    let gpu = GpuConfig::tiny_test();
+    let entry = GraphEntry::new("RMAT", Dataset::Rmat.build(Scale::Tiny));
+    let threshold = maxwarp::catalog::defer_threshold(&entry.csr);
+    for algo in Algo::ALL {
+        let candidates: Vec<Method> = method_table::candidates(threshold)
+            .into_iter()
+            .filter(|m| algo.supports(*m))
+            .collect();
+        let probed = probe_methods(&gpu, &exec, &entry, algo, &candidates);
+        assert_eq!(probed.len(), candidates.len(), "{algo:?}");
+        for (&m, (pm, got)) in candidates.iter().zip(&probed) {
+            assert_eq!(*pm, m, "{algo:?}: results out of candidate order");
+            match (got, probe_one(&gpu, &exec, &entry, algo, m)) {
+                (Ok(a), Ok(b)) => assert_eq!(*a, b, "{algo:?} {}: cycles", m.spec()),
+                (Err(a), Err(b)) => assert_eq!(
+                    std::mem::discriminant(a),
+                    std::mem::discriminant(&b),
+                    "{algo:?} {}: {a} vs {b}",
+                    m.spec()
+                ),
+                (a, b) => panic!("{algo:?} {}: {a:?} alone gave {b:?}", m.spec()),
+            }
+        }
     }
 }

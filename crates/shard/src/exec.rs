@@ -31,7 +31,7 @@ use maxwarp::{
     SSSP_INF,
 };
 use maxwarp_obs::Registry;
-use maxwarp_simt::{DevPtr, Gpu, GpuConfig, LaunchError};
+use maxwarp_simt::{cores, fan_out, DevPtr, Gpu, GpuConfig, LaunchError};
 
 /// One shard's simulated device and its resident local graph.
 pub struct ShardDevice {
@@ -131,32 +131,21 @@ pub struct ShardedOutput<T> {
     pub run: ShardedRun,
 }
 
-/// Run each shard's round host-parallel; results come back in shard order
-/// and the first error (by shard order) propagates.
+/// Run each shard's round host-parallel, one thread per core pulling
+/// shards; results come back in shard order and the first error (by shard
+/// order) propagates.
 fn par_shards<St: Sync>(
     devices: &mut [ShardDevice],
     states: &[St],
     runs: &mut [AlgoRun],
     f: impl Fn(usize, &mut ShardDevice, &St, &mut AlgoRun) -> Result<bool, LaunchError> + Sync,
 ) -> Result<Vec<bool>, LaunchError> {
-    let f = &f;
-    let results: Vec<Result<bool, LaunchError>> = std::thread::scope(|sc| {
-        let handles: Vec<_> = devices
-            .iter_mut()
-            .zip(runs.iter_mut())
-            .zip(states.iter())
-            .enumerate()
-            .map(|(i, ((dev, run), st))| sc.spawn(move || f(i, dev, st, run)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(p) => std::panic::resume_unwind(p),
-            })
-            .collect()
-    });
-    results.into_iter().collect()
+    let shards = devices.iter_mut().zip(runs).zip(states).enumerate();
+    fan_out(cores(), shards.collect(), |(i, ((dev, run), st))| {
+        f(i, dev, st, run)
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Min-merge ghost copies into owners, then sync owners back to ghosts.

@@ -19,7 +19,7 @@ use crate::timing::{self, TimingError, TimingInput, TimingReport, WarpSpan};
 use crate::trace::{BlockTrace, KernelTrace, Op, WarpTrace};
 use crate::warp::{WarpCtx, WarpId};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -829,11 +829,61 @@ impl Drop for Simulating {
     }
 }
 
+/// The machine's available parallelism, read once per process.
+pub fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// Whether a helper replay would have a core to itself.
 fn core_free() -> bool {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    SIMULATING.load(Ordering::Relaxed) < cores
+    SIMULATING.load(Ordering::Relaxed) < cores()
+}
+
+/// Run `f` over independent `items` on `threads` threads, the caller being
+/// one of them, and return the results in input order. Each thread pulls
+/// the next unstarted item, in input order. `threads` is clamped to
+/// `1..=items.len()`, so one thread or one item runs inline with no spawn;
+/// if the OS refuses a thread, the others pull its share. A job's panic
+/// re-raises on the caller with its original payload, once every thread
+/// has stopped.
+pub fn fan_out<T: Send, R: Send>(
+    threads: usize,
+    items: Vec<T>,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let threads = threads.clamp(1, items.len().max(1));
+    if threads == 1 {
+        return items.into_iter().map(f).collect();
+    }
+    // Taking the next item cannot panic, so a poisoned lock still holds a
+    // valid iterator.
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let pull = || {
+        let mut done = Vec::new();
+        loop {
+            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((i, item)) = next else {
+                return done;
+            };
+            done.push((i, f(item)));
+        }
+    };
+    let mut done = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..threads)
+            .filter_map(|_| std::thread::Builder::new().spawn_scoped(s, pull).ok())
+            .collect();
+        let mut done = pull();
+        for helper in helpers {
+            match helper.join() {
+                Ok(theirs) => done.extend(theirs),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// A launch's replay. It is joined at the same point wherever it ran, so
@@ -1587,5 +1637,48 @@ mod tests {
         assert_eq!(gpu.mem.download(out), vec![2, 4, 6, 8]);
         assert!(stats.cycles > 0);
         let _ = Lanes::splat(0u32);
+    }
+
+    #[test]
+    fn fan_out_returns_results_in_input_order() {
+        for n in [0usize, 1, 37] {
+            for threads in [1, 2, 8] {
+                let items: Vec<usize> = (0..n).collect();
+                let out = fan_out(threads, items, |i| i * i);
+                let expect: Vec<usize> = (0..n).map(|i| i * i).collect();
+                assert_eq!(out, expect, "{n} items on {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_reraises_a_jobs_panic_payload() {
+        for threads in [1, 2, 8] {
+            let caught = std::panic::catch_unwind(|| {
+                fan_out(threads, (0..8).collect(), |i: u32| {
+                    if i == 5 {
+                        std::panic::panic_any(format!("job {i} failed"));
+                    }
+                    i
+                })
+            });
+            let Err(payload) = caught else {
+                panic!("the panic was swallowed on {threads} threads");
+            };
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("job 5 failed"),
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn fan_out_runs_one_item_or_one_thread_inline() {
+        let caller = std::thread::current().id();
+        let on = |_| std::thread::current().id();
+        assert_eq!(fan_out(8, vec![()], on), vec![caller]);
+        assert_eq!(fan_out(1, vec![(); 5], on), vec![caller; 5]);
+        assert_eq!(fan_out(0, vec![(); 3], on), vec![caller; 3]);
     }
 }
