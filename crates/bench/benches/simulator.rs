@@ -37,13 +37,13 @@ fn bench_timing_engine(c: &mut Criterion) {
     };
     g.bench_function("256_warps_x_1000_ops", |b| {
         b.iter_batched(
-            || TimingInput {
-                blocks: (0..32)
-                    .map(|_| (0..8).map(|_| vec![&trace]).collect())
-                    .collect(),
-                block_threads: 256,
-                shared_words_per_block: 0,
-                queue: Vec::new(),
+            || {
+                TimingInput::new(
+                    (0..32).map(|_| (0..8).map(|_| [&trace])),
+                    256,
+                    0,
+                    Vec::new(),
+                )
             },
             |input| timing::simulate(&input, &cfg).unwrap(),
             BatchSize::SmallInput,

@@ -92,8 +92,6 @@ pub enum TaskSchedule {
     /// partitioning a grid-stride-free CUDA kernel computes from its thread
     /// id.
     StaticBlocked,
-    /// Tasks are dealt round-robin over resident warps.
-    StaticCyclic,
     /// Warps fetch chunks from a global counter with `atomicAdd` as they go
     /// idle — the paper's *dynamic workload distribution*. Each task trace
     /// is prefixed with the atomic fetch it pays for.
@@ -620,7 +618,7 @@ impl Gpu {
         let launch_site = OpSite::caller("queue_fetch");
         self.validate_block(block_threads)?;
         let warps_per_block = block_threads / WARP_SIZE as u32;
-        let resident_warps = (grid_blocks * warps_per_block).max(1);
+        let resident_warps = grid_blocks.max(1) * warps_per_block;
         let functional = Instant::now();
 
         // Functional phase: one trace per task. Shared memory is per-task
@@ -693,39 +691,12 @@ impl Gpu {
             _ => 0,
         };
 
-        // Timing streams, as task indices: per-warp streams (static) or a
-        // queue (dynamic).
-        let n_blocks = grid_blocks.max(1);
-        let mut streams = TaskStreams {
-            blocks: (0..n_blocks)
-                .map(|_| (0..warps_per_block).map(|_| Vec::new()).collect())
-                .collect(),
-            queue: Vec::new(),
+        let streams = TaskStreams {
+            schedule,
+            grid_blocks: grid_blocks.max(1),
+            warps_per_block,
+            rotation: sched_off,
         };
-        let mut place = |w: u32, t: u32| {
-            streams.blocks[(w / warps_per_block) as usize][(w % warps_per_block) as usize].push(t)
-        };
-        match schedule {
-            TaskSchedule::StaticBlocked => {
-                let per = (num_tasks as usize).div_ceil(resident_warps as usize);
-                for t in 0..num_tasks {
-                    place(((t as usize / per) as u32 + sched_off) % resident_warps, t);
-                }
-            }
-            TaskSchedule::StaticCyclic => {
-                for t in 0..num_tasks {
-                    place((t + sched_off) % resident_warps, t);
-                }
-            }
-            TaskSchedule::Dynamic => {
-                streams.queue = (0..num_tasks).collect();
-                if num_tasks > 0 {
-                    streams
-                        .queue
-                        .rotate_left(sched_off as usize % num_tasks as usize);
-                }
-            }
-        }
 
         // Statistics: one "warp" per task, so the per-warp instruction
         // counts are the per-task imbalance histogram of interest.
@@ -756,11 +727,13 @@ impl Gpu {
 }
 
 /// How a warp-task launch's tasks — the warps of its trace's one block —
-/// map onto resident warps: `blocks[b][w]` lists the tasks warp `w` of
-/// block `b` runs in order, `queue` the dynamic queue's fetch order.
+/// map onto its `grid_blocks × warps_per_block` resident warps, rotated by
+/// `rotation` places under chaos scheduling perturbation.
 struct TaskStreams {
-    blocks: Vec<Vec<Vec<u32>>>,
-    queue: Vec<u32>,
+    schedule: TaskSchedule,
+    grid_blocks: u32,
+    warps_per_block: u32,
+    rotation: u32,
 }
 
 /// One launch's timing replay, owning everything it reads so that it can
@@ -783,17 +756,29 @@ impl ReplayJob {
             return timing::kernel_input(&self.trace);
         };
         let tasks = &self.trace.blocks[0].warps;
-        let pick = |ids: &[u32]| ids.iter().map(|&t| &tasks[t as usize]).collect();
-        TimingInput {
-            blocks: streams
-                .blocks
-                .iter()
-                .map(|b| b.iter().map(|w| pick(w)).collect())
-                .collect(),
-            block_threads: self.trace.block_threads,
-            shared_words_per_block: 0,
-            queue: pick(&streams.queue),
-        }
+        let (n, rotation) = (tasks.len(), streams.rotation as usize);
+        let wpb = streams.warps_per_block as usize;
+        let resident = streams.grid_blocks as usize * wpb;
+        // Static: resident warp `w` runs the `per` consecutive tasks of run
+        // `w - rotation`. Dynamic: warps start empty and pull from the
+        // queue, which starts `rotation` tasks in.
+        let (per, queue) = match streams.schedule {
+            TaskSchedule::StaticBlocked => (n.div_ceil(resident), Vec::new()),
+            TaskSchedule::Dynamic => {
+                let (head, tail) = tasks.split_at(rotation.checked_rem(n).unwrap_or(0));
+                (0, tail.iter().chain(head).collect())
+            }
+        };
+        let stream = |w: usize| {
+            let run = (w + resident - rotation) % resident;
+            &tasks[(run * per).min(n)..((run + 1) * per).min(n)]
+        };
+        TimingInput::new(
+            (0..streams.grid_blocks as usize).map(|b| (b * wpb..(b + 1) * wpb).map(stream)),
+            self.trace.block_threads,
+            0,
+            queue,
+        )
     }
 
     fn run(&self) -> ReplayOut {
@@ -1024,11 +1009,7 @@ mod tests {
 
     #[test]
     fn warp_tasks_static_vs_dynamic_same_memory_effects() {
-        for schedule in [
-            TaskSchedule::StaticBlocked,
-            TaskSchedule::StaticCyclic,
-            TaskSchedule::Dynamic,
-        ] {
+        for schedule in [TaskSchedule::StaticBlocked, TaskSchedule::Dynamic] {
             let mut g = gpu();
             let out = g.mem.alloc::<u32>(64);
             let stats = g
@@ -1359,12 +1340,7 @@ mod tests {
         let mut retiring = WarpTrace::new();
         retiring.ops.push(Op::Alu { active: 32 });
         let err = timing::simulate(
-            &TimingInput {
-                blocks: vec![vec![vec![&parked], vec![&retiring]]],
-                block_threads: 64,
-                shared_words_per_block: 0,
-                queue: vec![],
-            },
+            &TimingInput::new(vec![vec![vec![&parked], vec![&retiring]]], 64, 0, vec![]),
             &GpuConfig::tiny_test(),
         )
         .unwrap_err();
@@ -1568,7 +1544,8 @@ mod tests {
     fn a_panicking_replay_reraises_on_the_caller() {
         for (name, place) in PLACEMENTS {
             let mut g = gpu();
-            // A task stream naming a task that does not exist.
+            // Task streams over a grid with no warps, which no launch
+            // builds.
             let job = g.replay_job(
                 KernelTrace {
                     blocks: vec![BlockTrace { warps: Vec::new() }],
@@ -1576,8 +1553,10 @@ mod tests {
                     shared_words_per_block: 0,
                 },
                 Some(TaskStreams {
-                    blocks: vec![vec![vec![7]]],
-                    queue: Vec::new(),
+                    schedule: TaskSchedule::StaticBlocked,
+                    grid_blocks: 1,
+                    warps_per_block: 0,
+                    rotation: 0,
                 }),
             );
             g.enqueue(Ok((KernelStats::default(), job))).unwrap();

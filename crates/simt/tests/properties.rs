@@ -170,12 +170,7 @@ proptest! {
         let short = mk(len_a);
         let long = mk(len_a + extra);
         let time = |t: &WarpTrace| {
-            timing::simulate(&TimingInput {
-                blocks: vec![vec![vec![t]]],
-                block_threads: 32,
-                shared_words_per_block: 0,
-                queue: Vec::new(),
-            }, &cfg).unwrap()
+            timing::simulate(&TimingInput::new(vec![vec![vec![t]]], 32, 0, Vec::new()), &cfg).unwrap()
         };
         prop_assert!(time(&long) > time(&short));
     }
@@ -192,12 +187,7 @@ proptest! {
             }).collect(),
         };
         let run = || {
-            timing::simulate(&TimingInput {
-                blocks: vec![(0..warps).map(|_| vec![&trace]).collect()],
-                block_threads: warps * 32,
-                shared_words_per_block: 0,
-                queue: Vec::new(),
-            }, &cfg).unwrap()
+            timing::simulate(&TimingInput::new([(0..warps).map(|_| [&trace])], warps * 32, 0, Vec::new()), &cfg).unwrap()
         };
         prop_assert_eq!(run(), run());
     }
@@ -212,21 +202,11 @@ proptest! {
         let mut queue: Vec<&WarpTrace> = Vec::new();
         for _ in 0..n_heavy { queue.push(&heavy); }
         for _ in 0..n_light { queue.push(&light); }
-        let dynamic = timing::simulate(&TimingInput {
-            blocks: vec![vec![vec![], vec![]]],
-            block_threads: 64,
-            shared_words_per_block: 0,
-            queue: queue.clone(),
-        }, &cfg).unwrap();
-        let static_worst = timing::simulate(&TimingInput {
-            blocks: vec![vec![
-                (0..n_heavy).map(|_| &heavy).collect(),
+        let dynamic = timing::simulate(&TimingInput::new(vec![vec![vec![], vec![]]], 64, 0, queue.clone()), &cfg).unwrap();
+        let static_worst = timing::simulate(&TimingInput::new(vec![vec![
+                (0..n_heavy).map(|_| &heavy).collect::<Vec<_>>(),
                 (0..n_light).map(|_| &light).collect(),
-            ]],
-            block_threads: 64,
-            shared_words_per_block: 0,
-            queue: Vec::new(),
-        }, &cfg).unwrap();
+            ]], 64, 0, Vec::new()), &cfg).unwrap();
         // Dynamic distribution pays a counter-fetch (DRAM tx + memory
         // round-trip) per queue pull that the static split does not; in the
         // worst case every pull lands on the critical-path warp.
@@ -259,12 +239,7 @@ proptest! {
                 WarpTrace { ops }
             })
             .collect();
-        let input = || TimingInput {
-            blocks: vec![traces.iter().map(|t| vec![t]).collect()],
-            block_threads: warps * 32,
-            shared_words_per_block: 0,
-            queue: Vec::new(),
-        };
+        let input = || TimingInput::new([traces.iter().map(std::slice::from_ref)], warps * 32, 0, Vec::new());
         let c1 = timing::simulate(&input(), &cfg).unwrap();
         let c2 = timing::simulate(&input(), &cfg).unwrap();
         prop_assert_eq!(c1, c2);

@@ -123,20 +123,14 @@ impl Workload {
     }
 
     fn input(&self) -> TimingInput<'_> {
-        TimingInput {
-            blocks: self
-                .streams
+        TimingInput::new(
+            self.streams
                 .iter()
-                .map(|b| {
-                    b.iter()
-                        .map(|s| s.iter().map(|&i| &self.traces[i]).collect())
-                        .collect()
-                })
-                .collect(),
-            block_threads: self.block_threads,
-            shared_words_per_block: self.shared_words_per_block,
-            queue: self.queue.iter().map(|&i| &self.traces[i]).collect(),
-        }
+                .map(|b| b.iter().map(|s| s.iter().map(|&i| &self.traces[i]))),
+            self.block_threads,
+            self.shared_words_per_block,
+            self.queue.iter().map(|&i| &self.traces[i]).collect(),
+        )
     }
 }
 
