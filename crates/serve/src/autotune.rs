@@ -281,7 +281,7 @@ impl Tuner {
             })
             .collect();
         json::obj(vec![
-            ("version", json::n(1u32)),
+            ("version", json::n(TABLE_VERSION)),
             ("entries", Value::Arr(entries)),
         ])
     }
@@ -320,7 +320,7 @@ impl Tuner {
             );
             return;
         };
-        if doc.get("version").and_then(Value::as_u64) != Some(1) {
+        if doc.get("version").and_then(Value::as_u64) != Some(TABLE_VERSION.into()) {
             eprintln!(
                 "[serve] ignoring tuning table {} (unknown version)",
                 path.display()
@@ -364,6 +364,11 @@ impl Tuner {
         }
     }
 }
+
+/// Tuning-table version. Bumped whenever the cost model moves, since a
+/// table's winners were chosen by the cycles of its day; a table of
+/// another version is ignored and its pairs re-probed.
+const TABLE_VERSION: u32 = 2;
 
 #[cfg(test)]
 mod tests {
@@ -452,6 +457,30 @@ mod tests {
         let c3 = corrupt.choose(&cfg(), &exec, &e, Algo::Pagerank);
         assert_eq!(c3.source, ChoiceSource::Probed);
         assert_eq!(c3.method, c.method);
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_table_of_another_version_is_reprobed() {
+        let dir = std::env::temp_dir().join(format!("maxwarp-tune-v1-{}", std::process::id()));
+        let path = dir.join("tuning.json");
+        let _ = std::fs::remove_file(&path);
+        let e = entry();
+        let exec = ExecConfig::default();
+        let mut warm = Tuner::new(Some(path.clone()), 256, None);
+        warm.choose(&cfg(), &exec, &e, Algo::Bfs);
+
+        // The same decisions, published intact as a version-1 table.
+        let mut doc = warm.to_json();
+        if let Value::Obj(fields) = &mut doc {
+            fields.insert("version".into(), json::n(1u32));
+        }
+        atomic::write(&path, doc.to_json().as_bytes()).unwrap();
+        let mut old = Tuner::new(Some(path.clone()), 256, None);
+        let c = old.choose(&cfg(), &exec, &e, Algo::Bfs);
+        assert_eq!(c.source, ChoiceSource::Probed);
+        assert!(old.probes_run() > 0);
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -315,9 +315,11 @@ impl ResultCache {
     }
 }
 
-/// Warmup-snapshot payload version (bumped on any layout change; old
-/// snapshots are then ignored and the cache warms organically).
-const SNAPSHOT_VERSION: u32 = 1;
+/// Warmup-snapshot payload version, bumped on any layout change and
+/// whenever the cost model moves (a hit must equal a recompute, cycles
+/// included); old snapshots are then ignored and the cache warms
+/// organically.
+const SNAPSHOT_VERSION: u32 = 2;
 
 fn put_u8(w: &mut Vec<u8>, v: u8) {
     w.push(v);
@@ -638,6 +640,17 @@ mod tests {
             let n = partial.import_snapshot(&snap[..cut]);
             assert!(n <= shapes.len());
         }
+    }
+
+    #[test]
+    fn a_version_1_snapshot_imports_nothing() {
+        // Version 1 snapshots carry cycles of the old static launch
+        // geometry, which a recompute no longer produces.
+        let mut c = ResultCache::new(4);
+        c.insert(key(1), result(1));
+        let mut snap = c.export_snapshot();
+        snap[..4].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(ResultCache::new(4).import_snapshot(&snap), 0);
     }
 
     #[test]
