@@ -9,8 +9,9 @@
 //! * [`item_sweep`] visits `n` items (vertices, frontier-queue entries,
 //!   edges) under a [`Method`]: one thread per item through `Gpu::submit`,
 //!   or one virtual warp per item through `Gpu::submit_warp_tasks` over
-//!   chunks of `ExecConfig::chunk_vertices` items, statically partitioned
-//!   or fetched dynamically. The algorithm supplies one `visit` closure —
+//!   chunks of `ExecConfig::chunk_vertices` items: statically, one warp
+//!   per chunk, or fetched dynamically by a resident grid (DESIGN.md,
+//!   "Launch geometry"). The algorithm supplies one `visit` closure —
 //!   its filter and its per-edge body — and never sees a grid size, a
 //!   chunk or a task id. [`item_fold`] is the same sweep with an
 //!   accumulator per physical warp.
@@ -31,7 +32,7 @@ use crate::device_graph::DeviceGraph;
 use crate::method::{ExecConfig, Method};
 use crate::vwarp::VwLayout;
 use maxwarp_simt::{
-    BlockCtx, DevPtr, Gpu, Lanes, LaunchError, Mask, Submitted, WarpCtx, WARP_SIZE,
+    BlockCtx, DevPtr, Gpu, Lanes, LaunchError, Mask, Submitted, TaskSchedule, WarpCtx, WARP_SIZE,
 };
 
 /// Load `(start, end)` adjacency offsets for the active vertices.
@@ -231,10 +232,20 @@ pub(crate) fn item_fold<A>(
             let layout = VwLayout::new(opts.vw);
             let per_pass = opts.vw.per_physical();
             let chunk = exec.chunk_vertices.max(per_pass);
+            let tasks = n.div_ceil(chunk);
+            // The dynamic schedule's fetch loop keeps a persistent grid
+            // resident; a static schedule launches one warp per chunk, its
+            // blocks reaching SMs as slots free up.
+            let grid = match opts.schedule() {
+                TaskSchedule::Dynamic => exec.resident_grid(&gpu.cfg),
+                TaskSchedule::StaticBlocked => {
+                    tasks.div_ceil(exec.block_threads / WARP_SIZE as u32).max(1)
+                }
+            };
             gpu.submit_warp_tasks(
-                exec.resident_grid(&gpu.cfg),
+                grid,
                 exec.block_threads,
-                n.div_ceil(chunk),
+                tasks,
                 opts.schedule(),
                 |w, task| {
                     let chunk_end = (task * chunk + chunk).min(n);
