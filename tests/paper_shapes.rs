@@ -32,9 +32,8 @@ fn hub_graph_speedup_exceeds_2x() {
     assert!(speedup > 2.0, "speedup {speedup:.2} <= 2");
 }
 
-/// F2 inverse: the warp-centric win on a low-degree mesh (if any — small
-/// launches also benefit from the persistent grid) is far below the hub
-/// -graph win, and large K is actively harmful there.
+/// F2 inverse: the warp-centric win on a low-degree mesh (if any) is far
+/// below the hub-graph win, and large K is actively harmful there.
 #[test]
 fn road_graph_win_is_small_and_large_k_hurts() {
     let road = Dataset::RoadNet.build(Scale::Tiny);
