@@ -319,7 +319,7 @@ impl ResultCache {
 /// whenever the cost model moves (a hit must equal a recompute, cycles
 /// included); old snapshots are then ignored and the cache warms
 /// organically.
-const SNAPSHOT_VERSION: u32 = 2;
+const SNAPSHOT_VERSION: u32 = 3;
 
 fn put_u8(w: &mut Vec<u8>, v: u8) {
     w.push(v);
@@ -645,12 +645,15 @@ mod tests {
     #[test]
     fn a_version_1_snapshot_imports_nothing() {
         // Version 1 snapshots carry cycles of the old static launch
-        // geometry, which a recompute no longer produces.
+        // geometry, and version 2 sharded entries carry the cycles of
+        // supersteps that swept ghost rows; a recompute produces neither.
         let mut c = ResultCache::new(4);
         c.insert(key(1), result(1));
         let mut snap = c.export_snapshot();
-        snap[..4].copy_from_slice(&1u32.to_le_bytes());
-        assert_eq!(ResultCache::new(4).import_snapshot(&snap), 0);
+        for old in [1u32, 2] {
+            snap[..4].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(ResultCache::new(4).import_snapshot(&snap), 0);
+        }
     }
 
     #[test]

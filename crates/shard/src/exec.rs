@@ -1,8 +1,8 @@
 //! Multi-device BSP executor.
 //!
 //! Runs one simulated [`Gpu`] per shard, host-parallel, in bulk-synchronous
-//! supersteps: every device executes one algorithm round on its local
-//! graph, then the host performs the **halo exchange** — ghost values merge
+//! supersteps: every device executes one algorithm round over the rows it
+//! owns, then the host performs the **halo exchange** — ghost values merge
 //! into their owner slots and owner values scatter back to every ghost
 //! copy — with each message charged to the [`Interconnect`] model. The
 //! devices themselves are the *same* single-device kernels
@@ -244,7 +244,10 @@ fn last_round_compute(per_shard: &[AlgoRun]) -> u64 {
 
 /// Shared BSP loop for the monotone `atomicMin` fixpoint family
 /// (BFS / CC / SSSP): round until no device changed and no ghost merge
-/// improved an owner.
+/// improved an owner. `round_fn` sees the shard's owned rows only: ghost
+/// rows are empty and come after them, so a ghost is an edge target and
+/// a halo slot that the sweep never visits (state arrays still cover
+/// every local slot).
 fn run_min_bsp<St: Sync>(
     md: &mut MultiDevice,
     name: &'static str,
@@ -252,7 +255,7 @@ fn run_min_bsp<St: Sync>(
     values: &[DevPtr<u32>],
     link: &LinkConfig,
     obs: Option<&Registry>,
-    round_fn: impl Fn(usize, &mut ShardDevice, &St, u32, &mut AlgoRun) -> Result<bool, LaunchError>
+    round_fn: impl Fn(&mut Gpu, &DeviceGraph, &St, u32, &mut AlgoRun) -> Result<bool, LaunchError>
         + Sync,
 ) -> Result<ShardedRun, LaunchError> {
     let nsh = md.devices.len();
@@ -265,7 +268,13 @@ fn run_min_bsp<St: Sync>(
             &mut md.devices,
             states,
             &mut per_shard,
-            |i, dev, st, run| round_fn(i, dev, st, round, run),
+            |i, dev, st, run| {
+                let owned = DeviceGraph {
+                    n: md.part.shards[i].n_owned(),
+                    ..dev.dg
+                };
+                round_fn(&mut dev.gpu, &owned, st, round, run)
+            },
         )?;
         let improved = min_exchange(&mut md.devices, &md.part, values, &mut ic);
         rounds.push(ic.settle(last_round_compute(&per_shard)));
@@ -319,7 +328,7 @@ pub fn run_bfs_sharded(
         &values,
         link,
         obs,
-        |_, dev, st, cur, r| bfs_round(&mut dev.gpu, &dev.dg, st, cur, method, exec, r),
+        |gpu, dg, st, cur, r| bfs_round(gpu, dg, st, cur, method, exec, r),
     )?;
     Ok(ShardedOutput {
         values: gather_u32(md, &values),
@@ -347,9 +356,15 @@ pub fn run_cc_sharded(
         })
         .collect();
     let values: Vec<DevPtr<u32>> = states.iter().map(|s| s.labels).collect();
-    let run = run_min_bsp(md, "cc", &states, &values, link, obs, |_, dev, st, _, r| {
-        cc_round(&mut dev.gpu, &dev.dg, st, method, exec, r)
-    })?;
+    let run = run_min_bsp(
+        md,
+        "cc",
+        &states,
+        &values,
+        link,
+        obs,
+        |gpu, dg, st, _, r| cc_round(gpu, dg, st, method, exec, r),
+    )?;
     Ok(ShardedOutput {
         values: gather_u32(md, &values),
         run,
@@ -395,11 +410,11 @@ pub fn run_sssp_sharded(
         &values,
         link,
         obs,
-        |_, dev, st, cur, r| {
-            let Some(w) = dev.dg.weights else {
+        |gpu, dg, st, cur, r| {
+            let Some(w) = dg.weights else {
                 panic!("run_sssp_sharded requires a weighted partition");
             };
-            sssp_round(&mut dev.gpu, &dev.dg, w, st, cur, method, exec, r)
+            sssp_round(gpu, dg, w, st, cur, method, exec, r)
         },
     )?;
     Ok(ShardedOutput {
