@@ -54,13 +54,21 @@ pub fn write_edge_list<W: Write>(g: &Csr, mut w: W) -> io::Result<()> {
     Ok(())
 }
 
+/// Vertices an edge list may name per byte of its text. A vertex costs
+/// two `u32`s of CSR, so the graph's size stays within 8 KiB per input
+/// byte however sparse its ids are.
+const VERTICES_PER_INPUT_BYTE: u64 = 1024;
+
 /// Read a SNAP-style edge list. Vertex count is `max id + 1` unless a
-/// larger `min_vertices` is given.
+/// larger `min_vertices` is given. A vertex count past both `min_vertices`
+/// and 1024 per byte of input is a parse error, so a short file cannot
+/// make the reader allocate gigabytes.
 pub fn read_edge_list<R: BufRead>(r: R, min_vertices: u32) -> Result<Csr, GraphIoError> {
     let mut edges: Vec<(u32, u32)> = Vec::new();
-    let mut max_id = 0u32;
+    let (mut max_id, mut max_line, mut bytes) = (0u32, 0, 0u64);
     for (i, line) in r.lines().enumerate() {
         let line = line?;
+        bytes += line.len() as u64 + 1;
         let t = line.trim();
         if t.is_empty() || t.starts_with('#') {
             continue;
@@ -92,15 +100,25 @@ pub fn read_edge_list<R: BufRead>(r: R, min_vertices: u32) -> Result<Csr, GraphI
                 msg: format!("vertex id {} is out of range", u32::MAX),
             });
         }
-        max_id = max_id.max(u).max(v);
+        if u.max(v) >= max_id {
+            (max_id, max_line) = (u.max(v), i + 1);
+        }
         edges.push((u, v));
     }
-    let n = if edges.is_empty() {
-        min_vertices
-    } else {
-        (max_id + 1).max(min_vertices)
-    };
-    Ok(Csr::from_edges(n, &edges))
+    if edges.is_empty() || max_id < min_vertices {
+        return Ok(Csr::from_edges(min_vertices, &edges));
+    }
+    let limit = bytes.saturating_mul(VERTICES_PER_INPUT_BYTE);
+    if u64::from(max_id) >= limit {
+        return Err(GraphIoError::Parse {
+            line: max_line,
+            msg: format!(
+                "vertex id {max_id} needs more than {VERTICES_PER_INPUT_BYTE} vertices \
+                 per byte of a {bytes}-byte edge list"
+            ),
+        });
+    }
+    Ok(Csr::from_edges(max_id + 1, &edges))
 }
 
 // ------------------------------------------------------------- binary CSR
@@ -211,6 +229,22 @@ mod tests {
             matches!(r, Err(GraphIoError::Parse { line: 1, .. })),
             "{r:?}"
         );
+    }
+
+    #[test]
+    fn edge_list_bounds_the_vertex_count_by_its_size() {
+        // 13 bytes naming vertex 4·10⁹ would allocate about 16 GB of CSR.
+        let r = read_edge_list(BufReader::new("4000000000 0\n".as_bytes()), 0);
+        assert!(
+            matches!(r, Err(GraphIoError::Parse { line: 1, .. })),
+            "{r:?}"
+        );
+        // The same id is fine when the caller asks for that many vertices.
+        let r = read_edge_list(BufReader::new("40000 0\n".as_bytes()), 40_001);
+        assert_eq!(r.map(|g| g.num_vertices()).ok(), Some(40_001));
+        // Sparse ids within the ratio still load.
+        let g = read_edge_list(BufReader::new("# pad\n6000 0\n".as_bytes()), 0).unwrap();
+        assert_eq!(g.num_vertices(), 6001);
     }
 
     #[test]

@@ -82,7 +82,7 @@ use maxwarp_cpu::FallbackData;
 use maxwarp_graph::{atomic as store_atomic, Csr};
 use maxwarp_obs::{ActiveSpan, Registry, Tracer};
 use maxwarp_shard::{CutStrategy, LinkConfig, PartitionSpec};
-use maxwarp_simt::{GpuConfig, KernelStats, LaunchError, SimtError};
+use maxwarp_simt::{GpuConfig, KernelStats, LaunchError, SimtError, SimulatingThread};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -1000,7 +1000,11 @@ fn worker_loop(inner: &Arc<Inner>, slot: usize) {
         if panic_now {
             panic!("chaos: injected worker panic");
         }
+        // A worker serving a batch is a thread that simulates: its
+        // launches' replays start helpers only beside an idle core.
+        let simulating = SimulatingThread::enter();
         serve_batch(inner, slot, batch);
+        drop(simulating);
         lock(&inner.slots[slot].inflight).clear();
     }
 }

@@ -77,7 +77,9 @@ pub mod warp;
 pub use analyze::{Analyzer, FindKind, Finding};
 pub use cache::CacheModel;
 pub use config::GpuConfig;
-pub use device::{cores, fan_out, Gpu, LaunchError, Submitted, TaskSchedule, Ticket};
+pub use device::{
+    cores, fan_out, Gpu, LaunchError, SimulatingThread, Submitted, TaskSchedule, Ticket,
+};
 pub use fault::{
     AddressSpace, ChaosState, FaultConfig, SimtError, WatchdogConfig, WatchdogKind, XorShift64,
 };

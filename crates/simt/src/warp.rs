@@ -772,7 +772,7 @@ impl<'a> WarpCtx<'a> {
         let op = Op::Atomic {
             active: mask.count() as u8,
             tx: self.mem_tx(mask, ptr, idx),
-            replays: self.atomic_replays(mask, idx),
+            replays: atomic_replays(mask, idx),
         };
         let lanes = mask.iter().map(|l| (l, idx.get(l), 0));
         self.issue_mem(at, op, ptr.into(), AccessKind::Atomic, true, lanes);
@@ -1157,32 +1157,22 @@ impl<'a> WarpCtx<'a> {
             self.segment_bytes,
         ) as u8
     }
+}
 
-    fn atomic_replays(&self, mask: Mask, idx: &Lanes<u32>) -> u8 {
-        // Max same-address multiplicity − 1: the hardware serializes lanes
-        // that update the same location.
-        let mut addrs = [0u32; WARP_SIZE];
-        let mut counts = [0u8; WARP_SIZE];
-        let mut n = 0usize;
-        'outer: for l in mask.iter() {
-            let a = idx.get(l);
-            for k in 0..n {
-                if addrs[k] == a {
-                    counts[k] += 1;
-                    continue 'outer;
-                }
-            }
-            addrs[n] = a;
-            counts[n] = 1;
-            n += 1;
-        }
-        counts[..n]
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(1)
-            .saturating_sub(1)
+/// Max same-address multiplicity − 1 of an atomic's active lanes: the
+/// hardware serializes lanes that update the same location. Sorted, the
+/// lanes of one address form a run.
+fn atomic_replays(mask: Mask, idx: &Lanes<u32>) -> u8 {
+    let mut addrs = [0u32; WARP_SIZE];
+    let mut n = 0;
+    for l in mask.iter() {
+        addrs[n] = idx.get(l);
+        n += 1;
     }
+    let addrs = &mut addrs[..n];
+    addrs.sort_unstable();
+    let longest = addrs.chunk_by(|a, b| a == b).map(<[u32]>::len).max();
+    longest.unwrap_or(1).saturating_sub(1) as u8
 }
 
 /// Arithmetic used by atomic read-modify-write ops.
@@ -1248,6 +1238,28 @@ mod tests {
             warp_in_block: 2,
             warps_per_block: 4,
             num_blocks: 3,
+        }
+    }
+
+    proptest::proptest! {
+        /// The sorted run count equals a pairwise scan of the active
+        /// addresses, on masks and addresses drawn from a few values so
+        /// that lanes collide.
+        #[test]
+        fn atomic_replays_match_a_pairwise_scan(
+            mask in proptest::prelude::any::<u32>(),
+            addrs in proptest::collection::vec(0u32..6, WARP_SIZE),
+            spread in 0u32..3,
+        ) {
+            let idx = Lanes::from_fn(|l| (addrs[l] << (8 * spread)) | (l as u32 * (spread / 2)));
+            let mask = Mask(mask);
+            let lanes: Vec<u32> = mask.iter().map(|l| idx.get(l)).collect();
+            let scan = lanes
+                .iter()
+                .map(|a| lanes.iter().filter(|b| *b == a).count())
+                .max()
+                .map_or(0, |m| m - 1);
+            proptest::prop_assert_eq!(atomic_replays(mask, &idx) as usize, scan);
         }
     }
 
